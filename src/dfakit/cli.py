@@ -39,8 +39,7 @@ from .exceptions import DFAError
 from .expectation import (
     asymptotic_lambda,
     correction_function,
-    expected_f2_increments,
-    expected_f2_stationary,
+    expected_f2,
 )
 from .generators import (
     apply_gap_mask,
@@ -157,10 +156,7 @@ def _expected_rows(model, m: int, scales, hurst: float | None):
     lam = asymptotic_lambda(m, hurst).value if hurst is not None else None
     for s in scales:
         s = int(s)
-        if hasattr(model, "acvf"):
-            ef2 = expected_f2_stationary(model, m, s)
-        else:
-            ef2 = expected_f2_increments(model, m, s)
+        ef2 = expected_f2(model, m, s)
         if lam is not None:
             ls2h = lam * float(s) ** (2 * hurst)
             yield s, ef2, ls2h, ef2 / ls2h
@@ -397,31 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, args, argv) -> argparse.Namespace:
+    """Parse again with the config file's values as subcommand defaults,
+    so that any explicit flag, in any spelling, wins."""
     if not args.config:
         return args
     with open(args.config) as fh:
         defaults = json.load(fh)
-    known = {a.dest for a in parser._actions}
-    subparser = None
-    sub_actions = [a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    if sub_actions and args.command in sub_actions[0].choices:
-        subparser = sub_actions[0].choices[args.command]
-        known |= {a.dest for a in subparser._actions}
+    sub_action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    subparser = sub_action.choices[args.command]
+    known = {a.dest for a in parser._actions + subparser._actions}
     unknown = set(defaults) - known
     if unknown:
         raise DFAError(f"unknown config keys: {sorted(unknown)}")
-    # config supplies defaults; explicit flags already in argv win
-    for key, value in defaults.items():
-        parser_default = parser.get_default(key)
-        if parser_default is None and subparser is not None:
-            parser_default = subparser.get_default(key)
-        if getattr(args, key, None) in (None, parser_default):
-            flagged = any(arg.replace("-", "_").lstrip("_") == key
-                          for arg in argv if arg.startswith("--"))
-            if not flagged:
-                setattr(args, key, value)
-    return args
+    subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

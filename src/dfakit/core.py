@@ -73,6 +73,13 @@ def _orthonormal_rowspace(m: int, s: int) -> np.ndarray:
         )
     return q
 
+
+def _projected_cumsum_rows(m: int, s: int) -> np.ndarray:
+    """(m+1) x s matrix U^T D, built from suffix sums of the basis U."""
+    u = _orthonormal_rowspace(m, s)
+    return np.cumsum(u[::-1], axis=0)[::-1].T
+
+
 def hat_matrix(m: int, s: int) -> np.ndarray:
     """Explicit s x s projection Q = B^T (B B^T)^{-1} B.
 
@@ -103,10 +110,9 @@ def weight_matrix(m: int, s: int) -> WeightMatrix:
     (D^T D)_{ij} = s + 1 - max(i, j).
     """
     _check_scale(m, s)
-    u = _orthonormal_rowspace(m, s)
     idx = np.arange(1, s + 1)
     dtd = (s + 1 - np.maximum.outer(idx, idx)).astype(float)
-    v = u.T @ cumulative_sum_matrix(s)
+    v = _projected_cumsum_rows(m, s)
     return WeightMatrix(order=m, scale=s, entries=dtd - v.T @ v)
 
 

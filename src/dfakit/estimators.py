@@ -1,14 +1,23 @@
 """Sample DFA and the gap-tolerant modified fluctuation functions.
 
 Windowing is non-overlapping from the left; the tail of length
-n mod s is discarded. For order m >= 1 the per-window value is
-computed through the pairwise-difference kernel
+n mod s is discarded. One engine evaluates all three estimators:
 
-    F_t^2(s) = -(1/2s) sum_{k,j} w_{k,j} A_{k,j} (x_k - x_j)^2,
+* Gap-free input is detrended directly: F^2(s) is the mean over windows
+  of |y - (y U) U^T|^2 / s, with y = cumsum(x_w) the window's profile
+  and U an orthonormal basis of the order-m polynomials. All three
+  estimators take this path on gap-free input, so they agree bit for
+  bit there. Memory is O(n) per scale.
+* Gapped input has its missing values zeroed. With Y and Delta the
+  W x s windows of values and of availability, and B = p * A the pair
+  weights of ``gap_weights`` times the weight matrix,
 
-with w identically one for gap-free data and w = p * delta delta^T for
-the gap-tolerant variant. All three estimators run the identical code
-path when no data are missing, so they agree bit for bit there.
+      f_tilde = <B, Y^T Y> / (sW),
+      f_hat   = (<B, Y^T Y> - <B, (Y*Y)^T Delta>) / (sW),
+
+  the window averages of the product kernel (1/s) sum B x_k x_j and of
+  the pairwise-difference kernel -(1/2s) sum B (x_k - x_j)^2 over
+  present pairs. Memory is O(s^2) per scale.
 """
 
 from __future__ import annotations
@@ -17,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightMatrix, weight_matrix
+from .core import _orthonormal_rowspace, weight_matrix
 from .exceptions import (
     AllPairsMissingError,
+    NonFiniteValueError,
     OrderZeroUnsupportedError,
     ScaleExceedsLengthError,
     TooFewPointsError,
@@ -30,9 +40,17 @@ NEGATIVE_SQUARED = "negative-squared-value"
 NO_VALID_PAIRS = "no-valid-pairs"
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError("present values must be finite")
+
+
 @dataclass(frozen=True)
 class GappedSeries:
-    """Regularly sampled values with a per-point availability mask."""
+    """Regularly sampled values with a per-point availability mask.
+
+    A NaN or inf at a present point raises NonFiniteValueError.
+    """
 
     values: np.ndarray
     mask: np.ndarray
@@ -44,6 +62,7 @@ class GappedSeries:
             raise ValueError("values and mask must be 1-d and equally long")
         if not mask.any():
             raise ValueError("at least one value must be present")
+        _check_finite(values[mask])
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
         values.setflags(write=False)
@@ -145,50 +164,11 @@ def _windows(x: np.ndarray, s: int) -> np.ndarray:
     return x[: w * s].reshape(w, s)
 
 
-def _increment_f2_per_window(xw: np.ndarray, a: np.ndarray,
-                             w: np.ndarray) -> np.ndarray:
-    """-(1/2s) sum w A (x_k - x_j)^2 for each window row of xw."""
-    s = xw.shape[1]
-    d2 = (xw[:, :, None] - xw[:, None, :]) ** 2
-    return -np.einsum("kj,wkj->w", w * a, d2) / (2 * s)
-
-
-def _product_f2_per_window(xw: np.ndarray, a: np.ndarray,
-                           w: np.ndarray) -> np.ndarray:
-    """(1/s) sum w A x_k x_j for each window row of xw."""
-    s = xw.shape[1]
-    outer = xw[:, :, None] * xw[:, None, :]
-    return np.einsum("kj,wkj->w", w * a, outer) / s
-
-
-def _quadratic_f2_per_window(xw: np.ndarray, a: np.ndarray) -> np.ndarray:
-    s = xw.shape[1]
-    return np.einsum("wk,kj,wj->w", xw, a, xw) / s
-
-
-def _standard_window_f2(xw: np.ndarray, a: WeightMatrix) -> np.ndarray:
-    ones = np.ones((a.scale, a.scale))
-    if a.order >= 1:
-        return _increment_f2_per_window(xw, a.entries, ones)
-    return _quadratic_f2_per_window(xw, a.entries)
-
-
 def dfa(series, m: int, scales) -> FluctuationCurve:
-    """Standard DFA fluctuation curve on gap-free data."""
+    """Standard DFA fluctuation curve on gap-free, finite data."""
     x = np.asarray(series, dtype=float)
-    scales = np.asarray(scales, dtype=int)
-    _check_scales(x.shape[0], m, scales)
-    f2 = np.empty(scales.shape)
-    nw = np.empty(scales.shape, dtype=int)
-    for i, s in enumerate(scales):
-        a = weight_matrix(m, int(s))
-        xw = _windows(x, int(s))
-        vals = _standard_window_f2(xw, a)
-        f2[i] = vals.mean()
-        nw[i] = xw.shape[0]
-    return FluctuationCurve(scales=scales, f2=f2, n_windows=nw,
-                            estimator="standard",
-                            reasons=tuple([None] * scales.size))
+    _check_finite(x)
+    return _curve(x, None, m, scales, "standard")
 
 
 def gap_weights(mask, s: int, count_empty_windows: bool = True) -> GapWeights:
@@ -218,41 +198,52 @@ def gap_weights(mask, s: int, count_empty_windows: bool = True) -> GapWeights:
     return GapWeights(scale=s, p=p, defined=defined, n_windows=n_win)
 
 
-def _gap_curve(gs: GappedSeries, m: int, scales, kernel: str,
-               count_empty_windows: bool) -> FluctuationCurve:
+def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
+           estimator: str, count_empty_windows: bool = True
+           ) -> FluctuationCurve:
+    """The one engine behind dfa, f_hat and f_tilde; mask None is gap-free."""
     scales = np.asarray(scales, dtype=int)
-    _check_scales(gs.values.shape[0], m, scales)
-    x = np.where(gs.mask, gs.values, 0.0)
+    _check_scales(x.shape[0], m, scales)
+    if mask is not None:
+        x = np.where(mask, x, 0.0)
     f2 = np.full(scales.shape, np.nan)
     nw = np.zeros(scales.shape, dtype=int)
     reasons: list[str | None] = []
     for i, s in enumerate(scales):
-        a = weight_matrix(m, int(s))
-        xw = _windows(x, int(s))
+        s = int(s)
+        xw = _windows(x, s)
         nw[i] = xw.shape[0]
-        if gs.gap_free:
-            # identical code path (and bit pattern) as standard DFA
-            vals = _standard_window_f2(xw, a)
+        if mask is None:
+            if m >= 1:
+                # a constant shift adds a ramp to the profile, which the
+                # fit removes; shifting by a window value keeps the profile
+                # small and makes a constant window give exactly zero
+                xw = xw - xw[:, :1]
+            y = np.cumsum(xw, axis=1)
+            u = _orthonormal_rowspace(m, s)
+            y -= (y @ u) @ u.T
+            f2[i] = np.vdot(y, y) / y.size
         else:
             try:
-                gw = gap_weights(gs.mask, int(s), count_empty_windows)
+                gw = gap_weights(mask, s, count_empty_windows)
             except AllPairsMissingError:
                 reasons.append(NO_VALID_PAIRS)
                 continue
-            dw = _windows(gs.mask, int(s)).astype(float)
-            avail = dw[:, :, None] * dw[:, None, :]
-            pa = gw.p * a.entries
-            if kernel == "increment":
-                d2 = (xw[:, :, None] - xw[:, None, :]) ** 2
-                vals = -np.einsum("kj,wkj->w", pa, d2 * avail) / (2 * int(s))
+            dw = _windows(mask, s).astype(float)
+            pa = gw.p * weight_matrix(m, s).entries
+            if estimator == "f_hat":
+                # the pairwise form is invariant to a shift of each window;
+                # centring on a present value stops the two terms below
+                # from cancelling in floating point
+                first = xw[np.arange(xw.shape[0]), dw.argmax(axis=1)]
+                xw = (xw - first[:, None]) * dw
+                gram = xw.T @ xw - (xw * xw).T @ dw
             else:
-                outer = xw[:, :, None] * xw[:, None, :]
-                vals = np.einsum("kj,wkj->w", pa, outer * avail) / int(s)
-        f2[i] = vals.mean()
+                gram = xw.T @ xw
+            f2[i] = np.vdot(pa, gram) / xw.size
         reasons.append(NEGATIVE_SQUARED if f2[i] < 0 else None)
-    tag = "f_hat" if kernel == "increment" else "f_tilde"
     return FluctuationCurve(scales=scales, f2=f2, n_windows=nw,
-                            estimator=tag, reasons=tuple(reasons))
+                            estimator=estimator, reasons=tuple(reasons))
 
 
 def f_hat(gs: GappedSeries, m: int, scales,
@@ -262,12 +253,16 @@ def f_hat(gs: GappedSeries, m: int, scales,
     Unbiased (relative to gap-free DFA) for stationary and for
     stationary-increment input. Scales where the reweighted sum turns
     negative are flagged undefined; the raw value is kept in f2.
+
+    Memory per scale is O(n) for gap-free input; with gaps it is
+    O(s^2), and time O(n s).
     """
     if m < 1:
         raise OrderZeroUnsupportedError(
             "difference-kernel estimator needs order >= 1"
         )
-    return _gap_curve(gs, m, scales, "increment", count_empty_windows)
+    return _curve(gs.values, None if gs.gap_free else gs.mask, m, scales,
+                  "f_hat", count_empty_windows)
 
 
 def f_tilde(gs: GappedSeries, m: int, scales,
@@ -277,8 +272,12 @@ def f_tilde(gs: GappedSeries, m: int, scales,
     Unbiased for stationary input only; for stationary-increment
     (nonstationary) input the window-offset-dependent part no longer
     cancels and the estimator is biased.
+
+    Memory per scale is O(n) for gap-free input; with gaps it is
+    O(s^2), and time O(n s).
     """
-    return _gap_curve(gs, m, scales, "product", count_empty_windows)
+    return _curve(gs.values, None if gs.gap_free else gs.mask, m, scales,
+                  "f_tilde", count_empty_windows)
 
 
 def estimate_hurst(curve: FluctuationCurve,
@@ -288,10 +287,12 @@ def estimate_hurst(curve: FluctuationCurve,
         s_min, s_max = int(curve.scales.min()), int(curve.scales.max())
     else:
         s_min, s_max = int(fit_range[0]), int(fit_range[1])
-    sel = curve.defined & (curve.scales >= s_min) & (curve.scales <= s_max)
+    # F^2 = 0 (a constant series) has no logarithm
+    sel = (curve.defined & (curve.f2 > 0)
+           & (curve.scales >= s_min) & (curve.scales <= s_max))
     if sel.sum() < 3:
         raise TooFewPointsError(
-            f"need >= 3 defined scales in [{s_min}, {s_max}], "
+            f"need >= 3 defined scales with F^2 > 0 in [{s_min}, {s_max}], "
             f"have {int(sel.sum())}"
         )
     logs = np.log(curve.scales[sel].astype(float))

@@ -34,6 +34,10 @@ class InsufficientLagsError(DFAError, ValueError):
     """A tabulated correlation model does not cover the required lags."""
 
 
+class NonFiniteValueError(DFAError, ValueError):
+    """A value marked present is NaN or infinite."""
+
+
 class AllPairsMissingError(DFAError, ValueError):
     """No window contains any non-missing pair at this scale."""
 

@@ -96,15 +96,17 @@ def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
     return float((a * gam).sum()) / s
 
 
+def expected_f2(model, m: int, s: int) -> float:
+    """E F^2(s) from the model's acvf if it has one, else its variogram."""
+    if hasattr(model, "acvf"):
+        return expected_f2_stationary(model, m, s)
+    return expected_f2_increments(model, m, s)
+
+
 def expected_curve(model, m: int, scales) -> ExpectedCurve:
     """Evaluate the appropriate engine over a scale grid."""
     scales = np.asarray(scales, dtype=int)
-    if hasattr(model, "acvf"):
-        ef2 = np.array([expected_f2_stationary(model, m, int(s))
-                        for s in scales])
-    else:
-        ef2 = np.array([expected_f2_increments(model, m, int(s))
-                        for s in scales])
+    ef2 = np.array([expected_f2(model, m, int(s)) for s in scales])
     return ExpectedCurve(order=m, scales=scales, ef2=ef2, model=model)
 
 
@@ -161,10 +163,7 @@ def scaling_model(hurst: float, variance: float = 1.0):
 def expected_f2_scaling(m: int, hurst: float, s: int,
                         variance: float = 1.0) -> float:
     """E F^2(s) for the reference scaling process with exponent H."""
-    model = scaling_model(hurst, variance)
-    if hasattr(model, "acvf"):
-        return expected_f2_stationary(model, m, s)
-    return expected_f2_increments(model, m, s)
+    return expected_f2(scaling_model(hurst, variance), m, s)
 
 
 def correction_function(m: int, hurst: float, s: int, engine=None) -> float:

@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .core import weight_matrix
+from .core import _projected_cumsum_rows
 from .exceptions import ScaleTooSmallError
 
 
@@ -64,14 +64,6 @@ def weight_function(m: int, s: int) -> WeightFunctionTable:
     cross = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, :s].sum(axis=0)
     values = dtd_diag - cross
     return WeightFunctionTable(order=m, scale=s, values=values)
-
-
-def _projected_cumsum_rows(m: int, s: int) -> np.ndarray:
-    """(m+1) x s matrix U^T D, built from suffix sums of the basis U."""
-    from .core import _orthonormal_rowspace
-
-    u = _orthonormal_rowspace(m, s)
-    return np.cumsum(u[::-1], axis=0)[::-1].T
 
 
 def closed_form_g(m: int, j: int, s: int, exact: bool = False):

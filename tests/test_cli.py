@@ -70,6 +70,23 @@ class TestAnalyze:
                    "--hurst-out", str(tmp_path / "h.json")])
         assert rc == 4
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_non_finite_value_exit_4(self, tmp_path, cell):
+        inp = tmp_path / "x.csv"
+        cells = [repr(float(v)) for v in gen_fgn(0.7, 1.0, 200, 7)]
+        cells[50] = cell
+        inp.write_text("\n".join(cells) + "\n")
+        rc = main(["analyze", "-i", str(inp), "--out", str(tmp_path / "o.csv"),
+                   "--hurst-out", str(tmp_path / "h.json")])
+        assert rc == 4
+
+    def test_constant_series_exit_4(self, tmp_path):
+        inp = tmp_path / "x.csv"
+        write_series(inp, np.full(200, 3.7))
+        rc = main(["analyze", "-i", str(inp), "--out", str(tmp_path / "o.csv"),
+                   "--hurst-out", str(tmp_path / "h.json")])
+        assert rc == 4
+
     def test_na_handling_with_f_hat(self, tmp_path):
         x = gen_fgn(0.7, 1.0, 400, seed=5)
         mask = block_gap_mask(400, 0.2, 6.0, seed=6)
@@ -266,6 +283,20 @@ class TestErrorsAndConfig:
         with open(out) as fh:
             lines = fh.read().splitlines()
         assert float(lines[3].split(",")[1]) == pytest.approx(0.96, rel=1e-9)
+
+    @pytest.mark.parametrize("flag", [["-m", "2"], ["--order=2"]])
+    def test_short_and_inline_flags_beat_config(self, tmp_path, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"order": 1}))
+        with_cfg, without = tmp_path / "a.csv", tmp_path / "b.csv"
+        rc = main(["--config", str(cfg), "bias", "--hurst", "0.7", *flag,
+                   "--scales", "10", "--out", str(with_cfg)])
+        assert rc == 0
+        rc = main(["bias", "--hurst", "0.7", "-m", "2", "--scales", "10",
+                   "--out", str(without)])
+        assert rc == 0
+        assert (with_cfg.read_text().splitlines()[1:]
+                == without.read_text().splitlines()[1:])
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -13,8 +13,10 @@ from dfakit.estimators import (
     f_tilde,
     gap_weights,
 )
+from dfakit.core import weight_matrix
 from dfakit.exceptions import (
     AllPairsMissingError,
+    NonFiniteValueError,
     OrderZeroUnsupportedError,
     ScaleExceedsLengthError,
     TooFewPointsError,
@@ -202,6 +204,74 @@ class TestFHat:
             c = f_hat(GappedSeries(x, mask), 1, scales)
             undef_counts.append(int((~c.defined).sum()))
         assert all(a >= b for a, b in zip(undef_counts, undef_counts[1:]))
+
+
+def _longdouble_reference(x, mask, m, s):
+    """f_hat and f_tilde from their pairwise and product definitions,
+    summed in extended precision."""
+    w = x.size // s
+    pa = (gap_weights(mask, s).p.astype(np.longdouble)
+          * weight_matrix(m, s).entries.astype(np.longdouble))
+    xw = np.where(mask, x, 0.0)[: w * s].reshape(w, s).astype(np.longdouble)
+    dw = mask[: w * s].reshape(w, s)
+    avail = dw[:, :, None] & dw[:, None, :]
+    diff2 = (xw[:, :, None] - xw[:, None, :]) ** 2
+    prod = xw[:, :, None] * xw[:, None, :]
+    hat = -(pa * diff2 * avail).sum() / (2 * s * w)
+    tilde = (pa * prod * avail).sum() / (s * w)
+    return hat, tilde
+
+
+class TestExpandedFormPrecision:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [0.0, 55.5, 1e3])
+    def test_matches_longdouble_reference(self, m, offset):
+        rng = np.random.default_rng(30 + m)
+        scales = [5, 7, 12, 25, 50]
+        for x in (rng.normal(size=300), np.cumsum(rng.normal(size=300))):
+            mask = rng.random(300) > rng.uniform(0.1, 0.4)
+            gs = GappedSeries(x + offset, mask)
+            hat = f_hat(gs, m, scales).f2
+            tilde = f_tilde(gs, m, scales).f2
+            for i, s in enumerate(scales):
+                ref_hat, ref_tilde = _longdouble_reference(x + offset, mask,
+                                                           m, s)
+                assert abs((hat[i] - ref_hat) / ref_hat) <= 1e-12
+                assert abs((tilde[i] - ref_tilde) / ref_tilde) <= 1e-10
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gapped_series_rejects_non_finite_present(self, bad):
+        x = np.arange(10.0)
+        x[4] = bad
+        with pytest.raises(NonFiniteValueError):
+            GappedSeries(x, np.ones(10, bool))
+        mask = np.ones(10, bool)
+        mask[4] = False
+        assert GappedSeries(x, mask).mask.sum() == 9
+
+    def test_from_values_rejects_inf(self):
+        with pytest.raises(NonFiniteValueError):
+            GappedSeries.from_values([1.0, np.inf, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dfa_rejects_non_finite(self, bad):
+        x = np.random.default_rng(40).normal(size=100)
+        x[17] = bad
+        with pytest.raises(NonFiniteValueError):
+            dfa(x, 2, [10, 20])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_constant_series_has_no_hurst(self, m):
+        x = np.full(200, 3.7)
+        scales = default_scale_grid(200, m)
+        mask = np.random.default_rng(41).random(200) > 0.2
+        for curve in (dfa(x, m, scales),
+                      f_hat(GappedSeries(x, mask), m, scales)):
+            assert np.all(curve.f2 == 0.0)
+            with pytest.raises(TooFewPointsError):
+                estimate_hurst(curve)
 
 
 class TestFTilde:
