@@ -23,6 +23,7 @@ from .estimators import (
     HurstFit,
     default_scale_grid,
     dfa,
+    ensemble,
     estimate_hurst,
     f_hat,
     f_tilde,

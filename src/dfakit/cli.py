@@ -31,6 +31,7 @@ from .estimators import (
     GappedSeries,
     default_scale_grid,
     dfa,
+    ensemble,
     estimate_hurst,
     f_hat,
     f_tilde,
@@ -42,7 +43,6 @@ from .expectation import (
     expected_f2,
 )
 from .generators import (
-    apply_gap_mask,
     block_gap_mask,
     gen_ar1,
     gen_fbm,
@@ -247,7 +247,13 @@ def _generate(spec: dict, n: int, seed: int, replicate: int) -> np.ndarray:
 
 def _mask_for(args, n: int) -> np.ndarray | None:
     if args.mask:
-        return _read_series(args.mask).values.astype(bool)
+        gs = _read_series(args.mask)
+        if not (gs.gap_free and np.isin(gs.values, (0.0, 1.0)).all()):
+            raise DFAError(f"mask file {args.mask} must hold only 0 and 1")
+        if gs.values.shape != (n,):
+            raise DFAError(f"mask file {args.mask} holds "
+                           f"{gs.values.size} values, not {n}")
+        return gs.values == 1.0
     if args.gap_fraction:
         return block_gap_mask(n, args.gap_fraction, args.block_length,
                               args.seed + 10_000)
@@ -269,47 +275,57 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _summary(f2: np.ndarray):
+    """Per scale of an (R, S) array, NaN where undefined: the count, mean
+    and 5% and 95% quantiles (linear, as np.quantile) of the defined
+    values. The statistics of a column with count 0 mean nothing."""
+    cols = np.ascontiguousarray(f2.T)
+    count = (~np.isnan(cols)).sum(axis=1)
+    mean = np.nansum(cols, axis=1) / np.maximum(count, 1)
+    srt = np.sort(cols, axis=1)  # NaN sorts last
+    rows = np.arange(cols.shape[0])
+    last = np.maximum(count - 1, 0)
+    quantiles = []
+    for q in (0.05, 0.95):
+        pos = last * q
+        lo = np.floor(pos).astype(int)
+        a, b = srt[rows, lo], srt[rows, np.minimum(lo + 1, last)]
+        quantiles.append(a + (pos - lo) * (b - a))
+    return count, mean, *quantiles
+
+
+def _hurst_or_nan(args, curve: FluctuationCurve) -> float:
+    try:
+        return estimate_hurst(curve, _fit_range(args, curve)).hurst
+    except DFAError:
+        return float("nan")
+
+
 def cmd_mc(args) -> int:
     spec = json.loads(args.model)
     n, m = args.length, args.order
     scales = _parse_scales(args, n, m)
     mask = _mask_for(args, n)
-    rows = {"standard": [], "f_hat": [], "f_tilde": []}
-    hursts = {"standard": [], "f_hat": [], "f_tilde": []}
+    samples = np.empty((args.ensemble, n))
     for r in range(args.ensemble):
-        x = _generate(spec, n, args.seed, r)
-        curves = {"standard": dfa(x, m, scales)}
-        if mask is not None:
-            gs = apply_gap_mask(x, mask)
-            curves["f_hat"] = f_hat(gs, m, scales)
-            curves["f_tilde"] = f_tilde(gs, m, scales)
-        for tag, curve in curves.items():
-            rows[tag].append(np.where(curve.defined, curve.f2, np.nan))
-            try:
-                fit = estimate_hurst(curve, _fit_range(args, curve))
-                hursts[tag].append(fit.hurst)
-            except DFAError:
-                hursts[tag].append(float("nan"))
+        samples[r] = _generate(spec, n, args.seed, r)
+    curves = {tag: reps for tag, reps in
+              ensemble(samples, mask, m, scales).items() if reps}
     with _open_out(args.out) as fh:
         fh.write(_config_header(args) + "\n")
         w = csv.writer(fh)
         w.writerow(["estimator", "scale", "mean_F2", "q05_F2", "q95_F2",
                     "n_defined"])
-        for tag, data in rows.items():
-            if not data:
-                continue
-            arr = np.vstack(data)
-            for i, s in enumerate(scales):
-                col = arr[:, i]
-                ok = ~np.isnan(col)
-                if ok.any():
-                    w.writerow([tag, int(s), repr(float(np.mean(col[ok]))),
-                                repr(float(np.quantile(col[ok], 0.05))),
-                                repr(float(np.quantile(col[ok], 0.95))),
-                                int(ok.sum())])
+        for tag, reps in curves.items():
+            f2 = np.array([np.where(c.defined, c.f2, np.nan) for c in reps])
+            for s, k, *stats in zip(scales, *_summary(f2)):
+                if k:
+                    w.writerow([tag, int(s)]
+                               + [repr(float(v)) for v in stats] + [int(k)])
                 else:
                     w.writerow([tag, int(s), "", "", "", 0])
-    payload = {tag: vals for tag, vals in hursts.items() if vals}
+    payload = {tag: [_hurst_or_nan(args, c) for c in reps]
+               for tag, reps in curves.items()}
     with _open_out(args.hurst_out) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

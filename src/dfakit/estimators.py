@@ -1,23 +1,33 @@
 """Sample DFA and the gap-tolerant modified fluctuation functions.
 
 Windowing is non-overlapping from the left; the tail of length
-n mod s is discarded. One engine evaluates all three estimators:
+n mod s is discarded. One engine evaluates all three estimators on an
+(R, n) stack of replicates that share one availability mask: ``dfa``,
+``f_hat`` and ``f_tilde`` are its R = 1 case, and ``ensemble`` runs a
+whole stack. Per scale, the pieces that depend only on (m, s, mask) are
+built once for the stack: the basis U, the pair weights of
+``gap_weights``, B = p * A with A the weight matrix, the availability
+windows Delta and Delta B^T.
 
 * Gap-free input is detrended directly: F^2(s) is the mean over windows
   of |y - (y U) U^T|^2 / s, with y = cumsum(x_w) the window's profile
-  and U an orthonormal basis of the order-m polynomials. All three
+  and U an orthonormal basis of the order-m polynomials. The windows of
+  all replicates go through one (R W, s) projection. All three
   estimators take this path on gap-free input, so they agree bit for
-  bit there. Memory is O(n) per scale.
-* Gapped input has its missing values zeroed. With Y and Delta the
-  W x s windows of values and of availability, and B = p * A the pair
-  weights of ``gap_weights`` times the weight matrix,
+  bit there.
+* Gapped input has its missing values zeroed. With y and delta a
+  window's values and availability,
 
-      f_tilde = <B, Y^T Y> / (sW),
-      f_hat   = (<B, Y^T Y> - <B, (Y*Y)^T Delta>) / (sW),
+      f_tilde = sum_w y^T B y / (sW),
+      f_hat   = sum_w (y^T B y - (y*y) . (B delta)) / (sW),
 
   the window averages of the product kernel (1/s) sum B x_k x_j and of
   the pairwise-difference kernel -(1/2s) sum B (x_k - x_j)^2 over
-  present pairs. Memory is O(s^2) per scale.
+  present pairs. Each is one (R W, s) x (s, s) product over the stack.
+
+Replicates go through in blocks of about 2^20 values (at least one
+replicate), so the temporaries per scale take O(block n) memory besides
+the O(s^2) of B.
 """
 
 from __future__ import annotations
@@ -39,6 +49,9 @@ from .exceptions import (
 NEGATIVE_SQUARED = "negative-squared-value"
 NO_VALID_PAIRS = "no-valid-pairs"
 
+#: replicates go through the engine in blocks of about this many values
+_BLOCK_VALUES = 2 ** 20
+
 
 def _check_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
@@ -56,8 +69,9 @@ class GappedSeries:
     mask: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
+        # copies, so that freezing them leaves the caller's arrays writable
+        values = np.array(self.values, dtype=float)
+        mask = np.array(self.mask, dtype=bool)
         if values.shape != mask.shape or values.ndim != 1:
             raise ValueError("values and mask must be 1-d and equally long")
         if not mask.any():
@@ -159,16 +173,19 @@ def _check_scales(n: int, m: int, scales: np.ndarray) -> None:
 
 
 def _windows(x: np.ndarray, s: int) -> np.ndarray:
-    """Left-anchored non-overlapping windows; the tail is discarded."""
-    w = x.shape[0] // s
-    return x[: w * s].reshape(w, s)
+    """Left-anchored non-overlapping windows along the last axis,
+    (..., n) to (..., W, s); the tail is discarded."""
+    w = x.shape[-1] // s
+    return x[..., : w * s].reshape(*x.shape[:-1], w, s)
 
 
 def dfa(series, m: int, scales) -> FluctuationCurve:
     """Standard DFA fluctuation curve on gap-free, finite data."""
     x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("series must be 1-d")
     _check_finite(x)
-    return _curve(x, None, m, scales, "standard")
+    return _curve(x[None], None, m, scales, ("standard",))["standard"][0]
 
 
 def gap_weights(mask, s: int, count_empty_windows: bool = True) -> GapWeights:
@@ -184,7 +201,7 @@ def gap_weights(mask, s: int, count_empty_windows: bool = True) -> GapWeights:
     dw = _windows(mask, s).astype(float)
     if dw.shape[0] == 0:
         raise ScaleExceedsLengthError(f"scale {s} exceeds mask length")
-    counts = np.einsum("wk,wj->kj", dw, dw)
+    counts = dw.T @ dw
     n_win = dw.shape[0]
     if not count_empty_windows:
         n_win = int(dw.any(axis=1).sum())
@@ -199,51 +216,97 @@ def gap_weights(mask, s: int, count_empty_windows: bool = True) -> GapWeights:
 
 
 def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
-           estimator: str, count_empty_windows: bool = True
-           ) -> FluctuationCurve:
-    """The one engine behind dfa, f_hat and f_tilde; mask None is gap-free."""
+           estimators: tuple[str, ...], count_empty_windows: bool = True
+           ) -> dict[str, tuple[FluctuationCurve, ...]]:
+    """The one engine behind dfa, f_hat, f_tilde and ensemble.
+
+    x is an (R, n) stack of finite replicates sharing one mask; mask None
+    is gap-free. Returns, per estimator, one curve per replicate.
+    """
+    if "f_hat" in estimators and m < 1:
+        raise OrderZeroUnsupportedError(
+            "difference-kernel estimator needs order >= 1"
+        )
     scales = np.asarray(scales, dtype=int)
-    _check_scales(x.shape[0], m, scales)
-    if mask is not None:
-        x = np.where(mask, x, 0.0)
-    f2 = np.full(scales.shape, np.nan)
-    nw = np.zeros(scales.shape, dtype=int)
-    reasons: list[str | None] = []
+    reps, n = x.shape
+    _check_scales(n, m, scales)
+    if mask is not None and mask.all():
+        mask = None
+    gapped = [] if mask is None else [e for e in estimators
+                                      if e != "standard"]
+    direct = [e for e in estimators if e not in gapped]
+    xz = np.where(mask, x, 0.0) if gapped else x
+    f2 = {e: np.full((reps, scales.size), np.nan) for e in estimators}
+    pairless = np.zeros(scales.size, dtype=bool)
+    block = max(1, _BLOCK_VALUES // n)
     for i, s in enumerate(scales):
         s = int(s)
-        xw = _windows(x, s)
-        nw[i] = xw.shape[0]
-        if mask is None:
-            if m >= 1:
-                # a constant shift adds a ramp to the profile, which the
-                # fit removes; shifting by a window value keeps the profile
-                # small and makes a constant window give exactly zero
-                xw = xw - xw[:, :1]
-            y = np.cumsum(xw, axis=1)
+        size = (n // s) * s
+        if direct:
             u = _orthonormal_rowspace(m, s)
-            y -= (y @ u) @ u.T
-            f2[i] = np.vdot(y, y) / y.size
-        else:
-            try:
-                gw = gap_weights(mask, s, count_empty_windows)
-            except AllPairsMissingError:
-                reasons.append(NO_VALID_PAIRS)
-                continue
+        try:
+            gw = gap_weights(mask, s, count_empty_windows) if gapped else None
+        except AllPairsMissingError:
+            pairless[i] = True
+            gw = None
+        if gw is not None:
             dw = _windows(mask, s).astype(float)
             pa = gw.p * weight_matrix(m, s).entries
-            if estimator == "f_hat":
-                # the pairwise form is invariant to a shift of each window;
-                # centring on a present value stops the two terms below
-                # from cancelling in floating point
-                first = xw[np.arange(xw.shape[0]), dw.argmax(axis=1)]
-                xw = (xw - first[:, None]) * dw
-                gram = xw.T @ xw - (xw * xw).T @ dw
-            else:
-                gram = xw.T @ xw
-            f2[i] = np.vdot(pa, gram) / xw.size
-        reasons.append(NEGATIVE_SQUARED if f2[i] < 0 else None)
-    return FluctuationCurve(scales=scales, f2=f2, n_windows=nw,
-                            estimator=estimator, reasons=tuple(reasons))
+            # the correction term's weights: (Y*Y) . (Delta B^T) is
+            # <B, (Y*Y)^T Delta>
+            dpa = (dw @ pa.T).ravel()
+            first = dw.argmax(axis=1)
+        for lo in range(0, reps, block):
+            rows = slice(lo, lo + block)
+            if direct:
+                xw = _windows(x[rows], s)
+                if m >= 1:
+                    # a constant shift adds a ramp to the profile, which
+                    # the fit removes; shifting by a window value keeps
+                    # the profile small and makes a constant window give
+                    # exactly zero
+                    xw = xw - xw[..., :1]
+                y = np.cumsum(xw.reshape(-1, s), axis=1)
+                y -= (y @ u) @ u.T
+                val = _row_dot(y, y, xw.shape[0]) / size
+                for e in direct:
+                    f2[e][rows, i] = val
+            if gw is not None:
+                yw = _windows(xz[rows], s)
+                if "f_tilde" in gapped:
+                    f2["f_tilde"][rows, i] = _quadratic(yw, pa) / size
+                if "f_hat" in gapped:
+                    # the pairwise form is invariant to a shift of each
+                    # window; centring on a present value stops the two
+                    # terms below from cancelling in floating point
+                    shift = yw[:, np.arange(yw.shape[1]), first]
+                    yc = (yw - shift[..., None]) * dw
+                    sq = (yc * yc).reshape(yc.shape[0], -1)
+                    f2["f_hat"][rows, i] = (_quadratic(yc, pa)
+                                            - sq @ dpa) / size
+    nw = n // scales
+    out = {}
+    for e in estimators:
+        skip = pairless if e in gapped else np.zeros_like(pairless)
+        out[e] = tuple(
+            FluctuationCurve(
+                scales=scales, f2=row, n_windows=nw, estimator=e,
+                reasons=tuple(NO_VALID_PAIRS if gone
+                              else NEGATIVE_SQUARED if v < 0 else None
+                              for gone, v in zip(skip, row)))
+            for row in f2[e])
+    return out
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray, reps: int) -> np.ndarray:
+    """Per replicate, the dot product of its rows of a and b."""
+    return np.einsum("ij,ij->i", a.reshape(reps, -1), b.reshape(reps, -1))
+
+
+def _quadratic(yw: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per replicate, sum over windows y of y^T B y; yw is (R, W, s)."""
+    y = yw.reshape(-1, b.shape[0])
+    return _row_dot(y @ b, y, yw.shape[0])
 
 
 def f_hat(gs: GappedSeries, m: int, scales,
@@ -255,14 +318,10 @@ def f_hat(gs: GappedSeries, m: int, scales,
     negative are flagged undefined; the raw value is kept in f2.
 
     Memory per scale is O(n) for gap-free input; with gaps it is
-    O(s^2), and time O(n s).
+    O(n + s^2), and time O(n s).
     """
-    if m < 1:
-        raise OrderZeroUnsupportedError(
-            "difference-kernel estimator needs order >= 1"
-        )
-    return _curve(gs.values, None if gs.gap_free else gs.mask, m, scales,
-                  "f_hat", count_empty_windows)
+    return _curve(gs.values[None], gs.mask, m, scales, ("f_hat",),
+                  count_empty_windows)["f_hat"][0]
 
 
 def f_tilde(gs: GappedSeries, m: int, scales,
@@ -274,10 +333,34 @@ def f_tilde(gs: GappedSeries, m: int, scales,
     cancels and the estimator is biased.
 
     Memory per scale is O(n) for gap-free input; with gaps it is
-    O(s^2), and time O(n s).
+    O(n + s^2), and time O(n s).
     """
-    return _curve(gs.values, None if gs.gap_free else gs.mask, m, scales,
-                  "f_tilde", count_empty_windows)
+    return _curve(gs.values[None], gs.mask, m, scales, ("f_tilde",),
+                  count_empty_windows)["f_tilde"][0]
+
+
+def ensemble(samples, mask, m: int, scales
+             ) -> dict[str, tuple[FluctuationCurve, ...]]:
+    """Curves of every replicate in an (R, n) stack sharing one mask.
+
+    Returns one curve per replicate under "standard" (``dfa`` of the
+    full samples) and, when a mask is given, under "f_hat" and
+    "f_tilde" (of the samples with the mask applied). Each curve equals
+    the one the per-replicate call gives; the per-scale pieces that
+    depend only on (m, s, mask) are built once for the whole stack.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("samples must be an (R, n) stack")
+    _check_finite(x)
+    if mask is None:
+        return _curve(x, None, m, scales, ("standard",))
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.shape[1:]:
+        raise ValueError("mask must be as long as each replicate")
+    if not mask.any():
+        raise ValueError("at least one value must be present")
+    return _curve(x, mask, m, scales, ("standard", "f_hat", "f_tilde"))
 
 
 def estimate_hurst(curve: FluctuationCurve,

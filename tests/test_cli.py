@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import dfakit
-from dfakit.cli import main
+from dfakit.cli import _summary, main
 from dfakit.estimators import GappedSeries, dfa, f_hat
-from dfakit.generators import block_gap_mask, gen_fgn
+from dfakit.generators import block_gap_mask, gen_fgn, gen_white
 
 
 def write_series(path, values, mask=None):
@@ -198,6 +198,21 @@ class TestSimulate:
         assert "NA" in lines
         assert len(lines) == 500
 
+    @pytest.mark.parametrize("cell", ["0.5", "NA", "2"])
+    def test_mask_must_hold_0_and_1(self, tmp_path, cell):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("1\n" * 10 + cell + "\n" + "0\n" * 9)
+        rc = main(["simulate", "--model", '{"kind": "white"}', "-n", "20",
+                   "--mask", str(mask), "--out", str(tmp_path / "s.csv")])
+        assert rc == 4
+
+    def test_mask_length_must_match(self, tmp_path):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("1\n" * 19)
+        rc = main(["simulate", "--model", '{"kind": "white"}', "-n", "20",
+                   "--mask", str(mask), "--out", str(tmp_path / "s.csv")])
+        assert rc == 4
+
     def test_simulate_then_analyze(self, tmp_path):
         sim = tmp_path / "sim.csv"
         main(["simulate", "--model", '{"kind": "fgn", "hurst": 0.7}',
@@ -240,6 +255,68 @@ class TestMc:
             fh.readline()
             tags = {r["estimator"] for r in csv.DictReader(fh)}
         assert tags == {"standard", "f_hat", "f_tilde"}
+
+
+    @pytest.mark.parametrize("cell", ["0.5", "NA"])
+    def test_mask_must_hold_0_and_1(self, tmp_path, cell):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("1\n" * 100 + cell + "\n" + "0\n" * 99)
+        out = tmp_path / "mc.csv"
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "200",
+                   "--ensemble", "2", "--scales", "8", "16",
+                   "--mask", str(mask), "--out", str(out),
+                   "--hurst-out", str(out.with_suffix(".json"))])
+        assert rc == 4
+
+    def test_mask_file_matches_library(self, tmp_path):
+        mask = block_gap_mask(300, 0.2, 10.0, seed=5)
+        path = tmp_path / "mask.csv"
+        path.write_text("".join(f"{int(v)}\n" for v in mask))
+        out = tmp_path / "mc.csv"
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "300",
+                   "--ensemble", "1", "--seed", "4", "-m", "1",
+                   "--scales", "6", "20", "--mask", str(path),
+                   "--out", str(out),
+                   "--hurst-out", str(out.with_suffix(".json"))])
+        assert rc == 0
+        gs = GappedSeries(gen_white(1.0, 300, 4, 0), mask)
+        ref = f_hat(gs, 1, [6, 20])
+        rows = [r for r in read_curve_csv(out) if r["estimator"] == "f_hat"]
+        got = np.array([float(r["mean_F2"]) for r in rows])
+        np.testing.assert_allclose(got, ref.f2, rtol=1e-12)
+
+    def test_undefined_scale_writes_empty_row(self, tmp_path):
+        # every retained window at s = 50 is missing; the tail is present
+        mask = tmp_path / "mask.csv"
+        mask.write_text("0\n" * 100 + "1\n" * 10)
+        out = tmp_path / "mc.csv"
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "110",
+                   "--ensemble", "3", "-m", "1", "--scales", "8", "50",
+                   "--mask", str(mask), "--out", str(out),
+                   "--hurst-out", str(out.with_suffix(".json"))])
+        assert rc == 0
+        rows = {(r["estimator"], r["scale"]): r for r in read_curve_csv(out)}
+        for tag in ("f_hat", "f_tilde"):
+            row = rows[(tag, "50")]
+            assert [row[k] for k in ("mean_F2", "q05_F2", "q95_F2",
+                                     "n_defined")] == ["", "", "", "0"]
+        assert rows[("standard", "50")]["n_defined"] == "3"
+
+    def test_summary_matches_numpy(self):
+        rng = np.random.default_rng(6)
+        f2 = rng.gamma(2.0, size=(37, 5))
+        f2[rng.random(f2.shape) < 0.3] = np.nan
+        f2[:, 3] = np.nan
+        count, mean, q05, q95 = _summary(f2)
+        for i in range(5):
+            col = f2[~np.isnan(f2[:, i]), i]
+            assert count[i] == col.size
+            if col.size:
+                np.testing.assert_allclose(
+                    [mean[i], q05[i], q95[i]],
+                    [np.mean(col), np.quantile(col, 0.05),
+                     np.quantile(col, 0.95)], rtol=1e-12)
+        assert count[3] == 0
 
 
 class TestErrorsAndConfig:

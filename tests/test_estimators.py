@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from dfakit import estimators
 from dfakit.estimators import (
     NO_VALID_PAIRS,
     GappedSeries,
     default_scale_grid,
     dfa,
+    ensemble,
     estimate_hurst,
     f_hat,
     f_tilde,
@@ -22,7 +24,7 @@ from dfakit.exceptions import (
     TooFewPointsError,
 )
 from dfakit.expectation import expected_f2_stationary
-from dfakit.generators import gen_fgn
+from dfakit.generators import apply_gap_mask, block_gap_mask, gen_fgn
 from dfakit.models import FGN
 
 
@@ -347,3 +349,79 @@ class TestGappedSeries:
     def test_all_missing_rejected(self):
         with pytest.raises(ValueError):
             GappedSeries(np.ones(3), np.zeros(3, bool))
+
+    def test_caller_arrays_stay_writable(self):
+        x = np.arange(5.0)
+        mask = np.ones(5, bool)
+        gs = apply_gap_mask(x, mask)
+        x[0] = 7.0
+        mask[1] = False
+        assert gs.values[0] == 0.0
+        assert gs.mask.all()
+        assert not gs.values.flags.writeable and not gs.mask.flags.writeable
+
+
+class TestEnsemble:
+    N, M = 400, 2
+
+    def _stack(self, reps=7):
+        rng = np.random.default_rng(50)
+        return np.cumsum(rng.normal(size=(reps, self.N)), axis=1) + 20.0
+
+    def test_matches_per_replicate_calls(self):
+        x = self._stack()
+        mask = block_gap_mask(self.N, 0.3, 10.0, seed=51)
+        scales = default_scale_grid(self.N, self.M)
+        curves = ensemble(x, mask, self.M, scales)
+        assert set(curves) == {"standard", "f_hat", "f_tilde"}
+        for r, row in enumerate(x):
+            gs = GappedSeries(row, mask)
+            for key, ref in (("standard", dfa(row, self.M, scales)),
+                             ("f_hat", f_hat(gs, self.M, scales)),
+                             ("f_tilde", f_tilde(gs, self.M, scales))):
+                got = curves[key][r]
+                assert got.estimator == ref.estimator
+                assert got.reasons == ref.reasons
+                assert np.array_equal(got.n_windows, ref.n_windows)
+                np.testing.assert_allclose(got.f2, ref.f2, rtol=1e-12)
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        x = self._stack()
+        mask = block_gap_mask(self.N, 0.3, 10.0, seed=52)
+        scales = [5, 16, 40]
+        whole = ensemble(x, mask, self.M, scales)
+        # blocks of 3, 3 and 1 replicates
+        monkeypatch.setattr(estimators, "_BLOCK_VALUES", 3 * self.N + 1)
+        split = ensemble(x, mask, self.M, scales)
+        for key in whole:
+            for a, b in zip(whole[key], split[key]):
+                np.testing.assert_allclose(a.f2, b.f2, rtol=1e-12)
+
+    def test_no_mask_gives_standard_only(self):
+        x = self._stack(3)
+        curves = ensemble(x, None, 0, [8, 20])
+        assert list(curves) == ["standard"]
+        assert np.array_equal(curves["standard"][2].f2, dfa(x[2], 0, [8, 20]).f2)
+
+    def test_full_mask_collapses_bit_for_bit(self):
+        x = self._stack(3)
+        curves = ensemble(x, np.ones(self.N, bool), self.M, [8, 20, 50])
+        for r in range(3):
+            ref = curves["standard"][r].f2
+            assert np.array_equal(curves["f_hat"][r].f2, ref)
+            assert np.array_equal(curves["f_tilde"][r].f2, ref)
+
+    def test_bad_input(self):
+        x = self._stack(2)
+        mask = np.ones(self.N, bool)
+        with pytest.raises(OrderZeroUnsupportedError):
+            ensemble(x, mask, 0, [8])
+        with pytest.raises(ValueError):
+            ensemble(x[0], mask, self.M, [8])
+        with pytest.raises(ValueError):
+            ensemble(x, mask[1:], self.M, [8])
+        with pytest.raises(ValueError):
+            ensemble(x, ~mask, self.M, [8])
+        x[1, 3] = np.nan
+        with pytest.raises(NonFiniteValueError):
+            ensemble(x, mask, self.M, [8])
