@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -36,11 +37,12 @@ from .estimators import (
     f_hat,
     f_tilde,
 )
-from .exceptions import DFAError
+from .exceptions import DFAError, ScaleTooSmallError
 from .expectation import (
+    ScalingConstant,
     asymptotic_lambda,
-    correction_function,
     expected_f2,
+    scaling_model,
 )
 from .generators import (
     block_gap_mask,
@@ -152,13 +154,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _expected_rows(model, m: int, scales, hurst: float | None):
-    lam = asymptotic_lambda(m, hurst).value if hurst is not None else None
+def _model_scales(args) -> np.ndarray:
+    """The --scales grid of expected and bias, or by default the powers
+    of two from the smallest one above the order to 2^12."""
+    if args.scales:
+        return np.array(sorted({int(s) for s in args.scales}), int)
+    return 2 ** np.arange(int(np.ceil(np.log2(args.order + 2))), 13)
+
+
+def _expected_rows(model, m: int, scales, lam: ScalingConstant | None):
+    """Per scale: s, E F^2(s) and, given lambda, lambda s^{2H} and K^2."""
     for s in scales:
         s = int(s)
         ef2 = expected_f2(model, m, s)
         if lam is not None:
-            ls2h = lam * float(s) ** (2 * hurst)
+            ls2h = lam.value * float(s) ** (2 * lam.hurst)
             yield s, ef2, ls2h, ef2 / ls2h
         else:
             yield s, ef2, None, None
@@ -166,18 +176,17 @@ def _expected_rows(model, m: int, scales, hurst: float | None):
 
 def cmd_expected(args) -> int:
     model = _model(args)
-    scales = (np.array(sorted({int(s) for s in args.scales}), int)
-              if args.scales else 2 ** np.arange(
-                  int(np.ceil(np.log2(args.order + 2))), 13))
+    scales = _model_scales(args)
     hurst = args.hurst
     if hurst is None:
         hurst = getattr(model, "hurst", None)
+    lam = asymptotic_lambda(args.order, hurst) if hurst is not None else None
     with _open_out(args.out) as fh:
         fh.write(_config_header(args) + "\n")
         w = csv.writer(fh)
         w.writerow(["s", "EF2", "lambda_s2H", "K2"])
         for s, ef2, ls2h, k2 in _expected_rows(model, args.order, scales,
-                                               hurst):
+                                               lam):
             w.writerow([s, repr(ef2),
                         "" if ls2h is None else repr(ls2h),
                         "" if k2 is None else repr(k2)])
@@ -189,18 +198,18 @@ def cmd_bias(args) -> int:
         print("dfakit bias: --hurst is required (flag or config file)",
               file=sys.stderr)
         return EXIT_USAGE
-    scales = (np.array(sorted({int(s) for s in args.scales}), int)
-              if args.scales else 2 ** np.arange(
-                  int(np.ceil(np.log2(args.order + 2))), 13))
-    lam = asymptotic_lambda(args.order, args.hurst)
+    m, scales = args.order, _model_scales(args)
+    if scales[0] < m + 2:
+        raise ScaleTooSmallError(f"scale {scales[0]} too small for order {m}")
+    lam = asymptotic_lambda(m, args.hurst)
+    model = scaling_model(args.hurst)
     with _open_out(args.out) as fh:
         fh.write(_config_header(args) + "\n")
         fh.write(f"# lambda: {repr(lam.value)}\n")
         w = csv.writer(fh)
         w.writerow(["s", "K2", "K"])
-        for s in scales:
-            k2 = correction_function(args.order, args.hurst, int(s))
-            w.writerow([int(s), repr(k2), repr(float(np.sqrt(k2)))])
+        for s, _, _, k2 in _expected_rows(model, m, scales, lam):
+            w.writerow([s, repr(k2), repr(float(np.sqrt(k2)))])
     return 0
 
 
@@ -340,7 +349,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output CSV path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; argparse keeps no state
+    between parses. Never mutate it: _apply_config_file builds its own."""
     parser = argparse.ArgumentParser(
         prog="dfakit",
         description="Detrended fluctuation analysis: estimation, exact "
@@ -408,13 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, args, argv) -> argparse.Namespace:
-    """Parse again with the config file's values as subcommand defaults,
-    so that any explicit flag, in any spelling, wins."""
+def _apply_config_file(args, argv) -> argparse.Namespace:
+    """Parse again, on a parser of its own, with the config file's values
+    as subcommand defaults, so that any explicit flag, in any spelling,
+    wins."""
     if not args.config:
         return args
     with open(args.config) as fh:
         defaults = json.load(fh)
+    parser = build_parser.__wrapped__()
     sub_action = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
     subparser = sub_action.choices[args.command]
@@ -428,10 +442,9 @@ def _apply_config_file(parser, args, argv) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args = _apply_config_file(parser, args, argv)
+        args = _apply_config_file(args, argv)
         return args.func(args)
     except (OSError, csv.Error) as exc:
         print(f"dfakit: i/o error: {exc}", file=sys.stderr)

@@ -74,10 +74,21 @@ def _orthonormal_rowspace(m: int, s: int) -> np.ndarray:
     return q
 
 
-def _projected_cumsum_rows(m: int, s: int) -> np.ndarray:
-    """(m+1) x s matrix U^T D, built from suffix sums of the basis U."""
-    u = _orthonormal_rowspace(m, s)
+def _projected_cumsum_rows(u: np.ndarray) -> np.ndarray:
+    """(m+1) x s matrix V = U^T D, built from suffix sums of the basis U."""
     return np.cumsum(u[::-1], axis=0)[::-1].T
+
+
+def _weight_entries(u: np.ndarray) -> np.ndarray:
+    """A = D^T D - V^T V from the s x (m+1) basis U, with V = U^T D.
+
+    D^T D has the closed form (D^T D)_{ij} = s + 1 - max(i, j).
+    """
+    s = u.shape[0]
+    idx = np.arange(1, s + 1)
+    dtd = (s + 1 - np.maximum.outer(idx, idx)).astype(float)
+    v = _projected_cumsum_rows(u)
+    return dtd - v.T @ v
 
 
 def hat_matrix(m: int, s: int) -> np.ndarray:
@@ -106,14 +117,10 @@ def weight_matrix(m: int, s: int) -> WeightMatrix:
     """Construct A = D^T (I - Q) D.
 
     Computed as D^T D - V^T V with V = U^T D, where U holds an
-    orthonormal basis of the row space of B. D^T D has the closed form
-    (D^T D)_{ij} = s + 1 - max(i, j).
+    orthonormal basis of the row space of B (_weight_entries).
     """
-    _check_scale(m, s)
-    idx = np.arange(1, s + 1)
-    dtd = (s + 1 - np.maximum.outer(idx, idx)).astype(float)
-    v = _projected_cumsum_rows(m, s)
-    return WeightMatrix(order=m, scale=s, entries=dtd - v.T @ v)
+    entries = _weight_entries(_orthonormal_rowspace(m, s))
+    return WeightMatrix(order=m, scale=s, entries=entries)
 
 
 def profile(series: np.ndarray) -> np.ndarray:

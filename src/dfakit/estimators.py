@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _orthonormal_rowspace, weight_matrix
+from .core import _orthonormal_rowspace, _weight_entries
 from .exceptions import (
     AllPairsMissingError,
     NonFiniteValueError,
@@ -242,16 +242,16 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
     for i, s in enumerate(scales):
         s = int(s)
         size = (n // s) * s
-        if direct:
-            u = _orthonormal_rowspace(m, s)
         try:
             gw = gap_weights(mask, s, count_empty_windows) if gapped else None
         except AllPairsMissingError:
             pairless[i] = True
             gw = None
+        if direct or gw is not None:
+            u = _orthonormal_rowspace(m, s)
         if gw is not None:
             dw = _windows(mask, s).astype(float)
-            pa = gw.p * weight_matrix(m, s).entries
+            pa = gw.p * _weight_entries(u)
             # the correction term's weights: (Y*Y) . (Delta B^T) is
             # <B, (Y*Y)^T Delta>
             dpa = (dw @ pa.T).ravel()

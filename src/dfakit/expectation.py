@@ -56,8 +56,9 @@ def expected_f2_stationary(model: AcvfModel, m: int, s: int,
     """Expected squared fluctuation of a stationary process at scale s.
 
     ``engine`` selects how the weights G(j, s) are obtained: "matrix"
-    (any order) or "closed-form" (orders 1 and 2 only, O(s) time and
-    memory, usable far beyond the matrix path).
+    (weight_function, any order) or "closed-form" (closed_form_g_values,
+    orders 1 and 2 only). For orders 1 and 2 weight_function itself
+    returns the closed form, so the two engines give identical G there.
     """
     if s == m + 1:
         return 0.0

@@ -2,8 +2,18 @@
 
 G(j, s) is the sum of the j'th diagonal of the weight matrix A; it is
 the kernel that turns an autocovariance or variogram into the expected
-squared fluctuation. For orders 1 and 2 a closed rational form is known
-and evaluated exactly with Fractions. For large s,
+squared fluctuation. weight_function serves each order by one route:
+
+* orders 1 and 2: the paper's closed rational form, evaluated in float64
+  in O(s) time and memory; within 2.2e-16 of max|G| of the exact
+  Fraction value at every lag, measured at s = 1000, 8000 and 2^16;
+* every other order: diagonal sums of A by FFT, O(s log s) time and
+  O(s) memory; up to 7e-14 of max|G| from the exact value at s <= 300
+  (orders 0, 3, 4 and 6), an error that grows with s: for orders 1 and
+  2 this route reached 1.2e-12 of max|G| at s = 8000.
+
+closed_form_g evaluates the closed form exactly with Fractions. For
+large s,
 
     G(j, s) ~ sum_q d_q s^{2-q} j^q     (j > 0),   G(0, s) ~ d_0 s^2,
 
@@ -21,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from .core import _projected_cumsum_rows
+from .core import _orthonormal_rowspace, _projected_cumsum_rows
 from .exceptions import ScaleTooSmallError
 
 
@@ -51,19 +61,29 @@ class AsymptoticCoefficients:
 def weight_function(m: int, s: int) -> WeightFunctionTable:
     """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix.
 
-    Computed without materialising the s x s matrix: the D^T D part has
-    the closed diagonal sum (s-j)(s-j+1)/2, and the projected part is a
-    sum of per-row autocorrelations of U^T D, evaluated by FFT. Agrees
-    with trace sums of weight_matrix to float precision.
+    Orders 1 and 2 take the closed form (closed_form_g_values), every
+    other order the FFT route (_diagonal_sums); see the module docstring
+    for their cost and precision.
     """
-    v = _projected_cumsum_rows(m, s)
+    values = (closed_form_g_values(m, s) if m in (1, 2)
+              else _diagonal_sums(m, s))
+    return WeightFunctionTable(order=m, scale=s, values=values)
+
+
+def _diagonal_sums(m: int, s: int) -> np.ndarray:
+    """G(j, s) for any order without materialising the s x s matrix.
+
+    The D^T D part has the closed diagonal sum (s-j)(s-j+1)/2; the
+    projected part is the summed autocorrelation of the m+1 rows of
+    V = U^T D, one inverse FFT of their summed power spectra.
+    """
+    v = _projected_cumsum_rows(_orthonormal_rowspace(m, s))
     j = np.arange(s)
     dtd_diag = (s - j) * (s - j + 1) / 2.0
     nfft = 2 ** int(np.ceil(np.log2(2 * s)))
     spec = np.fft.rfft(v, nfft, axis=1)
-    cross = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, :s].sum(axis=0)
-    values = dtd_diag - cross
-    return WeightFunctionTable(order=m, scale=s, values=values)
+    power = (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
+    return dtd_diag - np.fft.irfft(power, nfft)[:s]
 
 
 def closed_form_g(m: int, j: int, s: int, exact: bool = False):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import dfakit
-from dfakit.cli import _summary, main
+from dfakit import cli, expectation
+from dfakit.cli import _summary, build_parser, main
 from dfakit.estimators import GappedSeries, dfa, f_hat
 from dfakit.generators import block_gap_mask, gen_fgn, gen_white
 
@@ -150,6 +151,44 @@ class TestBias:
         rc = main(["bias", "--hurst", "1.0", "--out",
                    str(tmp_path / "b.csv")])
         assert rc == 4
+
+    def test_scale_below_minimum_exit(self, tmp_path):
+        rc = main(["bias", "--hurst", "0.7", "-m", "2", "--scales", "3", "8",
+                   "--out", str(tmp_path / "b.csv")])
+        assert rc == 4
+
+    def test_lambda_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        lam = expectation.asymptotic_lambda
+
+        def counted(m, hurst):
+            calls.append((m, hurst))
+            return lam(m, hurst)
+
+        monkeypatch.setattr(cli, "asymptotic_lambda", counted)
+        monkeypatch.setattr(expectation, "asymptotic_lambda", counted)
+        rc = main(["bias", "--hurst", "0.7", "-m", "2",
+                   "--out", str(tmp_path / "b.csv")])
+        assert rc == 0
+        assert calls == [(2, 0.7)]
+
+    @pytest.mark.parametrize("kind,hurst", [("white", 0.5), ("fgn", 0.3),
+                                            ("fbm", 1.6)])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_k2_equals_expected(self, tmp_path, kind, hurst, m):
+        scales = ["5", "17", "64", "300", "4096"]
+        e_out, b_out = tmp_path / "e.csv", tmp_path / "b.csv"
+        model = {"kind": kind} if kind == "white" else {"kind": kind,
+                                                        "hurst": hurst}
+        assert main(["expected", "--model", json.dumps(model), "--hurst",
+                     repr(hurst), "-m", str(m), "--scales", *scales,
+                     "--out", str(e_out)]) == 0
+        assert main(["bias", "--hurst", repr(hurst), "-m", str(m),
+                     "--scales", *scales, "--out", str(b_out)]) == 0
+        want = [r["K2"] for r in read_curve_csv(e_out)]
+        with open(b_out) as fh:
+            rows = list(csv.reader(fh))[3:]
+        assert [r[1] for r in rows] == want
 
 
 class TestWeights:
@@ -374,6 +413,17 @@ class TestErrorsAndConfig:
         assert rc == 0
         assert (with_cfg.read_text().splitlines()[1:]
                 == without.read_text().splitlines()[1:])
+
+    def test_config_does_not_outlive_its_call(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hurst": 0.7}))
+        rc = main(["--config", str(cfg), "bias", "--scales", "10",
+                   "--out", str(tmp_path / "a.csv")])
+        assert rc == 0
+        rc = main(["bias", "--scales", "10", "--out", str(tmp_path / "b.csv")])
+        assert rc == 2
+        assert "--hurst is required" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfakit import estimators
+from dfakit import core, estimators
 from dfakit.estimators import (
     NO_VALID_PAIRS,
     GappedSeries,
@@ -396,6 +396,23 @@ class TestEnsemble:
         for key in whole:
             for a, b in zip(whole[key], split[key]):
                 np.testing.assert_allclose(a.f2, b.f2, rtol=1e-12)
+
+    def test_basis_built_once_per_scale(self, monkeypatch):
+        calls = []
+        build = core._orthonormal_rowspace
+
+        def counted(m, s):
+            calls.append(s)
+            return build(m, s)
+
+        # both bindings, so that a build through core (as weight_matrix
+        # does) is counted too
+        monkeypatch.setattr(core, "_orthonormal_rowspace", counted)
+        monkeypatch.setattr(estimators, "_orthonormal_rowspace", counted)
+        scales = [5, 16, 40, 100]
+        mask = block_gap_mask(self.N, 0.3, 10.0, seed=53)
+        ensemble(self._stack(3), mask, self.M, scales)
+        assert calls == scales
 
     def test_no_mask_gives_standard_only(self):
         x = self._stack(3)

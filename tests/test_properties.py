@@ -13,6 +13,7 @@ from dfakit.estimators import (
     gap_weights,
 )
 from dfakit.generators import block_gap_mask
+from dfakit.weights import weight_function
 
 
 @st.composite
@@ -77,3 +78,14 @@ def test_ensemble_equals_per_replicate_calls(case):
                 size = _term_size(row, mask, m, int(s), key)
                 assert abs(got.f2[i] - ref.f2[i]) <= 1e-12 * (
                     abs(ref.f2[i]) + size), (key, int(s))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(m + 2, 256))))
+def test_weight_function_is_diagonal_sums_of_weight_matrix(case):
+    m, s = case
+    a = weight_matrix(m, s).entries
+    ref = np.array([a.trace(offset=j) for j in range(s)])
+    got = weight_function(m, s).values
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()

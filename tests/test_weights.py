@@ -7,6 +7,7 @@ import pytest
 
 from dfakit.core import weight_matrix
 from dfakit.weights import (
+    _diagonal_sums,
     asymptotic_coefficients,
     asymptotic_inverse_gram,
     asymptotic_weight,
@@ -75,9 +76,20 @@ class TestClosedForm:
     def test_agrees_with_matrix(self, m, s):
         if s < m + 2:
             pytest.skip("scale below minimum")
-        g = weight_function(m, s).values
+        g = _diagonal_sums(m, s)
         cf = closed_form_g_values(m, s)
         assert np.abs(cf - g).max() < 1e-9 * np.abs(g).max()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("s", [10, 1000, 8000, 65536])
+    def test_weight_function_matches_exact(self, m, s):
+        g = weight_function(m, s).values
+        rng = np.random.default_rng(1000 * m + s)
+        lags = {0, 1, s // 2, s - 1, *rng.integers(0, s, 20).tolist()}
+        tol = Fraction(1e-14) * Fraction(np.abs(g).max())
+        for j in lags:
+            exact = closed_form_g(m, j, s, exact=True)
+            assert abs(Fraction(g[j]) - exact) <= tol, j
 
     def test_vector_matches_scalar(self):
         cf = closed_form_g_values(2, 40)
