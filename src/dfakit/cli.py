@@ -156,10 +156,17 @@ def cmd_analyze(args) -> int:
 
 def _model_scales(args) -> np.ndarray:
     """The --scales grid of expected and bias, or by default the powers
-    of two from the smallest one above the order to 2^12."""
+    of two from the smallest one above the order to 2^12. Every scale
+    must be at least m + 2, so that K^2 > 0; checked before any output
+    is opened."""
+    m = args.order
     if args.scales:
-        return np.array(sorted({int(s) for s in args.scales}), int)
-    return 2 ** np.arange(int(np.ceil(np.log2(args.order + 2))), 13)
+        scales = np.array(sorted({int(s) for s in args.scales}), int)
+        if scales[0] < m + 2:
+            raise ScaleTooSmallError(
+                f"scale {scales[0]} too small for order {m}: need s >= m + 2")
+        return scales
+    return 2 ** np.arange(int(np.ceil(np.log2(m + 2))), 13)
 
 
 def _expected_rows(model, m: int, scales, lam: ScalingConstant | None):
@@ -199,8 +206,6 @@ def cmd_bias(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     m, scales = args.order, _model_scales(args)
-    if scales[0] < m + 2:
-        raise ScaleTooSmallError(f"scale {scales[0]} too small for order {m}")
     lam = asymptotic_lambda(m, args.hurst)
     model = scaling_model(args.hurst)
     with _open_out(args.out) as fh:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,9 +57,9 @@ def expected_f2_stationary(model: AcvfModel, m: int, s: int,
     """Expected squared fluctuation of a stationary process at scale s.
 
     ``engine`` selects how the weights G(j, s) are obtained: "matrix"
-    (weight_function, any order) or "closed-form" (closed_form_g_values,
-    orders 1 and 2 only). For orders 1 and 2 weight_function itself
-    returns the closed form, so the two engines give identical G there.
+    (weight_function, cached) or "closed-form" (closed_form_g_values).
+    weight_function returns the closed form at every order, so the two
+    engines give identical G.
     """
     if s == m + 1:
         return 0.0
@@ -118,6 +119,7 @@ def _check_hurst_range(hurst: float) -> None:
         )
 
 
+@lru_cache(maxsize=128, typed=True)
 def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
     """Scaling prefactor lambda_{m,H} from the expansion coefficients.
 
@@ -127,7 +129,8 @@ def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
 
     Accepts a Fraction for an exact rational evaluation; the d_q
     alternate in sign and partially cancel, so the float path uses
-    compensated summation.
+    compensated summation. Cached per (m, H); typed, so that
+    Fraction(1, 2) and 0.5, which hash equal, keep their own paths.
     """
     if m < 1:
         raise ValueError("scaling constant needs order >= 1")

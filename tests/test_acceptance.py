@@ -43,7 +43,6 @@ from dfakit.generators import (
 )
 from dfakit.models import FBM, FGN, OU, fbm_covariance, fgn_acvf_asymptotic
 from dfakit.weights import (
-    _diagonal_sums,
     asymptotic_coefficients,
     closed_form_g,
     closed_form_g_values,
@@ -112,11 +111,20 @@ def test_criterion_01_exact_coefficient_rows():
     report(1, "asymptotic d_q rows exactly rational for orders 1..6")
 
 
+def matrix_diagonal_sums(m: int, s: int) -> np.ndarray:
+    """G(j, s) = sum_k A_{k, k+j} of the explicit weight matrix."""
+    idx = np.arange(s)
+    lag = (idx[None, :] - idx[:, None]).ravel()
+    upper = lag >= 0
+    a = weight_matrix(m, s).entries.ravel()
+    return np.bincount(lag[upper], weights=a[upper], minlength=s)
+
+
 def test_criterion_02_closed_form_weight_agreement():
     assert closed_form_g(1, 0, 10, exact=True) == Fraction(32, 5)
     for m in (1, 2):
         for s in range(m + 2, 513):
-            ref = _diagonal_sums(m, s)
+            ref = matrix_diagonal_sums(m, s)
             cf = closed_form_g_values(m, s)
             scale = np.abs(ref).max()
             assert np.abs(cf - ref).max() < 1e-9 * scale, (m, s)

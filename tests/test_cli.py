@@ -131,6 +131,23 @@ class TestExpected:
         assert float(row["K2"]) == pytest.approx(1.0, abs=0.05)
 
 
+    def test_perfect_fit_scale_exits_before_output(self, tmp_path):
+        # s = m + 1 would give E F^2 = 0 and K^2 = 0, a K^2 that
+        # modified_f2 rejects; bias refuses it as well
+        out = tmp_path / "e.csv"
+        rc = main(["expected", "--model", '{"kind": "fgn", "hurst": 0.7}',
+                   "-m", "2", "--scales", "3", "8", "--out", str(out)])
+        assert rc == 4
+        assert not out.exists()
+
+    def test_scale_below_order_exits_before_output(self, tmp_path):
+        out = tmp_path / "e.csv"
+        rc = main(["expected", "--model", '{"kind": "fgn", "hurst": 0.7}',
+                   "-m", "2", "--scales", "2", "8", "--out", str(out)])
+        assert rc == 4
+        assert not out.exists()
+
+
 class TestBias:
     def test_k2_column(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -213,6 +230,17 @@ class TestWeights:
     def test_needs_scale(self, tmp_path):
         rc = main(["weights", "-m", "1", "--out", str(tmp_path / "w.csv")])
         assert rc == 4
+
+    def test_order_3_table(self, tmp_path):
+        out = tmp_path / "w.csv"
+        rc = main(["weights", "-m", "3", "--scale", "6", "--out", str(out)])
+        assert rc == 0
+        with open(out) as fh:
+            fh.readline()
+            g = [float(r["G"]) for r in csv.DictReader(fh)]
+        want = np.array([40, -23, -2, 7, -2, 0]) / 63
+        assert np.abs(np.array(g) - want).max() <= 2e-15 * np.abs(want).max()
+        assert g[5] == 0.0
 
 
 class TestSimulate:

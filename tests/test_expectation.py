@@ -136,6 +136,18 @@ class TestCorrection:
                 WhiteNoise(), m, s))
         assert k2 == pytest.approx(0.96, rel=1e-9)
 
+    def test_lambda_computed_once_per_order_and_hurst(self):
+        asymptotic_lambda.cache_clear()
+        for s in np.unique(np.geomspace(4, 4096, 30).astype(int)):
+            correction_function(2, 0.7, int(s))
+        assert asymptotic_lambda.cache_info().misses == 1
+
+    def test_lambda_cache_keeps_exact_and_float_apart(self):
+        asymptotic_lambda.cache_clear()
+        exact = asymptotic_lambda(1, Fraction(1, 2))
+        assert asymptotic_lambda(1, 0.5) is not exact
+        assert asymptotic_lambda.cache_info().misses == 2
+
 
 class TestModifiedF2:
     def test_identity(self):

@@ -81,7 +81,7 @@ def test_ensemble_equals_per_replicate_calls(case):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 4).flatmap(
+@given(st.integers(0, 6).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(m + 2, 256))))
 def test_weight_function_is_diagonal_sums_of_weight_matrix(case):
     m, s = case

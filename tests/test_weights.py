@@ -1,13 +1,14 @@
 """Tests for the weight function and its asymptotic expansion."""
 
 from fractions import Fraction
+from math import comb, lcm
 
 import numpy as np
 import pytest
 
 from dfakit.core import weight_matrix
 from dfakit.weights import (
-    _diagonal_sums,
+    _closed_form,
     asymptotic_coefficients,
     asymptotic_inverse_gram,
     asymptotic_weight,
@@ -28,6 +29,61 @@ D_TABLE = {
     6: ["7/390", "-1/2", "7/2", "-49/6", "0", "98/5", "0", "-42", "0",
         "175/3", "0", "-49", "0", "294/13", "0", "-22/5"],
 }
+
+
+def matrix_diagonal_sums(m, s):
+    """G(j, s) = sum_k A_{k, k+j} of the explicit weight matrix."""
+    idx = np.arange(s)
+    lag = (idx[None, :] - idx[:, None]).ravel()
+    upper = lag >= 0
+    a = weight_matrix(m, s).entries.ravel()
+    return np.bincount(lag[upper], weights=a[upper], minlength=s)
+
+
+def fraction_inverse(mat):
+    """Gauss-Jordan inverse of a square matrix of Fractions."""
+    n = len(mat)
+    aug = [list(row) + [Fraction(int(i == k)) for k in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def exact_weight_matrix_g(m, s):
+    """G(j, s) for every lag from A = D^T (I - Q) D in exact arithmetic,
+    with Q = B^T (B B^T)^{-1} B and the Gram inverse exact."""
+    b = np.array([[t**a for t in range(1, s + 1)] for a in range(m + 1)],
+                 dtype=object)
+    inv = fraction_inverse([[Fraction(int(x)) for x in row]
+                            for row in b @ b.T])
+    scale = lcm(*(v.denominator for row in inv for v in row))
+    inv_int = np.array([[int(v * scale) for v in row] for row in inv],
+                       dtype=object)
+    resid = scale * np.eye(s, dtype=int).astype(object) - b.T @ inv_int @ b
+    d = np.tril(np.ones((s, s), dtype=int)).astype(object)
+    a = d.T @ resid @ d
+    return [Fraction(sum(a[k, k + j] for k in range(s - j)), scale)
+            for j in range(s)]
+
+
+def paper_g(m, j, s):
+    """The paper's closed forms of G(j, s) for orders 1 and 2."""
+    j, s = Fraction(j), Fraction(s)
+    cubic = (j - s - 1) * (j - s) * (j - s + 1)
+    if m == 1:
+        return cubic * (3 * j**2 + 9 * j * s - 2 * s**2 + 8) / (
+            30 * s * (s**2 - 1))
+    return -cubic * (
+        10 * j**4 + 30 * j**3 * s + 2 * j**2 * (9 * s**2 + 19)
+        + 2 * j * s * (67 - 13 * s**2) + 3 * (s**4 - 13 * s**2 + 36)
+    ) / (70 * s * (s**4 - 5 * s**2 + 4))
 
 
 class TestWeightFunction:
@@ -63,33 +119,62 @@ class TestClosedForm:
         assert closed_form_g(1, 0, 10) == pytest.approx(6.4, rel=1e-15)
         assert closed_form_g(1, 0, 10, exact=True) == Fraction(32, 5)
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", range(7))
     def test_last_lag_exact_zero(self, m):
         assert closed_form_g(m, 99, 100, exact=True) == 0
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
-            closed_form_g(3, 0, 10)
+            closed_form_g(-1, 0, 10)
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("s", [7, 33, 100, 512])
     def test_agrees_with_matrix(self, m, s):
         if s < m + 2:
             pytest.skip("scale below minimum")
-        g = _diagonal_sums(m, s)
+        g = matrix_diagonal_sums(m, s)
         cf = closed_form_g_values(m, s)
         assert np.abs(cf - g).max() < 1e-9 * np.abs(g).max()
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", range(7))
     @pytest.mark.parametrize("s", [10, 1000, 8000, 65536])
     def test_weight_function_matches_exact(self, m, s):
         g = weight_function(m, s).values
         rng = np.random.default_rng(1000 * m + s)
         lags = {0, 1, s // 2, s - 1, *rng.integers(0, s, 20).tolist()}
-        tol = Fraction(1e-14) * Fraction(np.abs(g).max())
+        tol = Fraction(2e-15) * Fraction(np.abs(g).max())
         for j in lags:
             exact = closed_form_g(m, j, s, exact=True)
             assert abs(Fraction(g[j]) - exact) <= tol, j
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_exact_matches_fraction_matrix(self, m):
+        # the form is fitted on scales 2m+3..4m+3; check it off the fit
+        for s in sorted({m + 2, 2 * m + 2, 4 * m + 4, 40}):
+            want = exact_weight_matrix_g(m, s)
+            got = [closed_form_g(m, j, s, exact=True) for j in range(s)]
+            assert got == want, s
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_paper_forms(self, m):
+        for s in (m + 2, 10, 97):
+            for j in range(s):
+                assert closed_form_g(m, j, s, exact=True) == paper_g(m, j, s)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_leading_terms_are_asymptotic_coefficients(self, m):
+        # N = G s prod(s^2 - k^2) = (j-s-1)(j-s)(j-s+1) Q has total degree
+        # 2m+3, and its top terms d_p j^p s^{2m+3-p} are the expansion's
+        cf = _closed_form(m)
+        q = [[Fraction(v, cf.denominator) for v in row] for row in cf.quotient]
+        deg = 2 * m
+        assert all(v == 0 for p, row in enumerate(q)
+                   for k, v in enumerate(row) if p + k > deg)
+        top = [q[p][deg - p] for p in range(deg + 1)]
+        lead = [sum(comb(3, i) * (-1) ** (3 - i) * top[p - i]
+                    for i in range(4) if 0 <= p - i <= deg)
+                for p in range(deg + 4)]
+        assert tuple(lead) == asymptotic_coefficients(m).d
 
     def test_vector_matches_scalar(self):
         cf = closed_form_g_values(2, 40)
