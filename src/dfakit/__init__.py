@@ -46,6 +46,7 @@ from .generators import (
     gen_fbm,
     gen_fgn,
     gen_white,
+    sample,
 )
 from .models import (
     AR1,

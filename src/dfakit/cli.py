@@ -44,13 +44,7 @@ from .expectation import (
     expected_f2,
     scaling_model,
 )
-from .generators import (
-    block_gap_mask,
-    gen_ar1,
-    gen_fbm,
-    gen_fgn,
-    gen_white,
-)
+from .generators import block_gap_mask, sample
 from .models import model_from_spec
 from .weights import asymptotic_coefficients, weight_function
 
@@ -108,8 +102,7 @@ def _parse_scales(args, n: int, m: int) -> np.ndarray:
 
 
 def _model(args):
-    spec = json.loads(args.model)
-    return model_from_spec(spec)
+    return model_from_spec(json.loads(args.model))
 
 
 def _fit_range(args, curve: FluctuationCurve):
@@ -243,22 +236,6 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def _generate(spec: dict, n: int, seed: int, replicate: int) -> np.ndarray:
-    kind = spec.get("kind")
-    if kind == "white":
-        return gen_white(spec.get("gamma0", 1.0), n, seed, replicate)
-    if kind == "fgn":
-        return gen_fgn(spec["hurst"], spec.get("variance", 1.0), n, seed,
-                       replicate)
-    if kind == "fbm":
-        return gen_fbm(spec["hurst"], spec.get("variance", 1.0), n, seed,
-                       replicate)
-    if kind == "ar1":
-        return gen_ar1(spec["phi"], spec.get("gamma0", 1.0), n, seed,
-                       replicate)
-    raise DFAError(f"cannot simulate model kind {spec.get('kind')!r}")
-
-
 def _mask_for(args, n: int) -> np.ndarray | None:
     if args.mask:
         gs = _read_series(args.mask)
@@ -275,8 +252,7 @@ def _mask_for(args, n: int) -> np.ndarray | None:
 
 
 def cmd_simulate(args) -> int:
-    spec = json.loads(args.model)
-    x = _generate(spec, args.length, args.seed, args.replicate)
+    x = sample(_model(args), args.length, args.seed, args.replicate)
     mask = _mask_for(args, args.length)
     with _open_out(args.out) as fh:
         fh.write(_config_header(args) + "\n")
@@ -316,13 +292,13 @@ def _hurst_or_nan(args, curve: FluctuationCurve) -> float:
 
 
 def cmd_mc(args) -> int:
-    spec = json.loads(args.model)
+    model = _model(args)
     n, m = args.length, args.order
     scales = _parse_scales(args, n, m)
     mask = _mask_for(args, n)
     samples = np.empty((args.ensemble, n))
     for r in range(args.ensemble):
-        samples[r] = _generate(spec, n, args.seed, r)
+        samples[r] = sample(model, n, args.seed, r)
     curves = {tag: reps for tag, reps in
               ensemble(samples, mask, m, scales).items() if reps}
     with _open_out(args.out) as fh:
@@ -454,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, csv.Error) as exc:
         print(f"dfakit: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DFAError, ValueError, ArithmeticError, KeyError,
+    except (DFAError, ValueError, ArithmeticError,
             json.JSONDecodeError) as exc:
         print(f"dfakit: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -50,5 +50,9 @@ class NonpositiveCorrectionError(DFAError, ValueError):
     """Correction factor K^2 must be positive."""
 
 
+class ModelSpecError(DFAError, ValueError):
+    """A JSON model spec names no known kind or bad parameters."""
+
+
 class EmbeddingError(DFAError, ArithmeticError):
     """Circulant embedding failed and no fallback applies."""

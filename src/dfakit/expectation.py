@@ -23,12 +23,15 @@ import numpy as np
 
 from .core import weight_matrix
 from .exceptions import NonpositiveCorrectionError, ScaleTooSmallError
-from .models import FBM, FGN, AcvfModel, VariogramModel, WhiteNoise
-from .weights import (
-    asymptotic_coefficients,
-    closed_form_g_values,
-    weight_function,
+from .models import (
+    FBM,
+    FGN,
+    AcvfModel,
+    VariogramModel,
+    WhiteNoise,
+    check_hurst,
 )
+from .weights import asymptotic_coefficients, weight_function
 
 
 @dataclass(frozen=True)
@@ -52,23 +55,11 @@ class ExpectedCurve:
         self.ef2.setflags(write=False)
 
 
-def expected_f2_stationary(model: AcvfModel, m: int, s: int,
-                           engine: str = "matrix") -> float:
-    """Expected squared fluctuation of a stationary process at scale s.
-
-    ``engine`` selects how the weights G(j, s) are obtained: "matrix"
-    (weight_function, cached) or "closed-form" (closed_form_g_values).
-    weight_function returns the closed form at every order, so the two
-    engines give identical G.
-    """
+def expected_f2_stationary(model: AcvfModel, m: int, s: int) -> float:
+    """Expected squared fluctuation of a stationary process at scale s."""
     if s == m + 1:
         return 0.0
-    if engine == "closed-form":
-        g = closed_form_g_values(m, s)
-    elif engine == "matrix":
-        g = weight_function(m, s).values
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    g = weight_function(m, s).values
     gamma = np.asarray(model.acvf(np.arange(s)), dtype=float)
     return float(g[0] * gamma[0] + 2.0 * (g[1:] @ gamma[1:])) / s
 
@@ -112,13 +103,6 @@ def expected_curve(model, m: int, scales) -> ExpectedCurve:
     return ExpectedCurve(order=m, scales=scales, ef2=ef2, model=model)
 
 
-def _check_hurst_range(hurst: float) -> None:
-    if not (0.0 < hurst < 1.0 or 1.0 < hurst < 2.0):
-        raise ValueError(
-            f"Hurst exponent must lie in (0,1) or (1,2), got {hurst}"
-        )
-
-
 @lru_cache(maxsize=128, typed=True)
 def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
     """Scaling prefactor lambda_{m,H} from the expansion coefficients.
@@ -135,7 +119,7 @@ def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
     if m < 1:
         raise ValueError("scaling constant needs order >= 1")
     hf = float(hurst)
-    _check_hurst_range(hf)
+    check_hurst(hf)
     d = asymptotic_coefficients(m).d
     exact = isinstance(hurst, Fraction)
     if hf == 0.5:
@@ -156,7 +140,7 @@ def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
 
 def scaling_model(hurst: float, variance: float = 1.0):
     """Unit-variance-increment reference model for a Hurst exponent."""
-    _check_hurst_range(hurst)
+    check_hurst(hurst)
     if hurst == 0.5:
         return WhiteNoise(gamma0=variance)
     if hurst < 1.0:

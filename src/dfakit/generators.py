@@ -1,12 +1,16 @@
 """Deterministic synthesis of test signals.
 
-Fractional Gaussian noise is generated by circulant embedding
-(Davies-Harte), which reproduces the target autocovariance exactly at
-every lag; if the embedding has negative eigenvalues the generator
-falls back to a Cholesky factorisation of the n x n covariance (capped
-at n = 8192). Random streams come from the counter-based Philox
-generator keyed by (seed, replicate), so ensembles are reproducible
-under any parallel schedule.
+sample(model, n, seed, replicate) draws a Gaussian series from any
+model with an autocovariance (white noise, fGn, OU, AR(1), an acvf
+table) through one circulant embedding (Davies-Harte), which reproduces
+the target autocovariance exactly at every lag. The 2n embedding is
+nonnegative for every built-in acvf model, so only an AcvfTable can
+reach the fallback, a Cholesky factorisation of the n x n covariance
+(capped at n = 8192). A motion (FBM) is the running sum of its
+fractional-noise increments; a variogram table cannot be sampled.
+Random streams come from the counter-based Philox generator keyed by
+(seed, replicate), so ensembles are reproducible under any parallel
+schedule.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import GappedSeries
-from .exceptions import EmbeddingError
-from .models import fgn_acvf
+from .exceptions import DFAError, EmbeddingError
+from .models import AR1, FBM, FGN, WhiteNoise
 
 _CHOLESKY_MAX_N = 8192
 
@@ -30,13 +34,24 @@ def _circulant_eigenvalues(gamma: np.ndarray, gamma_n: float) -> np.ndarray:
     return np.fft.fft(c).real
 
 
-def gen_fgn(hurst: float, variance: float, n: int, seed: int,
-            replicate: int = 0) -> np.ndarray:
-    """Exact Gaussian sample with the fractional-noise autocovariance."""
+def sample(model, n: int, seed: int, replicate: int = 0) -> np.ndarray:
+    """Exact Gaussian sample x(1..n) of a model, keyed by (seed, replicate).
+
+    A model with an acvf goes through the circulant embedding, which
+    reads gamma(0..n-1) and gamma(n); an FBM is the running sum of
+    sample(FGN(H - 1, variance)), so X(0) = 0 and the increments of the
+    output are exactly that noise stream.
+    """
     if n < 2:
         raise ValueError("length must be >= 2")
-    gamma = np.asarray(fgn_acvf(hurst, variance, np.arange(n)))
-    lam = _circulant_eigenvalues(gamma, float(fgn_acvf(hurst, variance, n)))
+    if isinstance(model, FBM):
+        return np.cumsum(sample(FGN(model.hurst - 1.0, model.variance),
+                                n, seed, replicate))
+    if not hasattr(model, "acvf"):
+        raise DFAError(f"cannot sample {type(model).__name__}: "
+                       "it has no acvf")
+    gamma = np.asarray(model.acvf(np.arange(n)), dtype=float)
+    lam = _circulant_eigenvalues(gamma, float(model.acvf(n)))
     rng = _rng(seed, replicate)
     if lam.min() >= 0:
         m = 2 * n
@@ -52,49 +67,32 @@ def gen_fgn(hurst: float, variance: float, n: int, seed: int,
             f"circulant embedding not nonnegative and n={n} exceeds the "
             f"Cholesky fallback cap {_CHOLESKY_MAX_N}"
         )
-    cov = np.asarray(fgn_acvf(hurst, variance,
-                              np.abs(np.subtract.outer(np.arange(n),
-                                                       np.arange(n)))))
-    chol = np.linalg.cholesky(cov)
+    idx = np.arange(n)
+    chol = np.linalg.cholesky(gamma[np.abs(np.subtract.outer(idx, idx))])
     return chol @ rng.standard_normal(n)
+
+
+def gen_fgn(hurst: float, variance: float, n: int, seed: int,
+            replicate: int = 0) -> np.ndarray:
+    """Fractional Gaussian noise: sample(FGN(hurst, variance), ...)."""
+    return sample(FGN(hurst, variance), n, seed, replicate)
 
 
 def gen_fbm(hurst: float, variance: float, n: int, seed: int,
             replicate: int = 0) -> np.ndarray:
-    """Motion sample as the running sum of gen_fgn with exponent H - 1.
-
-    Returns X(1..n) with the convention X(0) = 0, so the increments of
-    the output are exactly the generated noise stream.
-    """
-    if not 1.0 < hurst < 2.0:
-        raise ValueError(f"Hurst exponent must lie in (1, 2), got {hurst}")
-    return np.cumsum(gen_fgn(hurst - 1.0, variance, n, seed, replicate))
+    """Fractional Brownian motion: sample(FBM(hurst, variance), ...)."""
+    return sample(FBM(hurst, variance), n, seed, replicate)
 
 
 def gen_ar1(phi: float, gamma0: float, n: int, seed: int,
             replicate: int = 0) -> np.ndarray:
-    """Stationary AR(1) sample with acvf gamma0 * phi^k."""
-    if not -1.0 < phi < 1.0:
-        raise ValueError("AR(1) coefficient must lie in (-1, 1)")
-    if gamma0 <= 0:
-        raise ValueError("stationary variance must be > 0")
-    if n < 2:
-        raise ValueError("length must be >= 2")
-    rng = _rng(seed, replicate)
-    eps = rng.standard_normal(n)
-    x = np.empty(n)
-    x[0] = np.sqrt(gamma0) * eps[0]
-    innov_sd = np.sqrt(gamma0 * (1.0 - phi * phi))
-    for t in range(1, n):
-        x[t] = phi * x[t - 1] + innov_sd * eps[t]
-    return x
+    """Stationary AR(1): sample(AR1(phi, gamma0), ...)."""
+    return sample(AR1(phi, gamma0), n, seed, replicate)
 
 
 def gen_white(gamma0: float, n: int, seed: int, replicate: int = 0) -> np.ndarray:
-    """I.i.d. Gaussian noise with variance gamma0."""
-    if gamma0 <= 0:
-        raise ValueError("variance must be > 0")
-    return np.sqrt(gamma0) * _rng(seed, replicate).standard_normal(n)
+    """White noise: sample(WhiteNoise(gamma0), ...)."""
+    return sample(WhiteNoise(gamma0), n, seed, replicate)
 
 
 def add_polynomial_trend(series, coefficients) -> np.ndarray:

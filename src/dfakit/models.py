@@ -10,21 +10,21 @@ series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InsufficientLagsError
+from .exceptions import InsufficientLagsError, ModelSpecError
 
 
-def _check_hurst_stationary(h: float) -> None:
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"Hurst exponent must lie in (0, 1), got {h}")
-
-
-def _check_hurst_motion(h: float) -> None:
-    if not 1.0 < h < 2.0:
-        raise ValueError(f"Hurst exponent must lie in (1, 2), got {h}")
+def check_hurst(h: float, lo: float = 0.0, hi: float = 2.0) -> None:
+    """Raise ValueError unless lo < h < hi and h != 1: (0, 1) for a
+    noise, (1, 2) for a motion, either of the two by default."""
+    if not (lo < h < hi and h != 1.0):
+        span = ("(0, 1) or (1, 2)" if lo < 1.0 < hi
+                else f"({lo:g}, {hi:g})")
+        raise ValueError(f"Hurst exponent must lie in {span}, got {h}")
 
 
 def fgn_acvf(hurst: float, variance: float, lag) -> np.ndarray | float:
@@ -33,7 +33,7 @@ def fgn_acvf(hurst: float, variance: float, lag) -> np.ndarray | float:
     gamma(tau) = (variance / 2) (|tau+1|^{2H} - 2 |tau|^{2H} + |tau-1|^{2H});
     the second central difference of t -> variance * t^{2H} / 2.
     """
-    _check_hurst_stationary(hurst)
+    check_hurst(hurst, 0.0, 1.0)
     tau = np.abs(np.asarray(lag, dtype=float))
     two_h = 2.0 * hurst
     out = 0.5 * variance * (
@@ -44,7 +44,7 @@ def fgn_acvf(hurst: float, variance: float, lag) -> np.ndarray | float:
 
 def fgn_acvf_asymptotic(hurst: float, variance: float, lag) -> np.ndarray | float:
     """Power-law tail variance * H(2H-1) tau^{2H-2}; undefined at H = 1/2."""
-    _check_hurst_stationary(hurst)
+    check_hurst(hurst, 0.0, 1.0)
     if hurst == 0.5:
         raise ValueError("asymptotic acvf is degenerate at H = 1/2")
     tau = np.asarray(lag, dtype=float)
@@ -60,7 +60,7 @@ def fbm_covariance(h: float, variance: float, t, s) -> np.ndarray | float:
     E X(t) X(s) = (variance / 2) (|s|^{2h} + |t|^{2h} - |t-s|^{2h}),
     normalised so E X(1)^2 = variance.
     """
-    _check_hurst_stationary(h)
+    check_hurst(h, 0.0, 1.0)
     tt = np.asarray(t, dtype=float)
     ss = np.asarray(s, dtype=float)
     if np.any(tt < 0) or np.any(ss < 0):
@@ -74,7 +74,7 @@ def fbm_covariance(h: float, variance: float, t, s) -> np.ndarray | float:
 
 def fbm_variogram(hurst: float, variance: float, lag) -> np.ndarray | float:
     """Structure function S(t) = variance * t^{2(H-1)} for H in (1, 2)."""
-    _check_hurst_motion(hurst)
+    check_hurst(hurst, 1.0, 2.0)
     t = np.asarray(lag, dtype=float)
     if np.any(t < 0):
         raise ValueError("lag must be >= 0")
@@ -99,39 +99,20 @@ def ou_acvf(tau_c: float, gamma0: float, lag) -> np.ndarray | float:
 
 
 def ar1_acvf(phi: float, gamma0: float, lag) -> np.ndarray | float:
-    """AR(1) autocovariance gamma0 * phi^|lag| (discretised OU process)."""
+    """AR(1) autocovariance gamma0 * phi^|lag| (discretised OU process).
+
+    |phi|^t rounds to 0 past t = 1075 ln 2 / -ln|phi|; pow is slow there,
+    so it is evaluated below that lag only.
+    """
     if not -1.0 < phi < 1.0:
         raise ValueError("AR(1) coefficient must lie in (-1, 1)")
     if gamma0 <= 0:
         raise ValueError("stationary variance must be > 0")
     t = np.abs(np.asarray(lag, dtype=float))
-    out = gamma0 * phi**t
+    live = t < 746.0 / -math.log(max(abs(phi), 1e-300))
+    out = np.zeros_like(t)
+    out[live] = gamma0 * phi ** t[live]
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class HurstParams:
-    """Hurst exponent H in (0,1) or (1,2) and the increment exponent h.
-
-    h equals H for stationary processes and H - 1 for stationary-
-    increment motions; H = 1 is excluded.
-    """
-
-    hurst: float
-    h: float = field(init=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.hurst < 1.0 or 1.0 < self.hurst < 2.0):
-            raise ValueError(
-                f"Hurst exponent must lie in (0,1) or (1,2), got {self.hurst}"
-            )
-        object.__setattr__(
-            self, "h", self.hurst - 1.0 if self.hurst > 1.0 else self.hurst
-        )
-
-    @property
-    def stationary(self) -> bool:
-        return self.hurst < 1.0
 
 
 # --- model objects ---------------------------------------------------------
@@ -156,7 +137,7 @@ class FGN:
     variance: float = 1.0
 
     def __post_init__(self):
-        _check_hurst_stationary(self.hurst)
+        check_hurst(self.hurst, 0.0, 1.0)
         if self.variance <= 0:
             raise ValueError("variance must be > 0")
 
@@ -222,7 +203,7 @@ class FBM:
     variance: float = 1.0
 
     def __post_init__(self):
-        _check_hurst_motion(self.hurst)
+        check_hurst(self.hurst, 1.0, 2.0)
         if self.variance <= 0:
             raise ValueError("variance must be > 0")
 
@@ -277,28 +258,38 @@ def stationary_to_variogram(model: AcvfModel, lag) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def model_from_spec(spec: dict):
-    """Build a model object from its JSON description.
+def _table(acvf=None, variogram=None) -> AcvfTable | VariogramTable:
+    if (acvf is None) == (variogram is None):
+        raise ModelSpecError(
+            'table model needs either "acvf" or "variogram" values')
+    if acvf is not None:
+        return AcvfTable(values=tuple(acvf))
+    return VariogramTable(values=tuple(variogram))
 
-    Recognised kinds: white, fgn, fbm, ou, ar1, table (with "acvf" or
-    "variogram" values).
+
+#: every kind a JSON model spec can name; the other keys of the spec are
+#: the constructor's keyword arguments
+MODELS = {"white": WhiteNoise, "fgn": FGN, "fbm": FBM, "ou": OU,
+          "ar1": AR1, "table": _table}
+
+
+def model_from_spec(spec):
+    """Build a model object from its JSON description, e.g.
+    {"kind": "fgn", "hurst": 0.7}; see MODELS for the kinds.
+
+    A spec that is not an object, names no known kind, or passes a
+    missing, unknown or non-numeric parameter raises ModelSpecError; the
+    model's own range checks raise ValueError.
     """
-    kind = spec.get("kind")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    if kind == "white":
-        return WhiteNoise(**params)
-    if kind == "fgn":
-        return FGN(**params)
-    if kind == "fbm":
-        return FBM(**params)
-    if kind == "ou":
-        return OU(**params)
-    if kind == "ar1":
-        return AR1(**params)
-    if kind == "table":
-        if "acvf" in params:
-            return AcvfTable(values=tuple(params["acvf"]))
-        if "variogram" in params:
-            return VariogramTable(values=tuple(params["variogram"]))
-        raise ValueError('table model needs "acvf" or "variogram" values')
-    raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(spec, dict):
+        raise ModelSpecError(f"model spec must be a JSON object, got {spec!r}")
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    if not isinstance(kind, str) or kind not in MODELS:
+        raise ModelSpecError(
+            f"unknown model kind {kind!r}; expected one of {sorted(MODELS)}")
+    try:
+        return MODELS[kind](**params)
+    except TypeError as exc:
+        raise ModelSpecError(f"bad parameters for model kind {kind!r}: "
+                             f"{exc}") from None

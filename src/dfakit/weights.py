@@ -17,7 +17,9 @@ closed_form_g evaluates the closed form exactly; closed_form_g_values
 and weight_function evaluate it in float64 in O(s) time and memory,
 within 3.3e-16 of max|G| of the exact value for m = 0..6 (measured at
 every lag of each s <= 64 and of s = 100, 300 and 1000, and at 100
-random lags of s = 8000 and 2^16). For large s,
+random lags of s = 8000 and 2^16). These checks cover m <= 6 only: at
+s = m + 2 the error was 1.4e-15, 1.8e-14 and 6.0e-14 of max|G| for
+m = 8, 10 and 12, where the Bernstein terms cancel. For large s,
 
     G(j, s) ~ sum_q d_q s^{2-q} j^q     (j > 0),   G(0, s) ~ d_0 s^2,
 

@@ -196,11 +196,9 @@ def test_criterion_06_antipersistent_power_law_substitution():
     scales = 2 ** np.arange(14, 19)
     logs = np.log(scales)
     ef_asym = np.array([
-        expected_f2_stationary(PowerLawAcvf(), 1, int(s),
-                               engine="closed-form") for s in scales])
+        expected_f2_stationary(PowerLawAcvf(), 1, int(s)) for s in scales])
     ef_exact = np.array([
-        expected_f2_stationary(FGN(0.3), 1, int(s), engine="closed-form")
-        for s in scales])
+        expected_f2_stationary(FGN(0.3), 1, int(s)) for s in scales])
     slope_asym = np.polyfit(logs, np.log(ef_asym), 1)[0]
     slope_exact = np.polyfit(logs, np.log(ef_exact), 1)[0]
     assert abs(slope_asym - 1.0) < 0.05, slope_asym
@@ -238,8 +236,7 @@ def test_criterion_08_exponential_correlation_crossover():
         f_rw = np.sqrt(step_var * expected_f2_increments(FBM(1.5), 1, s))
         assert abs(f_ou / f_rw - 1) < 0.05, s
     big = np.array([1000, 2048, 4096, 8192])
-    f2 = np.array([expected_f2_stationary(ou, 1, int(s),
-                                          engine="closed-form") for s in big])
+    f2 = np.array([expected_f2_stationary(ou, 1, int(s)) for s in big])
     slope = np.polyfit(np.log(big), np.log(np.sqrt(f2)), 1)[0]
     assert abs(slope - 0.5) < 0.05, slope
     report(8, "exponentially correlated curve tracks the random walk "

@@ -16,7 +16,8 @@ import dfakit
 from dfakit import cli, expectation
 from dfakit.cli import _summary, build_parser, main
 from dfakit.estimators import GappedSeries, dfa, f_hat
-from dfakit.generators import block_gap_mask, gen_fgn, gen_white
+from dfakit.generators import block_gap_mask, gen_fgn, gen_white, sample
+from dfakit.models import OU, AcvfTable
 
 
 def write_series(path, values, mask=None):
@@ -254,6 +255,17 @@ class TestSimulate:
             vals = [float(line.strip()) for line in fh]
         assert np.array_equal(np.array(vals), gen_fgn(0.7, 1.0, 256, 11))
 
+    def test_ou_round_trip(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--model", '{"kind": "ou", "tau_c": 20}',
+                "-n", "256", "--seed", "11", "--replicate", "2",
+                "--out", str(out)]
+        assert main(argv) == 0
+        with open(out) as fh:
+            fh.readline()
+            vals = [float(line.strip()) for line in fh]
+        assert np.array_equal(np.array(vals), sample(OU(20.0), 256, 11, 2))
+
     def test_gapped_output_has_na(self, tmp_path):
         out = tmp_path / "sim.csv"
         argv = ["simulate", "--model", '{"kind": "white"}', "-n", "500",
@@ -309,6 +321,22 @@ class TestMc:
         std = [r for r in rows if r["estimator"] == "standard"]
         got = np.array([float(r["mean_F2"]) for r in std])
         assert np.allclose(got, ref.f2, rtol=1e-12)
+
+    @pytest.mark.parametrize("spec, model", [
+        ('{"kind": "ou", "tau_c": 5, "gamma0": 2}', OU(5.0, 2.0)),
+        ('{"kind": "table", "acvf": [1.25, 0.5, 0, 0, 0, 0, 0, 0, 0, 0, '
+         '0, 0, 0, 0, 0, 0, 0]}', AcvfTable((1.25, 0.5) + (0.0,) * 15)),
+    ], ids=["ou", "table"])
+    def test_acvf_models_match_library(self, tmp_path, spec, model):
+        out = tmp_path / "mc.csv"
+        rc = main(["mc", "--model", spec, "-n", "16", "--ensemble", "2",
+                   "--seed", "3", "-m", "1", "--scales", "4", "8",
+                   "--out", str(out),
+                   "--hurst-out", str(out.with_suffix(".json"))])
+        assert rc == 0
+        ref = [dfa(sample(model, 16, 3, r), 1, [4, 8]).f2 for r in range(2)]
+        got = [float(r["mean_F2"]) for r in read_curve_csv(out)]
+        np.testing.assert_allclose(got, np.mean(ref, axis=0), rtol=1e-12)
 
     def test_gapped_ensemble_has_all_estimators(self, tmp_path):
         out = tmp_path / "mc.csv"
@@ -384,6 +412,48 @@ class TestMc:
                     [np.mean(col), np.quantile(col, 0.05),
                      np.quantile(col, 0.95)], rtol=1e-12)
         assert count[3] == 0
+
+
+def _model_argv(command, spec, tmp_path):
+    out = str(tmp_path / "o.csv")
+    tail = {"expected": ["--scales", "8"],
+            "simulate": ["-n", "64"],
+            "mc": ["-n", "64", "--ensemble", "2", "--scales", "8",
+                   "--hurst-out", str(tmp_path / "h.json")]}[command]
+    return [command, "--model", spec, "--out", out] + tail
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("command", ["expected", "simulate", "mc"])
+    @pytest.mark.parametrize("spec", [
+        '[0.7]', '"fgn"', '{"hurst": 0.7}', '{"kind": "levy"}',
+        '{"kind": "fgn"}', '{"kind": "fgn", "hurst": 0.7, "foo": 1}',
+        '{"kind": "fgn", "hurst": "high"}',
+        '{"kind": "table", "acvf": 1}',
+    ], ids=["array", "string", "no-kind", "unknown-kind", "missing-param",
+            "unknown-param", "non-numeric-param", "table-not-list"])
+    def test_bad_spec_exit_4(self, tmp_path, capsys, command, spec):
+        assert main(_model_argv(command, spec, tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("dfakit: ") and "Traceback" not in err
+
+    # the model's own checks run before any draw: a zero variance must
+    # not give all-zero samples, nor a negative one a failed factorisation
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "fbm", "hurst": 1.3, "variance": 0}',
+        '{"kind": "fgn", "hurst": 0.7, "variance": -1}'],
+        ids=["fbm-zero-variance", "fgn-negative-variance"])
+    def test_model_checked_before_sampling(self, tmp_path, capsys, command,
+                                           spec):
+        assert main(_model_argv(command, spec, tmp_path)) == 4
+        assert capsys.readouterr().err == "dfakit: variance must be > 0\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    def test_variogram_table_cannot_be_sampled(self, tmp_path, command):
+        spec = '{"kind": "table", "variogram": [0, 1, 2]}'
+        assert main(_model_argv(command, spec, tmp_path)) == 4
 
 
 class TestErrorsAndConfig:

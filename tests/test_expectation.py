@@ -33,11 +33,11 @@ class TestStationaryEngine:
 
     def test_closed_form_engine_matches(self):
         # reference: the explicit weight matrix, not weight_function,
-        # which returns the closed form itself for orders 1 and 2
+        # which returns the closed form itself at every order
         kern = lambda t1, t2: FGN(0.9).acvf(np.abs(t1 - t2))
         for s in (16, 128, 1024):
             a = expected_f2_general(kern, 1, s)
-            b = expected_f2_stationary(FGN(0.9), 1, s, engine="closed-form")
+            b = expected_f2_stationary(FGN(0.9), 1, s)
             assert b == pytest.approx(a, rel=1e-9)
 
     def test_positive_for_nondegenerate(self):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dfakit.exceptions import EmbeddingError
+from dfakit.cli import main
+from dfakit.exceptions import DFAError, EmbeddingError, InsufficientLagsError
 from dfakit.generators import (
     add_polynomial_trend,
     apply_gap_mask,
@@ -12,8 +13,17 @@ from dfakit.generators import (
     gen_fbm,
     gen_fgn,
     gen_white,
+    sample,
 )
-from dfakit.models import fgn_acvf
+from dfakit.models import (
+    AR1,
+    FGN,
+    OU,
+    AcvfTable,
+    VariogramTable,
+    WhiteNoise,
+    fgn_acvf,
+)
 
 
 def sample_acvf(x, lag):
@@ -46,13 +56,20 @@ class TestFgn:
         assert abs(sample_acvf(x, 1)) < 4 * se
         assert sample_acvf(x, 0) == pytest.approx(1.0, abs=5 * se)
 
-    def test_sample_acvf_matches_target(self):
+    # every acvf model goes through the one circulant routine; the MA(1)
+    # table (gamma = 1.25, 0.5, 0, ...) covers lags 0..n exactly
+    @pytest.mark.parametrize("model, n", [
+        (FGN(0.7), 4096), (OU(20.0, 2.0), 4096), (AR1(-0.6, 1.5), 4096),
+        (WhiteNoise(3.0), 4096),
+        (AcvfTable((1.25, 0.5) + (0.0,) * 255), 256),
+    ], ids=["fgn", "ou", "ar1", "white", "table"])
+    def test_sample_acvf_matches_target(self, model, n):
         # pooled over replicates: each lag within 3 combined SEs
-        h, n, reps = 0.7, 4096, 40
+        reps = 40
         lags = np.arange(6)
-        target = np.asarray(fgn_acvf(h, 1.0, lags))
+        target = model.acvf(lags)
         est = np.array([
-            [sample_acvf(gen_fgn(h, 1.0, n, seed=1234, replicate=r), k)
+            [sample_acvf(sample(model, n, seed=1234, replicate=r), k)
              for k in lags]
             for r in range(reps)
         ])
@@ -80,6 +97,31 @@ class TestFgn:
     def test_rejects_short(self):
         with pytest.raises(ValueError):
             gen_fgn(0.7, 1.0, 1, seed=0)
+
+
+class TestSample:
+    def test_table_needs_lag_n(self, tmp_path):
+        # the embedding reads gamma(0..n): n values are one lag short
+        with pytest.raises(InsufficientLagsError):
+            sample(AcvfTable((1.0, 0.5, 0.25, 0.125)), 4, seed=0)
+        rc = main(["simulate", "--model",
+                   '{"kind": "table", "acvf": [1.0, 0.5, 0.25, 0.125]}',
+                   "-n", "4", "--out", str(tmp_path / "s.csv")])
+        assert rc == 4
+
+    def test_table_falls_back_to_cholesky(self):
+        # gamma = 1, 0.9, 0.9, 0.9 is positive definite at n = 4, but
+        # with gamma(4) = 0 its 2n embedding has the eigenvalue -0.8
+        tab = AcvfTable((1.0, 0.9, 0.9, 0.9, 0.0))
+        x = np.array([sample(tab, 4, seed=3, replicate=r)
+                      for r in range(2000)])
+        target = tab.acvf(np.abs(np.subtract.outer(range(4), range(4))))
+        # 5 standard errors of a sample covariance, sqrt(2/2000) each
+        assert np.abs(x.T @ x / 2000 - target).max() < 0.16
+
+    def test_variogram_table_cannot_be_sampled(self):
+        with pytest.raises(DFAError, match="no acvf"):
+            sample(VariogramTable((0.0, 1.0, 2.0)), 2, seed=0)
 
 
 class TestFbm:

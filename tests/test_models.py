@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dfakit.exceptions import ModelSpecError
 from dfakit.expectation import expected_f2_increments, expected_f2_stationary
 from dfakit.models import (
     AR1,
@@ -11,10 +12,10 @@ from dfakit.models import (
     OU,
     AcvfTable,
     DerivedVariogram,
-    HurstParams,
     VariogramTable,
     WhiteNoise,
     ar1_acvf,
+    check_hurst,
     fbm_covariance,
     fbm_variogram,
     fgn_acvf,
@@ -122,6 +123,14 @@ class TestOuAr1:
         assert np.allclose(ou_acvf(tau, 1.0, lags), ar1_acvf(phi, 1.0, lags),
                            rtol=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, 1e-300, 0.6, -0.6, 0.999, -0.95])
+    def test_ar1_skips_only_zero_powers(self, phi):
+        # pow runs only below the lag where |phi|^t rounds to 0
+        lags = np.arange(5000)
+        assert np.array_equal(ar1_acvf(phi, 2.0, lags),
+                              2.0 * phi ** lags.astype(float))
+        assert ar1_acvf(phi, 2.0, 3) == 2.0 * phi ** 3.0
+
     def test_domains(self):
         with pytest.raises(ValueError):
             ou_acvf(-1.0, 1.0, 0)
@@ -157,12 +166,17 @@ class TestModelObjects:
         with pytest.raises(InsufficientLagsError):
             tab.acvf(np.arange(10))
 
-    def test_hurst_params(self):
-        assert HurstParams(0.7).h == pytest.approx(0.7)
-        assert HurstParams(1.3).h == pytest.approx(0.3)
-        assert HurstParams(0.7).stationary
-        with pytest.raises(ValueError):
-            HurstParams(1.0)
+    @pytest.mark.parametrize("h, lo, hi", [
+        (0.0, 0.0, 2.0), (1.0, 0.0, 2.0), (2.0, 0.0, 2.0),
+        (1.3, 0.0, 1.0), (0.7, 1.0, 2.0)])
+    def test_check_hurst_rejects(self, h, lo, hi):
+        with pytest.raises(ValueError, match="Hurst exponent"):
+            check_hurst(h, lo, hi)
+
+    def test_check_hurst_accepts(self):
+        for h, lo, hi in [(0.7, 0.0, 2.0), (1.3, 0.0, 2.0),
+                          (0.01, 0.0, 1.0), (1.99, 1.0, 2.0)]:
+            check_hurst(h, lo, hi)
 
     def test_from_spec(self):
         assert model_from_spec({"kind": "fgn", "hurst": 0.7}) == FGN(0.7)
@@ -171,6 +185,23 @@ class TestModelObjects:
         assert model_from_spec({"kind": "ar1", "phi": 0.5}) == AR1(0.5)
         assert model_from_spec({"kind": "fbm", "hurst": 1.1}) == FBM(1.1)
         m = model_from_spec({"kind": "table", "acvf": [1.0, 0.5]})
-        assert isinstance(m, AcvfTable)
+        assert m == AcvfTable(values=(1.0, 0.5))
+        m = model_from_spec({"kind": "table", "variogram": [0.0, 2.0]})
+        assert m == VariogramTable(values=(0.0, 2.0))
         with pytest.raises(ValueError):
             model_from_spec({"kind": "levy"})
+
+    @pytest.mark.parametrize("spec", [
+        [1, 2], "fgn", None, {}, {"kind": "levy"}, {"kind": ["fgn"]},
+        {"kind": "fgn"}, {"kind": "fgn", "hurst": 0.7, "foo": 1},
+        {"kind": "fgn", "hurst": "0.7"}, {"kind": "ar1", "phi": None},
+        {"kind": "table"}, {"kind": "table", "acvf": 1.0},
+        {"kind": "table", "acvf": [1.0], "variogram": [0.0]}])
+    def test_bad_spec(self, spec):
+        with pytest.raises(ModelSpecError):
+            model_from_spec(spec)
+
+    def test_model_checks_pass_through(self):
+        with pytest.raises(ValueError, match="variance must be > 0") as exc:
+            model_from_spec({"kind": "fbm", "hurst": 1.3, "variance": 0})
+        assert not isinstance(exc.value, ModelSpecError)

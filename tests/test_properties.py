@@ -12,7 +12,7 @@ from dfakit.estimators import (
     f_tilde,
     gap_weights,
 )
-from dfakit.generators import block_gap_mask
+from dfakit.generators import add_polynomial_trend, block_gap_mask
 from dfakit.weights import weight_function
 
 
@@ -89,3 +89,49 @@ def test_weight_function_is_diagonal_sums_of_weight_matrix(case):
     ref = np.array([a.trace(offset=j) for j in range(s)])
     got = weight_function(m, s).values
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def _abs_profile_size(x, s):
+    """Size of the profile terms dfa sums at scale s, before the fit
+    cancels the trend: the mean of cumsum(|x_w|)^2 over windows."""
+    w = x.size // s
+    y = np.cumsum(np.abs(x[: w * s].reshape(w, s)), axis=1)
+    return np.sum(y * y) / (w * s)
+
+
+@st.composite
+def trended(draw):
+    """A noise or walk, m, scales and a trend of degree below m."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(24, 240))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=n) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    if draw(st.booleans()):
+        x = np.cumsum(x)
+    beta = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                  max_size=m)))
+    beta *= draw(st.sampled_from([1.0, 1e3]))
+    scales = draw(st.lists(st.integers(m + 2, n), min_size=1, max_size=6,
+                           unique=True))
+    return x, add_polynomial_trend(x, beta), m, scales
+
+
+@settings(max_examples=25, deadline=None)
+@given(trended())
+def test_dfa_invariant_to_polynomial_trend(case):
+    """dfa(x + trend) = dfa(x) for a trend of degree below m: its profile
+    has degree at most m, which the order-m fit removes.
+
+    The rounding error of the fit grows with the trend's terms, so the
+    bound scales with sqrt(f2 * size), size being the profile of |x|
+    (worst seen: 1.3e-15). A trend left in the residual would move f2 by
+    about size. f_hat and f_tilde are left out: on gapped input a
+    window's missing points break the cancellation, so they are not
+    trend invariant (relative changes above 1e6 measured).
+    """
+    x, xt, m, scales = case
+    ref, got = dfa(x, m, scales), dfa(xt, m, scales)
+    for i, s in enumerate(ref.scales):
+        size = _abs_profile_size(xt, int(s))
+        assert abs(got.f2[i] - ref.f2[i]) <= 1e-13 * (
+            ref.f2[i] + np.sqrt(ref.f2[i] * size)), int(s)
