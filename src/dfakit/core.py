@@ -12,8 +12,10 @@ matrices:
 The per-window residual variance can then be evaluated three equivalent
 ways: directly from the windowed profile, as the quadratic form
 x^T A x / s in the raw window, or as a weighted sum of squared pairwise
-differences. The abscissae are never recentered; entry-level checks of
-the weight tables rely on this exact convention.
+differences. An orthonormal basis U of the row space of B comes from
+the Gram-polynomial recurrence on the recentred abscissae t - (s+1)/2,
+in O(m s); recentring leaves the span, so Q and A do not change. Building
+A = D^T D - V^T V, V = U^T D, holds two s x s arrays: A and V^T V.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .exceptions import (
     DimensionMismatchError,
     OrderZeroUnsupportedError,
     ScaleTooSmallError,
-    SingularGramError,
 )
 
 
@@ -61,42 +62,35 @@ def design_matrix(m: int, s: int) -> np.ndarray:
 def _orthonormal_rowspace(m: int, s: int) -> np.ndarray:
     """s x (m+1) matrix with orthonormal columns spanning the row space of B.
 
-    Uses a QR decomposition of B^T instead of inverting B B^T; the
-    Vandermonde Gram becomes badly conditioned for large m and s.
+    Column k is the normalised Gram polynomial of degree k on x = t -
+    (s+1)/2: u_0 = 1/sqrt(s), u_k = (x u_{k-1} - b_{k-1} u_{k-2}) / b_k
+    with b_k = sqrt(k^2 (s^2 - k^2) / (4 (4k^2 - 1))).
     """
-    bt = design_matrix(m, s).T
-    bt = bt / np.linalg.norm(bt, axis=0)  # column scaling only
-    q, r = np.linalg.qr(bt)
-    if np.any(np.abs(np.diag(r)) < 1e-10):
-        raise SingularGramError(
-            f"design matrix rank-deficient in float64 for m={m}, s={s}"
-        )
-    return q
-
-
-def _projected_cumsum_rows(u: np.ndarray) -> np.ndarray:
-    """(m+1) x s matrix V = U^T D, built from suffix sums of the basis U."""
-    return np.cumsum(u[::-1], axis=0)[::-1].T
+    _check_scale(m, s)
+    x = np.arange(s, dtype=float) - (s - 1) / 2
+    k2 = np.arange(m + 1.0) ** 2
+    b = np.sqrt(k2 * (s * s - k2) / (4 * (4 * k2 - 1)))  # b_0 = 0
+    # row k holds u_k; the last row stands for u_{-1} = 0
+    u = np.zeros((m + 2, s))
+    u[0] = 1 / np.sqrt(s)
+    for k in range(1, m + 1):
+        u[k] = (x * u[k - 1] - b[k - 1] * u[k - 2]) / b[k]
+    return u[:-1].T
 
 
 def _weight_entries(u: np.ndarray) -> np.ndarray:
-    """A = D^T D - V^T V from the s x (m+1) basis U, with V = U^T D.
-
-    D^T D has the closed form (D^T D)_{ij} = s + 1 - max(i, j).
-    """
-    s = u.shape[0]
-    idx = np.arange(1, s + 1)
-    dtd = (s + 1 - np.maximum.outer(idx, idx)).astype(float)
-    v = _projected_cumsum_rows(u)
-    return dtd - v.T @ v
+    """A = D^T D - V^T V from the s x (m+1) basis U, with V = U^T D the
+    suffix sums of U and (D^T D)_{ij} = min(s + 1 - i, s + 1 - j)."""
+    r = np.arange(u.shape[0], 0, -1, dtype=float)
+    a = np.minimum.outer(r, r)
+    vt = np.cumsum(u[::-1], axis=0)[::-1]
+    a -= vt @ vt.T
+    return a
 
 
 def hat_matrix(m: int, s: int) -> np.ndarray:
-    """Explicit s x s projection Q = B^T (B B^T)^{-1} B.
-
-    Exposed for validation; residuals should be computed through
-    apply_residual_projection, which never forms this matrix.
-    """
+    """Explicit s x s projection Q = B^T (B B^T)^{-1} B, for validation;
+    apply_residual_projection never forms it."""
     u = _orthonormal_rowspace(m, s)
     return u @ u.T
 
@@ -114,13 +108,8 @@ def cumulative_sum_matrix(s: int) -> np.ndarray:
 
 
 def weight_matrix(m: int, s: int) -> WeightMatrix:
-    """Construct A = D^T (I - Q) D.
-
-    Computed as D^T D - V^T V with V = U^T D, where U holds an
-    orthonormal basis of the row space of B (_weight_entries).
-    """
-    entries = _weight_entries(_orthonormal_rowspace(m, s))
-    return WeightMatrix(order=m, scale=s, entries=entries)
+    """Construct A = D^T (I - Q) D (see _weight_entries)."""
+    return WeightMatrix(m, s, _weight_entries(_orthonormal_rowspace(m, s)))
 
 
 def profile(series: np.ndarray) -> np.ndarray:

@@ -5,9 +5,8 @@ n mod s is discarded. One engine evaluates all three estimators on an
 (R, n) stack of replicates that share one availability mask: ``dfa``,
 ``f_hat`` and ``f_tilde`` are its R = 1 case, and ``ensemble`` runs a
 whole stack. Per scale, the pieces that depend only on (m, s, mask) are
-built once for the stack: the basis U, the pair weights of
-``gap_weights``, B = p * A with A the weight matrix, the availability
-windows Delta and Delta B^T.
+built once for the stack: the Gram-polynomial basis U of ``core``, the
+availability windows Delta, the kernel B and Delta B^T.
 
 * Gap-free input is detrended directly: F^2(s) is the mean over windows
   of |y - (y U) U^T|^2 / s, with y = cumsum(x_w) the window's profile
@@ -24,6 +23,8 @@ windows Delta and Delta B^T.
   the window averages of the product kernel (1/s) sum B x_k x_j and of
   the pairwise-difference kernel -(1/2s) sum B (x_k - x_j)^2 over
   present pairs. Each is one (R W, s) x (s, s) product over the stack.
+  B, the pair weights p * A of ``gap_weights``, is built in place from A
+  and the pair counts, with at most two s x s arrays live.
 
 Replicates go through in blocks of about 2^20 values (at least one
 replicate), so the temporaries per scale take O(block n) memory besides
@@ -133,10 +134,7 @@ class FluctuationCurve:
 
     @property
     def f(self) -> np.ndarray:
-        out = np.full(self.f2.shape, np.nan)
-        ok = self.defined
-        out[ok] = np.sqrt(self.f2[ok])
-        return out
+        return np.where(self.defined, np.sqrt(np.abs(self.f2)), np.nan)
 
 
 @dataclass(frozen=True)
@@ -188,6 +186,21 @@ def dfa(series, m: int, scales) -> FluctuationCurve:
     return _curve(x[None], None, m, scales, ("standard",))["standard"][0]
 
 
+def _pair_counts(mask: np.ndarray, s: int, count_empty_windows: bool
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Delta (W x s), pair counts Delta^T Delta and n_win of gap_weights."""
+    dw = _windows(mask, s).astype(float)
+    if dw.shape[0] == 0:
+        raise ScaleExceedsLengthError(f"scale {s} exceeds mask length")
+    present = dw.any(axis=1)
+    if not present.any():
+        raise AllPairsMissingError(
+            f"no pair is present in any window at scale {s}"
+        )
+    n_win = dw.shape[0] if count_empty_windows else int(present.sum())
+    return dw, dw.T @ dw, n_win
+
+
 def gap_weights(mask, s: int, count_empty_windows: bool = True) -> GapWeights:
     """Per-scale pair weights from the availability mask.
 
@@ -197,21 +210,10 @@ def gap_weights(mask, s: int, count_empty_windows: bool = True) -> GapWeights:
     present in no window are marked undefined and get weight 0 — the
     availability factors already remove them from every sum.
     """
-    mask = np.asarray(mask, dtype=bool)
-    dw = _windows(mask, s).astype(float)
-    if dw.shape[0] == 0:
-        raise ScaleExceedsLengthError(f"scale {s} exceeds mask length")
-    counts = dw.T @ dw
-    n_win = dw.shape[0]
-    if not count_empty_windows:
-        n_win = int(dw.any(axis=1).sum())
+    _, counts, n_win = _pair_counts(np.asarray(mask, dtype=bool), s,
+                                    count_empty_windows)
     defined = counts > 0
-    if not defined.any():
-        raise AllPairsMissingError(
-            f"no pair is present in any window at scale {s}"
-        )
-    p = np.zeros((s, s))
-    p[defined] = n_win / counts[defined]
+    p = np.divide(n_win, counts, out=np.zeros((s, s)), where=defined)
     return GapWeights(scale=s, p=p, defined=defined, n_windows=n_win)
 
 
@@ -242,20 +244,25 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
     for i, s in enumerate(scales):
         s = int(s)
         size = (n // s) * s
-        try:
-            gw = gap_weights(mask, s, count_empty_windows) if gapped else None
-        except AllPairsMissingError:
-            pairless[i] = True
-            gw = None
-        if direct or gw is not None:
-            u = _orthonormal_rowspace(m, s)
-        if gw is not None:
-            dw = _windows(mask, s).astype(float)
-            pa = gw.p * _weight_entries(u)
-            # the correction term's weights: (Y*Y) . (Delta B^T) is
-            # <B, (Y*Y)^T Delta>
-            dpa = (dw @ pa.T).ravel()
-            first = dw.argmax(axis=1)
+        u = _orthonormal_rowspace(m, s)
+        b = None  # frees the last scale's kernel before this one is built
+        if gapped:
+            b = _weight_entries(u)
+            try:
+                dw, counts, n_win = _pair_counts(mask, s, count_empty_windows)
+            except AllPairsMissingError:
+                pairless[i], b = True, None
+            else:
+                # B = A n_win / max(counts, 1), in place; the counts come
+                # after A, so two s x s arrays are live. A pair with count 0
+                # is never present together: B gives the sums of p * A.
+                np.maximum(counts, 1.0, out=counts)
+                b *= np.divide(n_win, counts, out=counts)
+                del counts
+                # the correction term's weights: (Y*Y) . (Delta B^T) is
+                # <B, (Y*Y)^T Delta>
+                dbt = (dw @ b.T).ravel()
+                first = dw.argmax(axis=1)
         for lo in range(0, reps, block):
             rows = slice(lo, lo + block)
             if direct:
@@ -271,10 +278,10 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
                 val = _row_dot(y, y, xw.shape[0]) / size
                 for e in direct:
                     f2[e][rows, i] = val
-            if gw is not None:
+            if b is not None:
                 yw = _windows(xz[rows], s)
                 if "f_tilde" in gapped:
-                    f2["f_tilde"][rows, i] = _quadratic(yw, pa) / size
+                    f2["f_tilde"][rows, i] = _quadratic(yw, b) / size
                 if "f_hat" in gapped:
                     # the pairwise form is invariant to a shift of each
                     # window; centring on a present value stops the two
@@ -282,8 +289,8 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
                     shift = yw[:, np.arange(yw.shape[1]), first]
                     yc = (yw - shift[..., None]) * dw
                     sq = (yc * yc).reshape(yc.shape[0], -1)
-                    f2["f_hat"][rows, i] = (_quadratic(yc, pa)
-                                            - sq @ dpa) / size
+                    f2["f_hat"][rows, i] = (_quadratic(yc, b)
+                                            - sq @ dbt) / size
     nw = n // scales
     out = {}
     for e in estimators:
@@ -318,7 +325,7 @@ def f_hat(gs: GappedSeries, m: int, scales,
     negative are flagged undefined; the raw value is kept in f2.
 
     Memory per scale is O(n) for gap-free input; with gaps it is
-    O(n + s^2), and time O(n s).
+    O(n + s^2) (two s x s arrays at the peak), and time O(n s).
     """
     return _curve(gs.values[None], gs.mask, m, scales, ("f_hat",),
                   count_empty_windows)["f_hat"][0]
@@ -333,7 +340,12 @@ def f_tilde(gs: GappedSeries, m: int, scales,
     cancels and the estimator is biased.
 
     Memory per scale is O(n) for gap-free input; with gaps it is
-    O(n + s^2), and time O(n s).
+    O(n + s^2) (two s x s arrays at the peak), and time O(n s).
+
+    Precision: an offset large against the spread makes the product
+    kernel's terms cancel. At offset 10^3 (unit noises and walks, n = 300,
+    m = 1..3, 100 seeds) the error against extended precision had median
+    9e-14, 99th percentile 1.2e-11 and maximum 3.2e-9 (f_hat: 6e-15).
     """
     return _curve(gs.values[None], gs.mask, m, scales, ("f_tilde",),
                   count_empty_windows)["f_tilde"][0]
@@ -373,16 +385,17 @@ def estimate_hurst(curve: FluctuationCurve,
     # F^2 = 0 (a constant series) has no logarithm
     sel = (curve.defined & (curve.f2 > 0)
            & (curve.scales >= s_min) & (curve.scales <= s_max))
-    if sel.sum() < 3:
+    # one distinct scale leaves the slope undefined (0 / 0)
+    if sel.sum() < 3 or np.ptp(curve.scales[sel]) == 0:
         raise TooFewPointsError(
-            f"need >= 3 defined scales with F^2 > 0 in [{s_min}, {s_max}], "
-            f"have {int(sel.sum())}"
-        )
+            f"need >= 3 defined scales, not all equal, with F^2 > 0 in "
+            f"[{s_min}, {s_max}], have {int(sel.sum())}")
     logs = np.log(curve.scales[sel].astype(float))
     logf = 0.5 * np.log(curve.f2[sel])
-    slope, intercept = np.polyfit(logs, logf, 1)
-    resid = logf - (slope * logs + intercept)
+    dx, dy = logs - logs.mean(), logf - logf.mean()
+    slope = (dx @ dy) / (dx @ dx)
+    intercept = logf.mean() - slope * logs.mean()
+    resid = dy - slope * dx
     return HurstFit(hurst=float(slope), intercept=float(intercept),
                     s_min=s_min, s_max=s_max, n_points=int(sel.sum()),
-                    residual_std=float(resid.std(ddof=2) if sel.sum() > 2
-                                       else 0.0))
+                    residual_std=float(resid.std(ddof=2)))

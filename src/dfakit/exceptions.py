@@ -18,10 +18,6 @@ class ScaleExceedsLengthError(DFAError, ValueError):
     """Scale s is larger than the input series."""
 
 
-class SingularGramError(DFAError, ArithmeticError):
-    """The Gram matrix B B^T is numerically singular."""
-
-
 class DimensionMismatchError(DFAError, ValueError):
     """Window length does not match the paired weight matrix."""
 
@@ -47,7 +43,7 @@ class TooFewPointsError(DFAError, ValueError):
 
 
 class NonpositiveCorrectionError(DFAError, ValueError):
-    """Correction factor K^2 must be positive."""
+    """Correction factor K^2, or its prefactor lambda, must be positive."""
 
 
 class ModelSpecError(DFAError, ValueError):

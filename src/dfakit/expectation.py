@@ -134,7 +134,8 @@ def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
         lam = 2 * hf * (2 * hf - 1) * total if hf < 1 else -total
     value = float(lam)
     if value <= 0:
-        raise ArithmeticError(f"lambda_{{{m},{hf}}} came out nonpositive")
+        raise NonpositiveCorrectionError(
+            f"lambda_{{{m},{hf}}} came out nonpositive")
     return ScalingConstant(order=m, hurst=hf, value=value)
 
 

@@ -27,6 +27,15 @@ def check_hurst(h: float, lo: float = 0.0, hi: float = 2.0) -> None:
         raise ValueError(f"Hurst exponent must lie in {span}, got {h}")
 
 
+def _check_positive(**params: float) -> None:
+    """Raise ValueError unless every parameter is finite and > 0."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0")
+
+
 def fgn_acvf(hurst: float, variance: float, lag) -> np.ndarray | float:
     """Autocovariance of fractional Gaussian noise.
 
@@ -89,10 +98,7 @@ def ou_acvf(tau_c: float, gamma0: float, lag) -> np.ndarray | float:
     than a Langevin noise amplitude; only the acvf shape matters to
     every consumer in this package.
     """
-    if tau_c <= 0:
-        raise ValueError("correlation time must be > 0")
-    if gamma0 <= 0:
-        raise ValueError("stationary variance must be > 0")
+    _check_positive(tau_c=tau_c, gamma0=gamma0)
     t = np.abs(np.asarray(lag, dtype=float))
     out = gamma0 * np.exp(-t / tau_c)
     return out if out.ndim else float(out)
@@ -106,8 +112,7 @@ def ar1_acvf(phi: float, gamma0: float, lag) -> np.ndarray | float:
     """
     if not -1.0 < phi < 1.0:
         raise ValueError("AR(1) coefficient must lie in (-1, 1)")
-    if gamma0 <= 0:
-        raise ValueError("stationary variance must be > 0")
+    _check_positive(gamma0=gamma0)
     t = np.abs(np.asarray(lag, dtype=float))
     live = t < 746.0 / -math.log(max(abs(phi), 1e-300))
     out = np.zeros_like(t)
@@ -123,8 +128,7 @@ class WhiteNoise:
     gamma0: float = 1.0
 
     def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be > 0")
+        _check_positive(gamma0=self.gamma0)
 
     def acvf(self, lags) -> np.ndarray:
         t = np.asarray(lags, dtype=float)
@@ -138,8 +142,7 @@ class FGN:
 
     def __post_init__(self):
         check_hurst(self.hurst, 0.0, 1.0)
-        if self.variance <= 0:
-            raise ValueError("variance must be > 0")
+        _check_positive(variance=self.variance)
 
     def acvf(self, lags) -> np.ndarray:
         return np.asarray(fgn_acvf(self.hurst, self.variance, lags))
@@ -151,8 +154,7 @@ class OU:
     gamma0: float = 1.0
 
     def __post_init__(self):
-        if self.tau_c <= 0 or self.gamma0 <= 0:
-            raise ValueError("tau_c and gamma0 must be > 0")
+        _check_positive(tau_c=self.tau_c, gamma0=self.gamma0)
 
     def acvf(self, lags) -> np.ndarray:
         return np.asarray(ou_acvf(self.tau_c, self.gamma0, lags))
@@ -166,8 +168,7 @@ class AR1:
     def __post_init__(self):
         if not -1.0 < self.phi < 1.0:
             raise ValueError("phi must lie in (-1, 1)")
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be > 0")
+        _check_positive(gamma0=self.gamma0)
 
     def acvf(self, lags) -> np.ndarray:
         return np.asarray(ar1_acvf(self.phi, self.gamma0, lags))
@@ -181,8 +182,8 @@ class AcvfTable:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.size == 0 or v[0] <= 0:
-            raise ValueError("table needs gamma(0) > 0")
+        if v.size == 0 or not np.isfinite(v).all() or v[0] <= 0:
+            raise ValueError("table needs finite values and gamma(0) > 0")
         if np.any(np.abs(v) > v[0] * (1 + 1e-12)):
             raise ValueError("|gamma(tau)| must not exceed gamma(0)")
         object.__setattr__(self, "values", tuple(float(x) for x in v))
@@ -204,8 +205,7 @@ class FBM:
 
     def __post_init__(self):
         check_hurst(self.hurst, 1.0, 2.0)
-        if self.variance <= 0:
-            raise ValueError("variance must be > 0")
+        _check_positive(variance=self.variance)
 
     def variogram(self, lags) -> np.ndarray:
         return np.asarray(fbm_variogram(self.hurst, self.variance, lags))
@@ -222,8 +222,8 @@ class VariogramTable:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.size == 0 or v[0] != 0:
-            raise ValueError("table needs S(0) = 0")
+        if v.size == 0 or not np.isfinite(v).all() or v[0] != 0:
+            raise ValueError("table needs finite values and S(0) = 0")
         object.__setattr__(self, "values", tuple(float(x) for x in v))
 
     def variogram(self, lags) -> np.ndarray:

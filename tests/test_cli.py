@@ -450,6 +450,20 @@ class TestModelSpec:
         assert capsys.readouterr().err == "dfakit: variance must be > 0\n"
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("command", ["expected", "simulate", "mc"])
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "fgn", "hurst": 0.7, "variance": Infinity}',
+        '{"kind": "fgn", "hurst": 0.7, "variance": NaN}',
+        '{"kind": "white", "gamma0": Infinity}',
+        '{"kind": "ou", "tau_c": NaN}'],
+        ids=["fgn-inf-variance", "fgn-nan-variance", "white-inf-gamma0",
+             "ou-nan-tau_c"])
+    def test_non_finite_parameter_exit_4(self, tmp_path, capsys, command,
+                                         spec):
+        assert main(_model_argv(command, spec, tmp_path)) == 4
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "mc"])
     def test_variogram_table_cannot_be_sampled(self, tmp_path, command):
         spec = '{"kind": "table", "variogram": [0, 1, 2]}'

@@ -208,11 +208,11 @@ class TestFHat:
         assert all(a >= b for a, b in zip(undef_counts, undef_counts[1:]))
 
 
-def _longdouble_reference(x, mask, m, s):
-    """f_hat and f_tilde from their pairwise and product definitions,
-    summed in extended precision."""
+def _longdouble_reference(x, mask, m, s, count_empty_windows=True):
+    """f_hat and f_tilde from their pairwise and product definitions with
+    the dense pair weights p * A, summed in extended precision."""
     w = x.size // s
-    pa = (gap_weights(mask, s).p.astype(np.longdouble)
+    pa = (gap_weights(mask, s, count_empty_windows).p.astype(np.longdouble)
           * weight_matrix(m, s).entries.astype(np.longdouble))
     xw = np.where(mask, x, 0.0)[: w * s].reshape(w, s).astype(np.longdouble)
     dw = mask[: w * s].reshape(w, s)
@@ -240,6 +240,33 @@ class TestExpandedFormPrecision:
                                                            m, s)
                 assert abs((hat[i] - ref_hat) / ref_hat) <= 1e-12
                 assert abs((tilde[i] - ref_tilde) / ref_tilde) <= 1e-10
+
+
+class TestEngineMatchesDenseRoute:
+    """The engine weighs pairs by A n_win / max(counts, 1) and never
+    forms p; it must give the sums of the dense p * A route."""
+
+    @pytest.mark.parametrize("count_empty_windows", [True, False])
+    def test_matches(self, count_empty_windows):
+        rng = np.random.default_rng(60)
+        n, m = 200, 2
+        x = np.cumsum(rng.normal(size=n)) + 5.0
+        mask = rng.random(n) > 0.25
+        mask[:110] = False  # empty windows; no present point at s = 110
+        mask[np.arange(n) % 8 == 3] = False  # a pair never present at s = 8
+        scales = [5, 8, 10, 17, 30, 110]
+        gs = GappedSeries(x, mask)
+        hat = f_hat(gs, m, scales, count_empty_windows)
+        tilde = f_tilde(gs, m, scales, count_empty_windows)
+        assert not gap_weights(mask, 8).defined.all()
+        assert hat.reasons[-1] == tilde.reasons[-1] == NO_VALID_PAIRS
+        with pytest.raises(AllPairsMissingError):
+            gap_weights(mask, 110)
+        for i, s in enumerate(scales[:-1]):
+            ref_hat, ref_tilde = _longdouble_reference(x, mask, m, s,
+                                                       count_empty_windows)
+            assert hat.f2[i] == pytest.approx(ref_hat, rel=1e-12)
+            assert tilde.f2[i] == pytest.approx(ref_tilde, rel=1e-12)
 
 
 class TestBadInput:
@@ -317,6 +344,11 @@ class TestEstimateHurst:
             estimator="f_hat",
             reasons=(None, None, "negative-squared-value", None, None))
         assert estimate_hurst(curve).n_points == 4
+
+    def test_repeated_scale_has_no_slope(self):
+        x = np.random.default_rng(56).normal(size=200)
+        with pytest.raises(TooFewPointsError):
+            estimate_hurst(dfa(x, 1, [8, 8, 8]))
 
     def test_too_few_points(self):
         c = dfa(np.arange(100, dtype=float) % 7, 1, [4, 8, 16])

@@ -1,11 +1,13 @@
 """Tests for the expectation engines, scaling constants, and bias."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dfakit.exceptions import NonpositiveCorrectionError
+from dfakit import expectation
+from dfakit.exceptions import DFAError, NonpositiveCorrectionError
 from dfakit.expectation import (
     asymptotic_lambda,
     correction_function,
@@ -17,6 +19,7 @@ from dfakit.expectation import (
     modified_f2,
 )
 from dfakit.models import FBM, FGN, WhiteNoise, fbm_covariance
+from dfakit.weights import asymptotic_coefficients
 
 
 class TestStationaryEngine:
@@ -147,6 +150,21 @@ class TestCorrection:
         exact = asymptotic_lambda(1, Fraction(1, 2))
         assert asymptotic_lambda(1, 0.5) is not exact
         assert asymptotic_lambda.cache_info().misses == 2
+
+    def test_nonpositive_lambda_is_a_dfa_error(self, monkeypatch):
+        # no real order gives lambda <= 0; fake coefficients with
+        # d_0 = -1, which is lambda itself at H = 1/2
+        monkeypatch.setattr(expectation, "asymptotic_coefficients",
+                            lambda m: SimpleNamespace(d=(Fraction(-1),)))
+        asymptotic_lambda.cache_clear()
+        asymptotic_coefficients.cache_clear()
+        try:
+            with pytest.raises(NonpositiveCorrectionError):
+                asymptotic_lambda(1, 0.5)
+        finally:
+            asymptotic_lambda.cache_clear()
+            asymptotic_coefficients.cache_clear()
+        assert issubclass(NonpositiveCorrectionError, DFAError)
 
 
 class TestModifiedF2:

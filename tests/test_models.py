@@ -205,3 +205,33 @@ class TestModelObjects:
         with pytest.raises(ValueError, match="variance must be > 0") as exc:
             model_from_spec({"kind": "fbm", "hurst": 1.3, "variance": 0})
         assert not isinstance(exc.value, ModelSpecError)
+
+
+class TestNonFiniteParameters:
+    """inf and NaN parameters would turn into samples and expectations
+    that look valid; every constructor rejects them."""
+
+    BUILDERS = {
+        "white-gamma0": lambda v: WhiteNoise(gamma0=v),
+        "fgn-hurst": lambda v: FGN(v),
+        "fgn-variance": lambda v: FGN(0.7, variance=v),
+        "fbm-hurst": lambda v: FBM(v),
+        "fbm-variance": lambda v: FBM(1.3, variance=v),
+        "ou-tau_c": lambda v: OU(v),
+        "ou-gamma0": lambda v: OU(5.0, gamma0=v),
+        "ar1-phi": lambda v: AR1(v),
+        "ar1-gamma0": lambda v: AR1(0.5, gamma0=v),
+        "acvf-table": lambda v: AcvfTable(values=(1.0, v)),
+        "variogram-table": lambda v: VariogramTable(values=(0.0, v)),
+    }
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_rejected(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
+
+    def test_message_names_the_parameter(self):
+        with pytest.raises(ValueError, match="variance must be finite"):
+            model_from_spec({"kind": "fgn", "hurst": 0.7,
+                             "variance": float("inf")})

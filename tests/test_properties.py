@@ -80,6 +80,43 @@ def test_ensemble_equals_per_replicate_calls(case):
                     abs(ref.f2[i]) + size), (key, int(s))
 
 
+@settings(max_examples=20, deadline=None)
+@given(stacks(), st.randoms(use_true_random=False))
+def test_ensemble_independent_of_scale_order(case, rnd):
+    """Each scale is computed on its own: a permuted grid gives the
+    permuted curves, bit for bit."""
+    x, mask, m, scales = case
+    order = list(range(len(scales)))
+    rnd.shuffle(order)
+    ref = ensemble(x, mask, m, scales)
+    got = ensemble(x, mask, m, [scales[i] for i in order])
+    for key in ref:
+        for a, b in zip(ref[key], got[key]):
+            assert np.array_equal(b.f2[np.argsort(order)], a.f2,
+                                  equal_nan=True), key
+            assert tuple(b.reasons[j] for j in np.argsort(order)) == a.reasons
+
+
+@settings(max_examples=20, deadline=None)
+@given(stacks())
+def test_gap_free_mask_collapses_to_dfa(case):
+    """An all-True mask takes the direct path: f_hat = f_tilde = dfa,
+    bit for bit, per replicate and within a stack. (A stack and a single
+    replicate may round differently: BLAS blocks the products by shape.)
+    """
+    x, _, m, scales = case
+    full = np.ones(x.shape[1], bool)
+    curves = ensemble(x, full, m, scales)
+    for r, row in enumerate(x):
+        ref = dfa(row, m, scales).f2
+        gs = GappedSeries(row, full)
+        assert np.array_equal(f_hat(gs, m, scales).f2, ref)
+        assert np.array_equal(f_tilde(gs, m, scales).f2, ref)
+        for key in ("f_hat", "f_tilde"):
+            assert np.array_equal(curves[key][r].f2,
+                                  curves["standard"][r].f2), key
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 6).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(m + 2, 256))))
