@@ -362,8 +362,8 @@ def ensemble(samples, mask, m: int, scales
     depend only on (m, s, mask) are built once for the whole stack.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("samples must be an (R, n) stack")
+    if x.ndim != 2 or not len(x):
+        raise ValueError("samples must be an (R, n) stack with R >= 1")
     _check_finite(x)
     if mask is None:
         return _curve(x, None, m, scales, ("standard",))

@@ -11,7 +11,9 @@ with coefficients of degree at most 2m in s (the paper gives it for
 m = 1, 2). Q is derived once per order by exact arithmetic and cached
 (_closed_form): G is computed exactly from A = D^T D - C^T M C at lags
 0..2m of 2m+1 small scales, then interpolated in j and in s. This
-takes 0.1, 0.7, 2.3, 6.4, 12, 23 and 37 ms for m = 0..6 (one CPU).
+takes 0.1, 0.7, 2.3, 6.4, 12, 23 and 37 ms for m = 0..6, and roughly
+60 and 120 ms for m = 7 and 8 (one CPU; repeat runs on a shared host
+spread by up to 1.5x).
 
 closed_form_g evaluates the closed form exactly; closed_form_g_values
 and weight_function evaluate it in float64 in O(s) time and memory,
@@ -23,10 +25,11 @@ m = 8, 10 and 12, where the Bernstein terms cancel. For large s,
 
     G(j, s) ~ sum_q d_q s^{2-q} j^q     (j > 0),   G(0, s) ~ d_0 s^2,
 
-and the coefficients d_q are assembled here in exact rational
-arithmetic: float evaluation of the alternating binomial sums involved
-loses precision already around order 5. They are the terms of total
-degree 2m+3 of N = G s prod(s^2 - k^2).
+and the coefficients d_q are read off the same closed form, exactly:
+they are the terms of total degree 2m+3 of N = G s prod(s^2 - k^2)
+(asymptotic_coefficients). _closed_form is thus the one exact derivation
+per order; the other exact quantity, the Hilbert inverse of
+asymptotic_inverse_gram, is reported next to the d_q.
 """
 
 from __future__ import annotations
@@ -56,12 +59,12 @@ class WeightFunctionTable:
 
 @dataclass(frozen=True)
 class AsymptoticCoefficients:
-    """Exact expansion coefficients d_0..d_{2m+3} with intermediates."""
+    """Exact expansion coefficients d_0..d_{2m+3} and the stripped
+    inverse Gram matrix of the same order."""
 
     order: int
     d: tuple[Fraction, ...]
     inverse_gram: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
 
 
 @lru_cache(maxsize=256)
@@ -286,73 +289,26 @@ def asymptotic_inverse_gram(m: int) -> tuple[tuple[Fraction, ...], ...]:
 
 @lru_cache(maxsize=None)
 def asymptotic_coefficients(m: int) -> AsymptoticCoefficients:
-    """Assemble d_0..d_{2m+3} from the stripped inverse Gram matrix.
+    """Read d_0..d_{2m+3} off the closed form of G (order m >= 1).
 
-    The contribution of D^T Q D splits into three coefficient families
-    b^(1), b^(2), b^(3) (expansion of the three diagonal-sum terms);
-    the D^T D diagonal contributes (1/2, -1, 1/2) at powers 0..2.
+    N = (j-s-1)(j-s)(j-s+1) Q has total degree 2m+3, and its top terms
+    d_p j^p s^{2m+3-p} give G ~ N / s^{2m+1}. The cubic's top part is
+    (j-s)^3, so d_p = sum_i C(3, i) (-1)^{3-i} Q_{p-i, 2m-(p-i)} over the
+    denominator of Q. The cost is that of _closed_form(m): a cold call
+    on its own takes about 5 ms at m = 3 and 45 ms at m = 6 (one CPU),
+    but expected and bias derive _closed_form for G anyway, so there the
+    d_q cost next to nothing.
     """
     if m < 1:
         raise ValueError("asymptotic coefficients need order >= 1")
-    n = m + 1
-    ct = asymptotic_inverse_gram(m)
-    # c_{d,l} = ct_{d,l} / (d l), 1-based indices
-    c = {(d, l): ct[d - 1][l - 1] / (d * l)
-         for d in range(1, n + 1) for l in range(1, n + 1)}
-    qmax = 2 * m + 3
-
-    def b1(q: int) -> Fraction:
-        if q == 0:
-            return sum((c[d, l] * (1 - Fraction(1, l + 1))
-                        for d in range(1, n + 1) for l in range(1, n + 1)),
-                       Fraction(0))
-        if q == 1:
-            return -sum(c.values(), Fraction(0))
-        if 2 <= q <= m + 2:
-            return Fraction(1, q) * sum((c[d, q - 1]
-                                         for d in range(1, n + 1)),
-                                        Fraction(0))
-        return Fraction(0)
-
-    def b2(q: int) -> Fraction:
-        if q == 0:
-            return -sum((c[d, l] / (d + 1)
-                         for d in range(1, n + 1) for l in range(1, n + 1)),
-                        Fraction(0))
-        if q == 1:
-            return sum((c[d, l] * comb(d + 1, d) / (d + 1)
-                        for d in range(1, n + 1) for l in range(1, n + 1)),
-                       Fraction(0))
-        if 2 <= q <= m + 2:
-            sign = Fraction((-1) ** (q - 1))
-            return sign * sum(
-                (c[d, l] * comb(d + 1, d + 1 - q) / (d + 1)
-                 for d in range(q - 1, n + 1) for l in range(1, n + 1)),
-                Fraction(0))
-        return Fraction(0)
-
-    def a_coeff(k: int, d: int, l: int) -> Fraction:
-        return sum(
-            (Fraction(comb(l, r) * (-1) ** (k - r), d + l + 1 - r)
-             * comb(d + l + 1 - r, d + l + 1 - k)
-             for r in range(0, min(l, k) + 1)),
-            Fraction(0))
-
-    def b3(q: int) -> Fraction:
-        # full double loop with an explicit index filter
-        total = Fraction(0)
-        for d in range(1, n + 1):
-            for l in range(1, n + 1):
-                if d + l >= q - 1:
-                    total += a_coeff(q, d, l) * c[d, l]
-        return total
-
-    b = tuple(b1(q) + b2(q) + b3(q) for q in range(qmax + 1))
-    lead = (Fraction(1, 2), Fraction(-1), Fraction(1, 2))
-    d_coeffs = tuple(
-        (lead[q] if q <= 2 else Fraction(0)) - b[q] for q in range(qmax + 1)
-    )
-    return AsymptoticCoefficients(order=m, d=d_coeffs, inverse_gram=ct, b=b)
+    cf, n = _closed_form(m), 2 * m
+    top = [cf.quotient[p][n - p] for p in range(n + 1)]
+    d = tuple(Fraction(sum(comb(3, i) * (-1) ** (3 - i) * top[p - i]
+                           for i in range(4) if 0 <= p - i <= n),
+                       cf.denominator)
+              for p in range(n + 4))
+    return AsymptoticCoefficients(order=m, d=d,
+                                  inverse_gram=asymptotic_inverse_gram(m))
 
 
 def asymptotic_weight(m: int, j: int, s: int) -> float:

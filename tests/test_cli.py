@@ -227,6 +227,7 @@ class TestWeights:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["d"] == ["1/15", "-1/2", "1", "-2/3", "0", "1/10"]
+        assert payload["inverse_gram"] == [["4", "-6"], ["-6", "12"]]
 
     def test_needs_scale(self, tmp_path):
         rc = main(["weights", "-m", "1", "--out", str(tmp_path / "w.csv")])
@@ -396,6 +397,15 @@ class TestMc:
             assert [row[k] for k in ("mean_F2", "q05_F2", "q95_F2",
                                      "n_defined")] == ["", "", "", "0"]
         assert rows[("standard", "50")]["n_defined"] == "3"
+
+    def test_empty_ensemble_exit_4(self, tmp_path, capsys):
+        out, hout = tmp_path / "mc.csv", tmp_path / "mc.json"
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "64",
+                   "--ensemble", "0", "--scales", "8", "16",
+                   "--out", str(out), "--hurst-out", str(hout)])
+        assert rc == 4
+        assert "R >= 1" in capsys.readouterr().err
+        assert not out.exists() and not hout.exists()
 
     def test_summary_matches_numpy(self):
         rng = np.random.default_rng(6)

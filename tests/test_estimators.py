@@ -474,3 +474,9 @@ class TestEnsemble:
         x[1, 3] = np.nan
         with pytest.raises(NonFiniteValueError):
             ensemble(x, mask, self.M, [8])
+
+    @pytest.mark.parametrize("gapped", [False, True])
+    def test_empty_stack(self, gapped):
+        mask = block_gap_mask(self.N, 0.3, 10.0, seed=54) if gapped else None
+        with pytest.raises(ValueError, match="R >= 1"):
+            ensemble(np.empty((0, self.N)), mask, self.M, [8, 20])

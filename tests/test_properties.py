@@ -12,7 +12,13 @@ from dfakit.estimators import (
     f_tilde,
     gap_weights,
 )
+from dfakit.expectation import (
+    expected_f2_general,
+    expected_f2_increments,
+    expected_f2_stationary,
+)
 from dfakit.generators import add_polynomial_trend, block_gap_mask
+from dfakit.models import FBM, FGN, fgn_acvf
 from dfakit.weights import weight_function
 
 
@@ -172,3 +178,32 @@ def test_dfa_invariant_to_polynomial_trend(case):
         size = _abs_profile_size(xt, int(s))
         assert abs(got.f2[i] - ref.f2[i]) <= 1e-13 * (
             ref.f2[i] + np.sqrt(ref.f2[i] * size)), int(s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda m: st.tuples(st.just(m), st.integers(m + 2, 64))),
+       st.integers(0, 10 ** 4), st.floats(0.02, 0.98))
+def test_general_engine_is_invariant_to_window_offset(case, t, h):
+    """The window-offset engine at any offset t equals the increment
+    engine on fBm and the stationary engine on fGn.
+
+    The fBm kernel grows like t^{2h}, far above E F^2 at large t, and
+    its terms cancel (relative errors up to 5e-6 at m = 4, s = 6,
+    t = 1000, h = 0.98), so the bound scales with
+    sum |A o gamma(t+k, t+j)| / s (worst seen over about 1,000 cases:
+    5.6e-14 of it, some 250 eps).
+    """
+    m, s = case
+    idx = t + np.arange(1, s + 1)
+    a = weight_matrix(m, s).entries
+    fbm = FBM(1 + h)
+
+    def noise(t1, t2):
+        return fgn_acvf(h, 1.0, t1 - t2)
+
+    for kernel, ref in ((fbm.covariance, expected_f2_increments(fbm, m, s)),
+                        (noise, expected_f2_stationary(FGN(h), m, s))):
+        size = np.abs(a * kernel(idx[:, None], idx[None, :])).sum() / s
+        got = expected_f2_general(kernel, m, s, t)
+        assert abs(got - ref) <= 1e-12 * size, (kernel, got, ref)

@@ -17,7 +17,7 @@ from dfakit.weights import (
     weight_function,
 )
 
-# exact d_q rows for orders 1..6
+# exact d_q rows for orders 1..8
 D_TABLE = {
     1: ["1/15", "-1/2", "1", "-2/3", "0", "1/10"],
     2: ["3/70", "-1/2", "3/2", "-3/2", "0", "3/5", "0", "-1/7"],
@@ -28,6 +28,11 @@ D_TABLE = {
         "-84/11", "0", "21/13"],
     6: ["7/390", "-1/2", "7/2", "-49/6", "0", "98/5", "0", "-42", "0",
         "175/3", "0", "-49", "0", "294/13", "0", "-22/5"],
+    7: ["4/255", "-1/2", "4", "-32/3", "0", "168/5", "0", "-96", "0",
+        "550/3", "0", "-224", "0", "168", "0", "-352/5", "0", "429/34"],
+    8: ["9/646", "-1/2", "9/2", "-27/2", "0", "54", "0", "-198", "0", "495",
+        "0", "-819", "0", "882", "0", "-594", "0", "3861/17", "0",
+        "-715/19"],
 }
 
 
@@ -206,15 +211,22 @@ class TestInverseGram:
 
 
 class TestAsymptoticCoefficients:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", range(1, 9))
     def test_exact_rows(self, m):
         got = asymptotic_coefficients(m).d
         want = tuple(Fraction(x) for x in D_TABLE[m])
         assert got == want
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", range(1, 9))
     def test_d1_is_minus_half(self, m):
         assert asymptotic_coefficients(m).d[1] == Fraction(-1, 2)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_moment_identity(self, m):
+        # the rows of A sum to zero, so G(0, s) + 2 sum_{j>0} G(j, s) = 0;
+        # at leading order in s that is sum_q d_q / (q + 1) = 0
+        d = asymptotic_coefficients(m).d
+        assert sum(dq / (q + 1) for q, dq in enumerate(d)) == 0
 
     def test_length(self):
         for m in range(1, 8):
