@@ -62,7 +62,6 @@ from .models import (
     fgn_acvf_asymptotic,
     model_from_spec,
     ou_acvf,
-    stationary_to_variogram,
 )
 from .weights import (
     asymptotic_coefficients,

@@ -231,7 +231,7 @@ def cmd_weights(args) -> int:
         fh.write(_config_header(args) + "\n")
         w = csv.writer(fh)
         w.writerow(["j", "G"])
-        for j, g in enumerate(table.values):
+        for j, g in enumerate(table):
             w.writerow([j, repr(float(g))])
     return 0
 
@@ -401,22 +401,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the JSON types a config value may take, by the type of its flag
+_JSON_TYPES = {int: int, float: (int, float), None: str}
+
+
+def _fits(action: argparse.Action, value) -> bool:
+    """Whether a config value is one its flag could have parsed to."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return isinstance(value, bool)
+    many = action.nargs is not None
+    if many and not (isinstance(value, list) and (
+            len(value) == action.nargs or action.nargs == "+" and value)):
+        return False
+    return all(isinstance(v, _JSON_TYPES[action.type])
+               and not isinstance(v, bool) and v in (action.choices or [v])
+               for v in (value if many else [value]))
+
+
 def _apply_config_file(args, argv) -> argparse.Namespace:
     """Parse again, on a parser of its own, with the config file's values
     as subcommand defaults, so that any explicit flag, in any spelling,
-    wins."""
+    wins. Each value must fit its flag's type, nargs and choices."""
     if not args.config:
         return args
     with open(args.config) as fh:
         defaults = json.load(fh)
+    if not isinstance(defaults, dict):
+        raise DFAError(f"config file {args.config} must hold a JSON object")
     parser = build_parser.__wrapped__()
     sub_action = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
     subparser = sub_action.choices[args.command]
-    known = {a.dest for a in parser._actions + subparser._actions}
-    unknown = set(defaults) - known
-    if unknown:
-        raise DFAError(f"unknown config keys: {sorted(unknown)}")
+    actions = {a.dest: a for a in parser._actions + subparser._actions}
+    for key, value in defaults.items():
+        if key not in actions or not _fits(actions[key], value):
+            raise DFAError(f"config key {key!r}: {value!r} is not a value "
+                           f"of any flag of {args.command}")
     subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 

@@ -23,8 +23,9 @@ availability windows Delta, the kernel B and Delta B^T.
   the window averages of the product kernel (1/s) sum B x_k x_j and of
   the pairwise-difference kernel -(1/2s) sum B (x_k - x_j)^2 over
   present pairs. Each is one (R W, s) x (s, s) product over the stack.
-  B, the pair weights p * A of ``gap_weights``, is built in place from A
-  and the pair counts, with at most two s x s arrays live.
+  B, the pair weights p * A of ``gap_weights`` (p = W / pair counts, W
+  counting all-missing windows too), is built in place from A and the
+  pair counts, with at most two s x s arrays live.
 
 Replicates go through in blocks of about 2^20 values (at least one
 replicate), so the temporaries per scale take O(block n) memory besides
@@ -186,39 +187,36 @@ def dfa(series, m: int, scales) -> FluctuationCurve:
     return _curve(x[None], None, m, scales, ("standard",))["standard"][0]
 
 
-def _pair_counts(mask: np.ndarray, s: int, count_empty_windows: bool
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Delta (W x s), pair counts Delta^T Delta and n_win of gap_weights."""
+def _pair_counts(mask: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delta (W x s) and the pair counts Delta^T Delta of gap_weights."""
     dw = _windows(mask, s).astype(float)
     if dw.shape[0] == 0:
         raise ScaleExceedsLengthError(f"scale {s} exceeds mask length")
-    present = dw.any(axis=1)
-    if not present.any():
+    if not dw.any():
         raise AllPairsMissingError(
             f"no pair is present in any window at scale {s}"
         )
-    n_win = dw.shape[0] if count_empty_windows else int(present.sum())
-    return dw, dw.T @ dw, n_win
+    return dw, dw.T @ dw
 
 
-def gap_weights(mask, s: int, count_empty_windows: bool = True) -> GapWeights:
+def gap_weights(mask, s: int) -> GapWeights:
     """Per-scale pair weights from the availability mask.
 
-    The numerator counts all retained windows (optionally excluding
-    windows with no present point at all); the denominator counts, per
-    pair (k, j), the windows where both points are present. Pairs
-    present in no window are marked undefined and get weight 0 — the
-    availability factors already remove them from every sum.
+    p_{k,j} = W / (windows where k and j are both present), where
+    W = len(mask) // s counts all-missing windows too, as the estimators'
+    1/(sW) does. Pairs present in no window are marked undefined and get
+    weight 0 — the availability factors already remove them from every
+    sum.
     """
-    _, counts, n_win = _pair_counts(np.asarray(mask, dtype=bool), s,
-                                    count_empty_windows)
+    dw, counts = _pair_counts(np.asarray(mask, dtype=bool), s)
+    n_win = dw.shape[0]
     defined = counts > 0
     p = np.divide(n_win, counts, out=np.zeros((s, s)), where=defined)
     return GapWeights(scale=s, p=p, defined=defined, n_windows=n_win)
 
 
 def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
-           estimators: tuple[str, ...], count_empty_windows: bool = True
+           estimators: tuple[str, ...]
            ) -> dict[str, tuple[FluctuationCurve, ...]]:
     """The one engine behind dfa, f_hat, f_tilde and ensemble.
 
@@ -249,15 +247,15 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
         if gapped:
             b = _weight_entries(u)
             try:
-                dw, counts, n_win = _pair_counts(mask, s, count_empty_windows)
+                dw, counts = _pair_counts(mask, s)
             except AllPairsMissingError:
                 pairless[i], b = True, None
             else:
-                # B = A n_win / max(counts, 1), in place; the counts come
-                # after A, so two s x s arrays are live. A pair with count 0
-                # is never present together: B gives the sums of p * A.
+                # B = A W / max(counts, 1), in place; the counts come after
+                # A, so two s x s arrays are live. A pair with count 0 is
+                # never present together: B gives the sums of p * A.
                 np.maximum(counts, 1.0, out=counts)
-                b *= np.divide(n_win, counts, out=counts)
+                b *= np.divide(n // s, counts, out=counts)
                 del counts
                 # the correction term's weights: (Y*Y) . (Delta B^T) is
                 # <B, (Y*Y)^T Delta>
@@ -316,26 +314,26 @@ def _quadratic(yw: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _row_dot(y @ b, y, yw.shape[0])
 
 
-def f_hat(gs: GappedSeries, m: int, scales,
-          count_empty_windows: bool = True) -> FluctuationCurve:
+def f_hat(gs: GappedSeries, m: int, scales) -> FluctuationCurve:
     """Gap-tolerant fluctuation function built on the difference kernel.
 
     Unbiased (relative to gap-free DFA) for stationary and for
-    stationary-increment input. Scales where the reweighted sum turns
-    negative are flagged undefined; the raw value is kept in f2.
+    stationary-increment input at scales where every pair (k, j) is
+    present together in some window. Scales where the reweighted sum
+    turns negative are flagged undefined; the raw value is kept in f2.
 
     Memory per scale is O(n) for gap-free input; with gaps it is
     O(n + s^2) (two s x s arrays at the peak), and time O(n s).
     """
-    return _curve(gs.values[None], gs.mask, m, scales, ("f_hat",),
-                  count_empty_windows)["f_hat"][0]
+    return _curve(gs.values[None], gs.mask, m, scales,
+                  ("f_hat",))["f_hat"][0]
 
 
-def f_tilde(gs: GappedSeries, m: int, scales,
-            count_empty_windows: bool = True) -> FluctuationCurve:
+def f_tilde(gs: GappedSeries, m: int, scales) -> FluctuationCurve:
     """Gap-tolerant fluctuation function built on the product kernel.
 
-    Unbiased for stationary input only; for stationary-increment
+    Unbiased for stationary input only, at scales where every pair is
+    present together in some window; for stationary-increment
     (nonstationary) input the window-offset-dependent part no longer
     cancels and the estimator is biased.
 
@@ -347,8 +345,8 @@ def f_tilde(gs: GappedSeries, m: int, scales,
     m = 1..3, 100 seeds) the error against extended precision had median
     9e-14, 99th percentile 1.2e-11 and maximum 3.2e-9 (f_hat: 6e-15).
     """
-    return _curve(gs.values[None], gs.mask, m, scales, ("f_tilde",),
-                  count_empty_windows)["f_tilde"][0]
+    return _curve(gs.values[None], gs.mask, m, scales,
+                  ("f_tilde",))["f_tilde"][0]
 
 
 def ensemble(samples, mask, m: int, scales

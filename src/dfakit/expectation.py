@@ -22,7 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 from .core import weight_matrix
-from .exceptions import NonpositiveCorrectionError, ScaleTooSmallError
+from .exceptions import (
+    NonpositiveCorrectionError,
+    OrderZeroUnsupportedError,
+    ScaleTooSmallError,
+)
 from .models import (
     FBM,
     FGN,
@@ -59,7 +63,7 @@ def expected_f2_stationary(model: AcvfModel, m: int, s: int) -> float:
     """Expected squared fluctuation of a stationary process at scale s."""
     if s == m + 1:
         return 0.0
-    g = weight_function(m, s).values
+    g = weight_function(m, s)
     gamma = np.asarray(model.acvf(np.arange(s)), dtype=float)
     return float(g[0] * gamma[0] + 2.0 * (g[1:] @ gamma[1:])) / s
 
@@ -67,10 +71,10 @@ def expected_f2_stationary(model: AcvfModel, m: int, s: int) -> float:
 def expected_f2_increments(model: VariogramModel, m: int, s: int) -> float:
     """Expected squared fluctuation from a variogram; needs m >= 1."""
     if m < 1:
-        raise ValueError("variogram engine needs order >= 1")
+        raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
     if s == m + 1:
         return 0.0
-    g = weight_function(m, s).values
+    g = weight_function(m, s)
     sv = np.asarray(model.variogram(np.arange(1, s)), dtype=float)
     return -float(g[1:] @ sv) / s
 
@@ -139,35 +143,29 @@ def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
     return ScalingConstant(order=m, hurst=hf, value=value)
 
 
-def scaling_model(hurst: float, variance: float = 1.0):
+def scaling_model(hurst: float):
     """Unit-variance-increment reference model for a Hurst exponent."""
     check_hurst(hurst)
     if hurst == 0.5:
-        return WhiteNoise(gamma0=variance)
+        return WhiteNoise()
     if hurst < 1.0:
-        return FGN(hurst=hurst, variance=variance)
-    return FBM(hurst=hurst, variance=variance)
+        return FGN(hurst=hurst)
+    return FBM(hurst=hurst)
 
 
-def expected_f2_scaling(m: int, hurst: float, s: int,
-                        variance: float = 1.0) -> float:
+def expected_f2_scaling(m: int, hurst: float, s: int) -> float:
     """E F^2(s) for the reference scaling process with exponent H."""
-    return expected_f2(scaling_model(hurst, variance), m, s)
+    return expected_f2(scaling_model(hurst), m, s)
 
 
-def correction_function(m: int, hurst: float, s: int, engine=None) -> float:
-    """Squared finite-size correction K^2(s) = E F^2(s) / (lambda s^{2H}).
-
-    ``engine`` overrides the expectation used in the numerator; it is
-    called as engine(m, s) and defaults to the exact reference-model
-    expectation for this H.
-    """
+def correction_function(m: int, hurst: float, s: int) -> float:
+    """Squared finite-size correction K^2(s) = E F^2(s) / (lambda s^{2H}),
+    with E F^2(s) the exact expectation of the unit-variance reference
+    model of scaling_model(hurst)."""
     if s < m + 2:
         raise ScaleTooSmallError(f"scale {s} too small for order {m}")
     lam = asymptotic_lambda(m, hurst).value
-    ef2 = engine(m, s) if engine is not None else expected_f2_scaling(
-        m, hurst, s)
-    return ef2 / (lam * float(s) ** (2.0 * hurst))
+    return expected_f2_scaling(m, hurst, s) / (lam * float(s) ** (2.0 * hurst))
 
 
 def modified_f2(f2: float, k2: float) -> float:

@@ -113,8 +113,9 @@ def block_gap_mask(n: int, missing_fraction: float, mean_block_length: float,
     """
     if not 0.0 < missing_fraction < 1.0:
         raise ValueError("missing fraction must lie in (0, 1)")
-    if mean_block_length < 1.0:
-        raise ValueError("mean block length must be >= 1")
+    if not 1.0 <= mean_block_length < np.inf:  # NaN fails too
+        raise ValueError("mean_block_length must be finite and >= 1, "
+                         f"got {mean_block_length}")
     rng = _rng(seed, replicate)
     mean_present = mean_block_length * (1.0 - missing_fraction) / missing_fraction
     mask = np.empty(n, dtype=bool)

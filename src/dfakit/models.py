@@ -252,12 +252,6 @@ class DerivedVariogram:
         return 2.0 * (g0 - self.model.acvf(t))
 
 
-def stationary_to_variogram(model: AcvfModel, lag) -> np.ndarray | float:
-    """S(t) = 2 gamma(0) - 2 gamma(t); bridges the two expectation engines."""
-    out = DerivedVariogram(model).variogram(np.asarray(lag))
-    return out if out.ndim else float(out)
-
-
 def _table(acvf=None, variogram=None) -> AcvfTable | VariogramTable:
     if (acvf is None) == (variogram is None):
         raise ModelSpecError(

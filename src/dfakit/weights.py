@@ -19,9 +19,11 @@ closed_form_g evaluates the closed form exactly; closed_form_g_values
 and weight_function evaluate it in float64 in O(s) time and memory,
 within 3.3e-16 of max|G| of the exact value for m = 0..6 (measured at
 every lag of each s <= 64 and of s = 100, 300 and 1000, and at 100
-random lags of s = 8000 and 2^16). These checks cover m <= 6 only: at
-s = m + 2 the error was 1.4e-15, 1.8e-14 and 6.0e-14 of max|G| for
-m = 8, 10 and 12, where the Bernstein terms cancel. For large s,
+random lags of s = 8000 and 2^16), and for m = 7, 8 within 2.4e-16
+at 24 lags of s = 1000, 8000 and 2^16 and 1.4e-15 at s = 10. These
+checks cover m <= 8 only: at s = m + 2 the error was 1.8e-14 and
+6.0e-14 of max|G| for m = 10 and 12, where the Bernstein terms cancel.
+For large s,
 
     G(j, s) ~ sum_q d_q s^{2-q} j^q     (j > 0),   G(0, s) ~ d_0 s^2,
 
@@ -46,18 +48,6 @@ from .exceptions import ScaleTooSmallError
 
 
 @dataclass(frozen=True)
-class WeightFunctionTable:
-    """G(j, s) for j = 0..s-1 at one (order, scale) pair."""
-
-    order: int
-    scale: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class AsymptoticCoefficients:
     """Exact expansion coefficients d_0..d_{2m+3} and the stripped
     inverse Gram matrix of the same order."""
@@ -68,15 +58,17 @@ class AsymptoticCoefficients:
 
 
 @lru_cache(maxsize=256)
-def weight_function(m: int, s: int) -> WeightFunctionTable:
-    """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix.
+def weight_function(m: int, s: int) -> np.ndarray:
+    """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix,
+    j = 0..s-1, as a cached array that raises on write.
 
     Every order takes the one closed form (closed_form_g_values): O(s)
     time and memory per scale; see the module docstring for its
     derivation and precision.
     """
-    return WeightFunctionTable(order=m, scale=s,
-                               values=closed_form_g_values(m, s))
+    g = closed_form_g_values(m, s)
+    g.setflags(write=False)
+    return g
 
 
 def _check_closed_form(m: int, s: int) -> None:

@@ -554,6 +554,29 @@ class TestErrorsAndConfig:
                    "--out", str(tmp_path / "b.csv")])
         assert rc == 4
 
+    @pytest.mark.parametrize("argv, cfg, word", [
+        (["bias", "--hurst", "0.7"], {"order": 2.5}, "order"),
+        (["mc", "--model", '{"kind": "white"}', "-n", "64",
+          "--ensemble", "2", "--hurst-out", "h.json"], {"order": 2.5},
+         "order"),
+        (["bias", "--hurst", "0.7"], {"order": None}, "order"),
+        (["bias", "--hurst", "0.7"], {"scales": 16}, "scales"),
+        (["bias", "--hurst", "0.7"], 5, "object"),
+        (["weights", "-s", "8"], {"asymptotic": "yes"}, "asymptotic"),
+        (["analyze", "-i", "no-such-input.csv", "--hurst-out", "h.json"],
+         {"estimator": "bogus"}, "estimator"),
+    ], ids=["bias-float-order", "mc-float-order", "null-order",
+            "scalar-scales", "not-an-object", "string-bool", "no-choice"])
+    def test_config_value_must_fit_its_flag(self, tmp_path, capsys, argv,
+                                            cfg, word):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.csv"
+        rc = main(["--config", str(path), *argv, "--out", str(out)])
+        assert rc == 4
+        assert word in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConsoleScript:
     def test_version(self):

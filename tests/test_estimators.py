@@ -23,9 +23,9 @@ from dfakit.exceptions import (
     ScaleExceedsLengthError,
     TooFewPointsError,
 )
-from dfakit.expectation import expected_f2_stationary
+from dfakit.expectation import expected_f2_increments, expected_f2_stationary
 from dfakit.generators import apply_gap_mask, block_gap_mask, gen_fgn
-from dfakit.models import FGN
+from dfakit.models import FBM, FGN
 
 
 class TestDfa:
@@ -106,7 +106,29 @@ class TestGapWeights:
         mask = np.ones(20, bool)
         mask[5:10] = False  # window 1 fully missing
         assert gap_weights(mask, 5).n_windows == 4
-        assert gap_weights(mask, 5, count_empty_windows=False).n_windows == 3
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_weighted_pair_sums_are_unbiased(self, m):
+        # the exact expectations of f_tilde and f_hat on a mask with an
+        # all-missing window in which every pair is present somewhere
+        n, s = 400, 40
+        mask = np.arange(n) % 7 != 0
+        mask[80:120] = False
+        w = n // s
+        dw = mask.reshape(w, s).astype(int)
+        counts = dw.T @ dw
+        gw = gap_weights(mask, s)
+        assert gw.defined.all() and not dw.any(axis=1).all()
+        pa_counts = gw.p * weight_matrix(m, s).entries * counts
+        lag = np.abs(np.subtract.outer(np.arange(s), np.arange(s)))
+        for h in (0.3, 0.7):
+            got = (pa_counts * FGN(h).acvf(lag)).sum() / (s * w)
+            want = expected_f2_stationary(FGN(h), m, s)
+            assert got == pytest.approx(want, rel=1e-11)
+        for h in (1.1, 1.6):
+            got = -(pa_counts * FBM(h).variogram(lag)).sum() / (2 * s * w)
+            want = expected_f2_increments(FBM(h), m, s)
+            assert got == pytest.approx(want, rel=1e-11)
 
 
 class TestGapFreeCollapse:
@@ -208,11 +230,11 @@ class TestFHat:
         assert all(a >= b for a, b in zip(undef_counts, undef_counts[1:]))
 
 
-def _longdouble_reference(x, mask, m, s, count_empty_windows=True):
+def _longdouble_reference(x, mask, m, s):
     """f_hat and f_tilde from their pairwise and product definitions with
     the dense pair weights p * A, summed in extended precision."""
     w = x.size // s
-    pa = (gap_weights(mask, s, count_empty_windows).p.astype(np.longdouble)
+    pa = (gap_weights(mask, s).p.astype(np.longdouble)
           * weight_matrix(m, s).entries.astype(np.longdouble))
     xw = np.where(mask, x, 0.0)[: w * s].reshape(w, s).astype(np.longdouble)
     dw = mask[: w * s].reshape(w, s)
@@ -246,8 +268,7 @@ class TestEngineMatchesDenseRoute:
     """The engine weighs pairs by A n_win / max(counts, 1) and never
     forms p; it must give the sums of the dense p * A route."""
 
-    @pytest.mark.parametrize("count_empty_windows", [True, False])
-    def test_matches(self, count_empty_windows):
+    def test_matches(self):
         rng = np.random.default_rng(60)
         n, m = 200, 2
         x = np.cumsum(rng.normal(size=n)) + 5.0
@@ -256,15 +277,14 @@ class TestEngineMatchesDenseRoute:
         mask[np.arange(n) % 8 == 3] = False  # a pair never present at s = 8
         scales = [5, 8, 10, 17, 30, 110]
         gs = GappedSeries(x, mask)
-        hat = f_hat(gs, m, scales, count_empty_windows)
-        tilde = f_tilde(gs, m, scales, count_empty_windows)
+        hat = f_hat(gs, m, scales)
+        tilde = f_tilde(gs, m, scales)
         assert not gap_weights(mask, 8).defined.all()
         assert hat.reasons[-1] == tilde.reasons[-1] == NO_VALID_PAIRS
         with pytest.raises(AllPairsMissingError):
             gap_weights(mask, 110)
         for i, s in enumerate(scales[:-1]):
-            ref_hat, ref_tilde = _longdouble_reference(x, mask, m, s,
-                                                       count_empty_windows)
+            ref_hat, ref_tilde = _longdouble_reference(x, mask, m, s)
             assert hat.f2[i] == pytest.approx(ref_hat, rel=1e-12)
             assert tilde.f2[i] == pytest.approx(ref_tilde, rel=1e-12)
 

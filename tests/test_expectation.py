@@ -133,12 +133,6 @@ class TestCorrection:
             assert correction_function(1, 0.9, s) < 1
             assert correction_function(1, 1.1, s) > 1
 
-    def test_custom_engine(self):
-        k2 = correction_function(
-            1, 0.5, 10, engine=lambda m, s: expected_f2_stationary(
-                WhiteNoise(), m, s))
-        assert k2 == pytest.approx(0.96, rel=1e-9)
-
     def test_lambda_computed_once_per_order_and_hurst(self):
         asymptotic_lambda.cache_clear()
         for s in np.unique(np.geomspace(4, 4096, 30).astype(int)):

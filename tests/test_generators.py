@@ -210,6 +210,16 @@ class TestBlockGapMask:
         with pytest.raises(ValueError):
             block_gap_mask(100, 0.5, 0.5, seed=0)
 
+    @pytest.mark.parametrize("length", ["nan", "inf"])
+    def test_non_finite_block_length(self, tmp_path, length):
+        with pytest.raises(ValueError, match="mean_block_length"):
+            block_gap_mask(100, 0.2, float(length), seed=0)
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--model", '{"kind": "white"}', "-n", "50",
+                   "--gap-fraction", "0.2", "--block-length", length,
+                   "--out", str(out)])
+        assert rc == 4 and not out.exists()
+
 
 class TestApplyGapMask:
     def test_roundtrip(self):

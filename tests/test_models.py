@@ -22,7 +22,6 @@ from dfakit.models import (
     fgn_acvf_asymptotic,
     model_from_spec,
     ou_acvf,
-    stationary_to_variogram,
 )
 
 
@@ -140,10 +139,11 @@ class TestOuAr1:
 
 class TestStationaryToVariogram:
     def test_lag_zero(self):
-        assert stationary_to_variogram(WhiteNoise(2.0), 0) == 0.0
+        assert DerivedVariogram(WhiteNoise(2.0)).variogram(0) == 0.0
 
     def test_white_noise(self):
-        assert stationary_to_variogram(WhiteNoise(2.0), 5) == pytest.approx(4.0)
+        assert (DerivedVariogram(WhiteNoise(2.0)).variogram(5)
+                == pytest.approx(4.0))
 
     @pytest.mark.parametrize("s", [8, 64, 256])
     def test_cross_engine_equality(self, s):

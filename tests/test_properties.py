@@ -130,7 +130,7 @@ def test_weight_function_is_diagonal_sums_of_weight_matrix(case):
     m, s = case
     a = weight_matrix(m, s).entries
     ref = np.array([a.trace(offset=j) for j in range(s)])
-    got = weight_function(m, s).values
+    got = weight_function(m, s)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
