@@ -47,6 +47,7 @@ from .generators import (
     gen_fgn,
     gen_white,
     sample,
+    sample_stack,
 )
 from .models import (
     AR1,

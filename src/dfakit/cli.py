@@ -44,7 +44,7 @@ from .expectation import (
     expected_f2,
     scaling_model,
 )
-from .generators import block_gap_mask, sample
+from .generators import block_gap_mask, sample, sample_stack
 from .models import model_from_spec
 from .weights import asymptotic_coefficients, weight_function
 
@@ -292,15 +292,15 @@ def _hurst_or_nan(args, curve: FluctuationCurve) -> float:
 
 
 def cmd_mc(args) -> int:
+    if args.ensemble < 1:
+        raise DFAError(f"--ensemble needs R >= 1 replicates, got "
+                       f"{args.ensemble}")
     model = _model(args)
     n, m = args.length, args.order
     scales = _parse_scales(args, n, m)
     mask = _mask_for(args, n)
-    samples = np.empty((args.ensemble, n))
-    for r in range(args.ensemble):
-        samples[r] = sample(model, n, args.seed, r)
-    curves = {tag: reps for tag, reps in
-              ensemble(samples, mask, m, scales).items() if reps}
+    samples = sample_stack(model, n, args.seed, range(args.ensemble))
+    curves = ensemble(samples, mask, m, scales)
     with _open_out(args.out) as fh:
         fh.write(_config_header(args) + "\n")
         w = csv.writer(fh)

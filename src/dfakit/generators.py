@@ -1,13 +1,18 @@
 """Deterministic synthesis of test signals.
 
-sample(model, n, seed, replicate) draws a Gaussian series from any
-model with an autocovariance (white noise, fGn, OU, AR(1), an acvf
-table) through one circulant embedding (Davies-Harte), which reproduces
-the target autocovariance exactly at every lag. The 2n embedding is
+sample_stack(model, n, seed, replicates) draws an (R, n) stack of
+Gaussian series from any model with an autocovariance (white noise,
+fGn, OU, AR(1), an acvf table) through one circulant embedding
+(Davies-Harte), which reproduces the target autocovariance exactly at
+every lag. The acvf and the embedding's eigenvalues are computed once
+per stack, and one inverse FFT runs over each block of rows;
+sample(model, n, seed, replicate) is its one-row case, so a row of a
+stack equals the sample of its key bit for bit. The 2n embedding is
 nonnegative for every built-in acvf model, so only an AcvfTable can
 reach the fallback, a Cholesky factorisation of the n x n covariance
-(capped at n = 8192). A motion (FBM) is the running sum of its
-fractional-noise increments; a variogram table cannot be sampled.
+(capped at n = 8192), factored once per stack. A motion (FBM) is the
+running sum of its fractional-noise increments; a variogram table
+cannot be sampled.
 Random streams come from the counter-based Philox generator keyed by
 (seed, replicate), so ensembles are reproducible under any parallel
 schedule.
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import estimators
 from .estimators import GappedSeries
 from .exceptions import DFAError, EmbeddingError
 from .models import AR1, FBM, FGN, WhiteNoise
@@ -35,33 +41,56 @@ def _circulant_eigenvalues(gamma: np.ndarray, gamma_n: float) -> np.ndarray:
 
 
 def sample(model, n: int, seed: int, replicate: int = 0) -> np.ndarray:
-    """Exact Gaussian sample x(1..n) of a model, keyed by (seed, replicate).
+    """Exact Gaussian sample x(1..n) of a model, keyed by (seed, replicate):
+    the one-row case of sample_stack."""
+    return sample_stack(model, n, seed, [replicate])[0]
+
+
+def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
+    """An (R, n) stack of exact Gaussian samples, row i keyed by
+    (seed, replicates[i]).
 
     A model with an acvf goes through the circulant embedding, which
     reads gamma(0..n-1) and gamma(n); an FBM is the running sum of
-    sample(FGN(H - 1, variance)), so X(0) = 0 and the increments of the
-    output are exactly that noise stream.
+    sample_stack(FGN(H - 1, variance)) along each row, so X(0) = 0 and the
+    increments of each row are exactly that noise stream. The acvf and
+    the embedding's eigenvalues (or the Cholesky factor) are computed
+    once for the stack; each row is what sample(model, n, seed, replicate)
+    gives, bit for bit.
     """
     if n < 2:
         raise ValueError("length must be >= 2")
+    keys = [int(r) for r in replicates]
     if isinstance(model, FBM):
-        return np.cumsum(sample(FGN(model.hurst - 1.0, model.variance),
-                                n, seed, replicate))
+        return np.cumsum(sample_stack(FGN(model.hurst - 1.0, model.variance),
+                                      n, seed, keys), axis=1)
     if not hasattr(model, "acvf"):
         raise DFAError(f"cannot sample {type(model).__name__}: "
                        "it has no acvf")
     gamma = np.asarray(model.acvf(np.arange(n)), dtype=float)
     lam = _circulant_eigenvalues(gamma, float(model.acvf(n)))
-    rng = _rng(seed, replicate)
+    out = np.empty((len(keys), n))
     if lam.min() >= 0:
         m = 2 * n
-        z = np.empty(m, dtype=complex)
-        z[0] = rng.standard_normal()
-        z[n] = rng.standard_normal()
-        v = rng.standard_normal((n - 1, 2))
-        z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2)
-        z[n + 1:] = np.conj(z[1:n][::-1])
-        return np.sqrt(m) * np.fft.ifft(np.sqrt(lam) * z).real[:n]
+        root = np.sqrt(lam)
+        # rows go through in blocks, so the complex temporaries take
+        # O(block n) memory
+        block = max(1, estimators._BLOCK_VALUES // n)
+        for lo in range(0, len(keys), block):
+            rows = keys[lo:lo + block]
+            # per row, the normals of z(0), z(n) and the pairs of z(1..n-1)
+            v = np.empty((len(rows), m))
+            for row, r in zip(v, rows):
+                _rng(seed, r).standard_normal(out=row)
+            z = np.empty((len(rows), m), dtype=complex)
+            z[:, 0] = v[:, 0]
+            z[:, n] = v[:, 1]
+            z[:, 1:n] = (v[:, 2::2] + 1j * v[:, 3::2]) / np.sqrt(2)
+            z[:, n + 1:] = np.conj(z[:, n - 1:0:-1])
+            z *= root
+            out[lo:lo + len(rows)] = np.sqrt(m) * np.fft.ifft(
+                z, axis=1).real[:, :n]
+        return out
     if n > _CHOLESKY_MAX_N:
         raise EmbeddingError(
             f"circulant embedding not nonnegative and n={n} exceeds the "
@@ -69,7 +98,10 @@ def sample(model, n: int, seed: int, replicate: int = 0) -> np.ndarray:
         )
     idx = np.arange(n)
     chol = np.linalg.cholesky(gamma[np.abs(np.subtract.outer(idx, idx))])
-    return chol @ rng.standard_normal(n)
+    # one row at a time: a matrix-vector product, as for one sample
+    for row, r in zip(out, keys):
+        row[:] = chol @ _rng(seed, r).standard_normal(n)
+    return out
 
 
 def gen_fgn(hurst: float, variance: float, n: int, seed: int,

@@ -407,6 +407,17 @@ class TestMc:
         assert "R >= 1" in capsys.readouterr().err
         assert not out.exists() and not hout.exists()
 
+    def test_negative_ensemble_exit_4(self, tmp_path, capsys):
+        # the count is checked before numpy sees it as an array shape
+        out, hout = tmp_path / "mc.csv", tmp_path / "mc.json"
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "64",
+                   "--ensemble", "-1", "--scales", "8", "16",
+                   "--out", str(out), "--hurst-out", str(hout)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "--ensemble needs R >= 1" in err and "got -1" in err
+        assert not out.exists() and not hout.exists()
+
     def test_summary_matches_numpy(self):
         rng = np.random.default_rng(6)
         f2 = rng.gamma(2.0, size=(37, 5))

@@ -268,10 +268,11 @@ class TestEngineMatchesDenseRoute:
     """The engine weighs pairs by A n_win / max(counts, 1) and never
     forms p; it must give the sums of the dense p * A route."""
 
-    def test_matches(self):
+    @pytest.mark.parametrize("offset", [5.0, 1e3])
+    def test_matches(self, offset):
         rng = np.random.default_rng(60)
         n, m = 200, 2
-        x = np.cumsum(rng.normal(size=n)) + 5.0
+        x = np.cumsum(rng.normal(size=n)) + offset
         mask = rng.random(n) > 0.25
         mask[:110] = False  # empty windows; no present point at s = 110
         mask[np.arange(n) % 8 == 3] = False  # a pair never present at s = 8

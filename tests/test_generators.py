@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dfakit import estimators
 from dfakit.cli import main
 from dfakit.exceptions import DFAError, EmbeddingError, InsufficientLagsError
 from dfakit.generators import (
@@ -14,9 +15,11 @@ from dfakit.generators import (
     gen_fgn,
     gen_white,
     sample,
+    sample_stack,
 )
 from dfakit.models import (
     AR1,
+    FBM,
     FGN,
     OU,
     AcvfTable,
@@ -122,6 +125,34 @@ class TestSample:
     def test_variogram_table_cannot_be_sampled(self):
         with pytest.raises(DFAError, match="no acvf"):
             sample(VariogramTable((0.0, 1.0, 2.0)), 2, seed=0)
+
+
+class TestSampleStack:
+    """Each row of a stack is the sample of its key, bit for bit."""
+
+    KEYS = (0, 1, 2, 7, 3, 4, 5)
+
+    # the MA(1) table covers lags 0..n and embeds; the 0.9 table needs
+    # the Cholesky fallback (see test_table_falls_back_to_cholesky)
+    @pytest.mark.parametrize("model, n", [
+        (WhiteNoise(2.0), 300), (FGN(0.7), 300), (OU(5.0, 2.0), 300),
+        (AR1(-0.6, 1.5), 300), (AcvfTable((1.25, 0.5) + (0.0,) * 299), 300),
+        (AcvfTable((1.0, 0.9, 0.9, 0.9, 0.0)), 4), (FBM(1.1), 300),
+    ], ids=["white", "fgn", "ou", "ar1", "table", "table-cholesky", "fbm"])
+    def test_rows_equal_samples(self, model, n):
+        stack = sample_stack(model, n, 13, self.KEYS)
+        assert stack.shape == (len(self.KEYS), n)
+        for row, r in zip(stack, self.KEYS):
+            assert np.array_equal(row, sample(model, n, 13, r))
+
+    @pytest.mark.parametrize("model", [FGN(0.3), FBM(1.6)],
+                             ids=["fgn", "fbm"])
+    def test_blocks_do_not_change_the_stack(self, monkeypatch, model):
+        n = 100
+        whole = sample_stack(model, n, 4, self.KEYS)
+        # blocks of 3, 3 and 1 rows
+        monkeypatch.setattr(estimators, "_BLOCK_VALUES", 3 * n + 1)
+        assert np.array_equal(sample_stack(model, n, 4, self.KEYS), whole)
 
 
 class TestFbm:
