@@ -9,15 +9,19 @@ Subcommands:
 * simulate  — generate synthetic series (optionally with a gap mask)
 * mc        — Monte Carlo ensemble study with and without gaps
 
-Output is CSV/JSON only; every output starts with a comment line
-carrying the fully resolved configuration, so runs can be reproduced
-from their artifacts. Exit codes: 0 success, 2 usage, 3 I/O,
-4 numeric/domain error.
+Output is CSV/JSON only, written to --out (and --hurst-out) or, when no
+path is given, to stdout, which stays open. Every CSV artifact starts with
+a comment line carrying the fully resolved configuration, so runs can be
+reproduced from their artifacts; the JSON artifacts (the Hurst fits and
+the asymptotic d_q) carry none. simulate and mc take a gap mask from
+--mask or from --gap-fraction, never both. Exit codes: 0 success,
+2 usage, 3 I/O, 4 numeric/domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -79,26 +83,54 @@ def _config_header(args: argparse.Namespace) -> str:
     return "# config: " + json.dumps(cfg, default=str)
 
 
-def _open_out(path: str | None):
-    return open(path, "w", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at path, opened for writing and closed on exit; or, with
+    no path, stdout, left open."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
 
 
-def _write_curve(fh, args, curve: FluctuationCurve) -> None:
-    fh.write(_config_header(args) + "\n")
-    w = csv.writer(fh)
-    w.writerow(["scale", "F", "F_squared", "n_windows", "defined"])
-    f = curve.f
-    for i, s in enumerate(curve.scales):
-        ok = curve.reasons[i] is None
-        w.writerow([int(s), repr(float(f[i])) if ok else "",
-                    repr(float(curve.f2[i])), int(curve.n_windows[i]),
-                    int(ok)])
+def _write_csv(path, args, header, rows, comments=()) -> None:
+    """A CSV artifact: the # config: line, any further comment lines, the
+    header row (none if header is None) and the rows. A cell is written
+    as "" when None, as repr(float(v)) when a float (numpy's too) and as
+    itself otherwise (an int or a string)."""
+    with _output(path) as fh:
+        fh.write(_config_header(args) + "\n")
+        for line in comments:
+            fh.write(line + "\n")
+        w = csv.writer(fh)
+        if header is not None:
+            w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v
+                     for v in row] for row in rows)
 
 
-def _parse_scales(args, n: int, m: int) -> np.ndarray:
-    if args.scales:
-        return np.array(sorted({int(s) for s in args.scales}), dtype=int)
-    return default_scale_grid(n, m)
+def _write_json(path, payload) -> None:
+    with _output(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _scales(args, n: int | None = None) -> np.ndarray:
+    """The --scales grid, sorted and de-duplicated, each scale at least
+    m + 2 (so that K^2 > 0); checked before any output is opened. By
+    default, given a series length n, default_scale_grid(n, m); else the
+    powers of two from the smallest one at or above m + 2 to 2^12."""
+    m = args.order
+    if not args.scales:
+        if n is None:
+            return 2 ** np.arange(int(np.ceil(np.log2(m + 2))), 13)
+        return default_scale_grid(n, m)
+    scales = np.array(sorted({int(s) for s in args.scales}), int)
+    if scales[0] < m + 2:
+        raise ScaleTooSmallError(
+            f"scale {scales[0]} too small for order {m}: need s >= m + 2")
+    return scales
 
 
 def _model(args):
@@ -119,7 +151,7 @@ def _fit_range(args, curve: FluctuationCurve):
 
 def cmd_analyze(args) -> int:
     gs = _read_series(args.input)
-    scales = _parse_scales(args, gs.values.shape[0], args.order)
+    scales = _scales(args, gs.values.shape[0])
     if args.estimator == "standard":
         if not gs.gap_free:
             raise DFAError(
@@ -130,36 +162,21 @@ def cmd_analyze(args) -> int:
         curve = f_hat(gs, args.order, scales)
     else:
         curve = f_tilde(gs, args.order, scales)
-    with _open_out(args.out) as fh:
-        _write_curve(fh, args, curve)
+    _write_csv(args.out, args, ["scale", "F", "F_squared", "n_windows",
+                                "defined"],
+               ((int(s), f if ok else None, f2, int(nw), int(ok))
+                for s, f, f2, nw, ok in zip(curve.scales, curve.f, curve.f2,
+                                            curve.n_windows, curve.defined)))
     fit = estimate_hurst(curve, _fit_range(args, curve))
-    payload = {
+    _write_json(args.hurst_out, {
         "estimator": curve.estimator,
         "hurst": fit.hurst,
         "intercept": fit.intercept,
         "fit_range": [fit.s_min, fit.s_max],
         "n_points": fit.n_points,
         "residual_std": fit.residual_std,
-    }
-    with _open_out(args.hurst_out) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
     return 0
-
-
-def _model_scales(args) -> np.ndarray:
-    """The --scales grid of expected and bias, or by default the powers
-    of two from the smallest one above the order to 2^12. Every scale
-    must be at least m + 2, so that K^2 > 0; checked before any output
-    is opened."""
-    m = args.order
-    if args.scales:
-        scales = np.array(sorted({int(s) for s in args.scales}), int)
-        if scales[0] < m + 2:
-            raise ScaleTooSmallError(
-                f"scale {scales[0]} too small for order {m}: need s >= m + 2")
-        return scales
-    return 2 ** np.arange(int(np.ceil(np.log2(m + 2))), 13)
 
 
 def _expected_rows(model, m: int, scales, lam: ScalingConstant | None):
@@ -176,20 +193,13 @@ def _expected_rows(model, m: int, scales, lam: ScalingConstant | None):
 
 def cmd_expected(args) -> int:
     model = _model(args)
-    scales = _model_scales(args)
+    scales = _scales(args)
     hurst = args.hurst
     if hurst is None:
         hurst = getattr(model, "hurst", None)
     lam = asymptotic_lambda(args.order, hurst) if hurst is not None else None
-    with _open_out(args.out) as fh:
-        fh.write(_config_header(args) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["s", "EF2", "lambda_s2H", "K2"])
-        for s, ef2, ls2h, k2 in _expected_rows(model, args.order, scales,
-                                               lam):
-            w.writerow([s, repr(ef2),
-                        "" if ls2h is None else repr(ls2h),
-                        "" if k2 is None else repr(k2)])
+    _write_csv(args.out, args, ["s", "EF2", "lambda_s2H", "K2"],
+               _expected_rows(model, args.order, scales, lam))
     return 0
 
 
@@ -198,45 +208,39 @@ def cmd_bias(args) -> int:
         print("dfakit bias: --hurst is required (flag or config file)",
               file=sys.stderr)
         return EXIT_USAGE
-    m, scales = args.order, _model_scales(args)
+    m, scales = args.order, _scales(args)
     lam = asymptotic_lambda(m, args.hurst)
     model = scaling_model(args.hurst)
-    with _open_out(args.out) as fh:
-        fh.write(_config_header(args) + "\n")
-        fh.write(f"# lambda: {repr(lam.value)}\n")
-        w = csv.writer(fh)
-        w.writerow(["s", "K2", "K"])
-        for s, _, _, k2 in _expected_rows(model, m, scales, lam):
-            w.writerow([s, repr(k2), repr(float(np.sqrt(k2)))])
+    _write_csv(args.out, args, ["s", "K2", "K"],
+               ((s, k2, np.sqrt(k2))
+                for s, _, _, k2 in _expected_rows(model, m, scales, lam)),
+               comments=[f"# lambda: {repr(lam.value)}"])
     return 0
 
 
 def cmd_weights(args) -> int:
     if args.asymptotic:
         coeffs = asymptotic_coefficients(args.order)
-        payload = {
+        _write_json(args.out, {
             "order": args.order,
             "d": [str(Fraction(x)) for x in coeffs.d],
             "inverse_gram": [[str(x) for x in row]
                              for row in coeffs.inverse_gram],
-        }
-        with _open_out(args.out) as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        })
         return 0
     if args.scale is None:
         raise DFAError("weights needs --scale unless --asymptotic is given")
-    table = weight_function(args.order, args.scale)
-    with _open_out(args.out) as fh:
-        fh.write(_config_header(args) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["j", "G"])
-        for j, g in enumerate(table):
-            w.writerow([j, repr(float(g))])
+    _write_csv(args.out, args, ["j", "G"],
+               enumerate(weight_function(args.order, args.scale)))
     return 0
 
 
 def _mask_for(args, n: int) -> np.ndarray | None:
+    """The gap mask of --mask or of --gap-fraction (None if neither); the
+    two exclude each other, so that the config line states how the
+    artifact was made."""
+    if args.mask and args.gap_fraction is not None:
+        raise DFAError("--mask and --gap-fraction exclude each other")
     if args.mask:
         gs = _read_series(args.mask)
         if not (gs.gap_free and np.isin(gs.values, (0.0, 1.0)).all()):
@@ -252,16 +256,11 @@ def _mask_for(args, n: int) -> np.ndarray | None:
 
 
 def cmd_simulate(args) -> int:
-    x = sample(_model(args), args.length, args.seed, args.replicate)
+    x = sample(_model(args), args.length, args.seed, args.replicate).tolist()
     mask = _mask_for(args, args.length)
-    with _open_out(args.out) as fh:
-        fh.write(_config_header(args) + "\n")
-        w = csv.writer(fh)
-        for i, v in enumerate(x):
-            if mask is not None and not mask[i]:
-                w.writerow(["NA"])
-            else:
-                w.writerow([repr(float(v))])
+    if mask is not None:
+        x = [v if ok else "NA" for v, ok in zip(x, mask.tolist())]
+    _write_csv(args.out, args, None, zip(x))
     return 0
 
 
@@ -297,28 +296,19 @@ def cmd_mc(args) -> int:
                        f"{args.ensemble}")
     model = _model(args)
     n, m = args.length, args.order
-    scales = _parse_scales(args, n, m)
+    scales = _scales(args, n)
     mask = _mask_for(args, n)
     samples = sample_stack(model, n, args.seed, range(args.ensemble))
     curves = ensemble(samples, mask, m, scales)
-    with _open_out(args.out) as fh:
-        fh.write(_config_header(args) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["estimator", "scale", "mean_F2", "q05_F2", "q95_F2",
-                    "n_defined"])
-        for tag, reps in curves.items():
-            f2 = np.array([np.where(c.defined, c.f2, np.nan) for c in reps])
-            for s, k, *stats in zip(scales, *_summary(f2)):
-                if k:
-                    w.writerow([tag, int(s)]
-                               + [repr(float(v)) for v in stats] + [int(k)])
-                else:
-                    w.writerow([tag, int(s), "", "", "", 0])
-    payload = {tag: [_hurst_or_nan(args, c) for c in reps]
-               for tag, reps in curves.items()}
-    with _open_out(args.hurst_out) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    rows = []
+    for tag, reps in curves.items():
+        f2 = np.array([np.where(c.defined, c.f2, np.nan) for c in reps])
+        for s, k, *stats in zip(scales, *_summary(f2)):
+            rows.append([tag, int(s), *(stats if k else [None] * 3), int(k)])
+    _write_csv(args.out, args, ["estimator", "scale", "mean_F2", "q05_F2",
+                                "q95_F2", "n_defined"], rows)
+    _write_json(args.hurst_out, {tag: [_hurst_or_nan(args, c) for c in reps]
+                                 for tag, reps in curves.items()})
     return 0
 
 
@@ -328,6 +318,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scales", type=int, nargs="+",
                    help="explicit scale grid (default: log-spaced)")
     p.add_argument("--out", help="output CSV path (default stdout)")
+
+
+def _add_sampling(p: argparse.ArgumentParser) -> None:
+    """The model, seed and gap-mask flags of simulate and mc."""
+    p.add_argument("--model", required=True,
+                   help='model JSON, e.g. {"kind": "fgn", "hurst": 0.7}')
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mask", help="CSV availability mask (0/1 per line)")
+    p.add_argument("--gap-fraction", type=float,
+                   help="share of points in random block gaps (not with "
+                        "--mask)")
+    p.add_argument("--block-length", type=float, default=12.0)
 
 
 @functools.cache
@@ -369,32 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("weights", help="G(j,s) table or asymptotic d_q")
-    _add_common(p)
+    p.add_argument("--order", "-m", type=int, default=2,
+                   help="detrending order m (default 2)")
+    p.add_argument("--out", help="output CSV or JSON path (default stdout)")
     p.add_argument("--scale", "-s", type=int)
     p.add_argument("--asymptotic", action="store_true",
                    help="emit exact d_q vector as JSON instead of a G table")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("simulate", help="generate a synthetic series")
-    p.add_argument("--model", required=True)
+    _add_sampling(p)
     p.add_argument("--length", "-n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replicate", type=int, default=0)
-    p.add_argument("--mask", help="CSV availability mask (0/1 per line)")
-    p.add_argument("--gap-fraction", type=float)
-    p.add_argument("--block-length", type=float, default=12.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("mc", help="Monte Carlo ensemble study")
     _add_common(p)
-    p.add_argument("--model", required=True)
+    _add_sampling(p)
     p.add_argument("--length", "-n", type=int, default=1368)
     p.add_argument("--ensemble", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mask", help="CSV availability mask (0/1 per line)")
-    p.add_argument("--gap-fraction", type=float)
-    p.add_argument("--block-length", type=float, default=12.0)
     p.add_argument("--fit-range", type=int, nargs=2, metavar=("SMIN", "SMAX"))
     p.add_argument("--hurst-out", help="Hurst samples JSON (default stdout)")
     p.set_defaults(func=cmd_mc)

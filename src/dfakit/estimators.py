@@ -108,7 +108,6 @@ class GappedSeries:
 class GapWeights:
     """Pair weights p_{k,j} = (# windows) / (# windows with both present)."""
 
-    scale: int
     p: np.ndarray
     defined: np.ndarray
     n_windows: int
@@ -221,7 +220,7 @@ def gap_weights(mask, s: int) -> GapWeights:
     n_win = dw.shape[0]
     defined = counts > 0
     p = np.divide(n_win, counts, out=np.zeros((s, s)), where=defined)
-    return GapWeights(scale=s, p=p, defined=defined, n_windows=n_win)
+    return GapWeights(p=p, defined=defined, n_windows=n_win)
 
 
 def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,

@@ -42,17 +42,14 @@ from .weights import asymptotic_coefficients, weight_function
 class ScalingConstant:
     """Prefactor lambda in E F^2(s) ~ lambda s^{2H}."""
 
-    order: int
     hurst: float
     value: float
 
 
 @dataclass(frozen=True)
 class ExpectedCurve:
-    order: int
     scales: np.ndarray
     ef2: np.ndarray
-    model: object
 
     def __post_init__(self):
         self.scales.setflags(write=False)
@@ -104,7 +101,7 @@ def expected_curve(model, m: int, scales) -> ExpectedCurve:
     """Evaluate the appropriate engine over a scale grid."""
     scales = np.asarray(scales, dtype=int)
     ef2 = np.array([expected_f2(model, m, int(s)) for s in scales])
-    return ExpectedCurve(order=m, scales=scales, ef2=ef2, model=model)
+    return ExpectedCurve(scales=scales, ef2=ef2)
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -140,7 +137,7 @@ def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
     if value <= 0:
         raise NonpositiveCorrectionError(
             f"lambda_{{{m},{hf}}} came out nonpositive")
-    return ScalingConstant(order=m, hurst=hf, value=value)
+    return ScalingConstant(hurst=hf, value=value)
 
 
 def scaling_model(hurst: float):

@@ -52,7 +52,6 @@ class AsymptoticCoefficients:
     """Exact expansion coefficients d_0..d_{2m+3} and the stripped
     inverse Gram matrix of the same order."""
 
-    order: int
     d: tuple[Fraction, ...]
     inverse_gram: tuple[tuple[Fraction, ...], ...]
 
@@ -299,7 +298,7 @@ def asymptotic_coefficients(m: int) -> AsymptoticCoefficients:
                            for i in range(4) if 0 <= p - i <= n),
                        cf.denominator)
               for p in range(n + 4))
-    return AsymptoticCoefficients(order=m, d=d,
+    return AsymptoticCoefficients(d=d,
                                   inverse_gram=asymptotic_inverse_gram(m))
 
 

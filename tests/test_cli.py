@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
 import csv
 import importlib
+import io
 import json
 import os
 import shutil
@@ -37,6 +39,15 @@ def read_curve_csv(path):
         for row in csv.DictReader(fh):
             rows.append(row)
     return rows
+
+
+def _with_gap_fraction(argv, fraction, source, tmp_path):
+    """argv with --gap-fraction given as a flag or in a config file."""
+    if source == "flag":
+        return [*argv, "--gap-fraction", str(fraction)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gap_fraction": fraction}))
+    return ["--config", str(cfg), *argv]
 
 
 class TestAnalyze:
@@ -293,6 +304,18 @@ class TestSimulate:
                    "--mask", str(mask), "--out", str(tmp_path / "s.csv")])
         assert rc == 4
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_mask_excludes_gap_fraction(self, tmp_path, capsys, source):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("0\n" * 50 + "1\n" * 650)
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--model", '{"kind": "white"}', "-n", "700",
+                "--mask", str(mask), "--out", str(out)]
+        rc = main(_with_gap_fraction(argv, 0.5, source, tmp_path))
+        assert rc == 4
+        assert "exclude each other" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_then_analyze(self, tmp_path):
         sim = tmp_path / "sim.csv"
         main(["simulate", "--model", '{"kind": "fgn", "hurst": 0.7}',
@@ -397,6 +420,19 @@ class TestMc:
             assert [row[k] for k in ("mean_F2", "q05_F2", "q95_F2",
                                      "n_defined")] == ["", "", "", "0"]
         assert rows[("standard", "50")]["n_defined"] == "3"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_mask_excludes_gap_fraction(self, tmp_path, capsys, source):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("0\n" * 10 + "1\n" * 90)
+        out, hout = tmp_path / "mc.csv", tmp_path / "mc.json"
+        argv = ["mc", "--model", '{"kind": "white"}', "-n", "100",
+                "--ensemble", "2", "--scales", "8", "--mask", str(mask),
+                "--out", str(out), "--hurst-out", str(hout)]
+        rc = main(_with_gap_fraction(argv, 0.2, source, tmp_path))
+        assert rc == 4
+        assert "exclude each other" in capsys.readouterr().err
+        assert not out.exists() and not hout.exists()
 
     def test_empty_ensemble_exit_4(self, tmp_path, capsys):
         out, hout = tmp_path / "mc.csv", tmp_path / "mc.json"
@@ -574,10 +610,12 @@ class TestErrorsAndConfig:
         (["bias", "--hurst", "0.7"], {"scales": 16}, "scales"),
         (["bias", "--hurst", "0.7"], 5, "object"),
         (["weights", "-s", "8"], {"asymptotic": "yes"}, "asymptotic"),
+        (["weights", "-s", "8"], {"scales": [8]}, "scales"),
         (["analyze", "-i", "no-such-input.csv", "--hurst-out", "h.json"],
          {"estimator": "bogus"}, "estimator"),
     ], ids=["bias-float-order", "mc-float-order", "null-order",
-            "scalar-scales", "not-an-object", "string-bool", "no-choice"])
+            "scalar-scales", "not-an-object", "string-bool", "weights-scales",
+            "no-choice"])
     def test_config_value_must_fit_its_flag(self, tmp_path, capsys, argv,
                                             cfg, word):
         path = tmp_path / "cfg.json"
@@ -589,14 +627,102 @@ class TestErrorsAndConfig:
         assert not out.exists()
 
 
+FGN = '{"kind": "fgn", "hurst": 0.7}'
+
+#: per subcommand, argvs that between them should read every flag;
+#: {x} is a gap-free series of 200 points, {mask} a 0/1 mask of 200
+READ_ARGVS = {
+    "analyze": [["analyze", "-i", "{x}", "-m", "1", "--estimator", "f_hat",
+                 "--scales", "8", "16", "32", "--fit-range", "8", "32",
+                 "--out", "{o}", "--hurst-out", "{h}"]],
+    "expected": [["expected", "--model", FGN, "--hurst", "0.7", "-m", "1",
+                  "--scales", "8", "16", "--out", "{o}"]],
+    "bias": [["bias", "--hurst", "0.7", "-m", "1", "--scales", "8", "16",
+              "--out", "{o}"]],
+    "weights": [["weights", "-m", "1", "-s", "8", "--out", "{o}"],
+                ["weights", "-m", "1", "--asymptotic", "--out", "{o}"]],
+    "simulate": [["simulate", "--model", FGN, "-n", "200", "--seed", "1",
+                  "--replicate", "2", "--gap-fraction", "0.2",
+                  "--block-length", "4", "--out", "{o}"],
+                 ["simulate", "--model", FGN, "-n", "200", "--mask", "{mask}",
+                  "--out", "{o}"]],
+    "mc": [["mc", "--model", FGN, "-n", "200", "--ensemble", "2", "--seed",
+            "1", "-m", "1", "--scales", "8", "16", "--fit-range", "8", "16",
+            "--gap-fraction", "0.2", "--block-length", "4", "--out", "{o}",
+            "--hurst-out", "{h}"],
+           ["mc", "--model", FGN, "-n", "200", "--ensemble", "2",
+            "--mask", "{mask}", "--out", "{o}", "--hurst-out", "{h}"]],
+}
+
+
+def _run_module(argv, cwd):
+    """``python -m dfakit`` on the package found by this test's import, not
+    any other copy, whatever directory pytest was started from."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dfakit.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "dfakit", *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env)
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("argv, header, key", [
+        (["analyze", "-i", "x.csv"], "scale,F,F_squared,n_windows,defined",
+         "hurst"),
+        (["mc", "--model", FGN, "-n", "200", "--ensemble", "2",
+          "--gap-fraction", "0.2"],
+         "estimator,scale,mean_F2,q05_F2,q95_F2,n_defined", "f_hat"),
+    ], ids=["analyze", "mc"])
+    def test_both_outputs_to_stdout(self, tmp_path, argv, header, key):
+        write_series(tmp_path / "x.csv", gen_fgn(0.7, 1.0, 300, seed=2))
+        proc = _run_module(argv, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("# config:") and lines[1] == header
+        assert key in json.loads("\n".join(lines[lines.index("{"):]))
+
+    def test_stdout_left_open(self, monkeypatch):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["weights", "-m", "1", "-s", "4"]) == 0
+        assert not out.closed
+        assert out.getvalue().startswith("# config:")
+
+    @pytest.mark.parametrize("command", sorted(READ_ARGVS))
+    def test_every_flag_is_read(self, tmp_path, command):
+        """Every option of a subcommand changes what it does, so none is
+        echoed into the config line without being read."""
+        write_series(tmp_path / "x.csv", gen_fgn(0.7, 1.0, 200, seed=2))
+        (tmp_path / "mask.csv").write_text("1\n" * 180 + "0\n" * 20)
+        paths = {f"{{{k}}}": str(tmp_path / f) for k, f in (
+            ("x", "x.csv"), ("mask", "mask.csv"), ("o", "o.out"),
+            ("h", "h.json"))}
+        reads: set[str] = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        dests, read = set(), set()
+        for argv in READ_ARGVS[command]:
+            args = build_parser().parse_args(
+                [paths.get(a, a) for a in argv], namespace=Recording())
+            dests |= set(vars(args)) - {"func", "command", "config"}
+            reads.clear()  # argparse's own reads do not count
+            assert args.func(args) == 0
+            read |= reads
+        assert dests - read == set()
+
+    def test_weights_takes_no_scales(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["weights", "-m", "1", "-s", "8", "--scales", "8",
+                  "--out", str(tmp_path / "w.csv")])
+        assert exc.value.code == 2
+
+
 class TestConsoleScript:
     def test_version(self):
-        # Run the package found by this test's import, not any other copy,
-        # whatever directory pytest was started from.
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(dfakit.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "dfakit", "--version"],
-                              capture_output=True, text=True, env=env)
+        proc = _run_module(["--version"], cwd=None)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == dfakit.__version__
 
