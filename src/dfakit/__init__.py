@@ -40,12 +40,7 @@ from .expectation import (
 )
 from .generators import (
     add_polynomial_trend,
-    apply_gap_mask,
     block_gap_mask,
-    gen_ar1,
-    gen_fbm,
-    gen_fgn,
-    gen_white,
     sample,
     sample_stack,
 )
@@ -58,11 +53,8 @@ from .models import (
     VariogramTable,
     WhiteNoise,
     fbm_covariance,
-    fbm_variogram,
-    fgn_acvf,
     fgn_acvf_asymptotic,
     model_from_spec,
-    ou_acvf,
 )
 from .weights import (
     asymptotic_coefficients,

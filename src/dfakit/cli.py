@@ -96,9 +96,10 @@ def _output(path: str | None):
 
 def _write_csv(path, args, header, rows, comments=()) -> None:
     """A CSV artifact: the # config: line, any further comment lines, the
-    header row (none if header is None) and the rows. A cell is written
-    as "" when None, as repr(float(v)) when a float (numpy's too) and as
-    itself otherwise (an int or a string)."""
+    header row (none if header is None) and the rows. csv.writer writes
+    a cell as "" when None and as str(v) otherwise, which for a float,
+    numpy's float64 too, is repr(float(v)): the shortest text that reads
+    back to the same double."""
     with _output(path) as fh:
         fh.write(_config_header(args) + "\n")
         for line in comments:
@@ -106,8 +107,7 @@ def _write_csv(path, args, header, rows, comments=()) -> None:
         w = csv.writer(fh)
         if header is not None:
             w.writerow(header)
-        w.writerows([repr(float(v)) if isinstance(v, float) else v
-                     for v in row] for row in rows)
+        w.writerows(rows)
 
 
 def _write_json(path, payload) -> None:

@@ -1,5 +1,6 @@
 """Deterministic synthesis of test signals.
 
+A process is named by its model object, as in sample(FGN(0.7), n, seed);
 sample_stack(model, n, seed, replicates) draws an (R, n) stack of
 Gaussian series from any model with an autocovariance (white noise,
 fGn, OU, AR(1), an acvf table) through one circulant embedding
@@ -23,9 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import estimators
-from .estimators import GappedSeries
 from .exceptions import DFAError, EmbeddingError
-from .models import AR1, FBM, FGN, WhiteNoise
+from .models import FBM, FGN
 
 _CHOLESKY_MAX_N = 8192
 
@@ -104,29 +104,6 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     return out
 
 
-def gen_fgn(hurst: float, variance: float, n: int, seed: int,
-            replicate: int = 0) -> np.ndarray:
-    """Fractional Gaussian noise: sample(FGN(hurst, variance), ...)."""
-    return sample(FGN(hurst, variance), n, seed, replicate)
-
-
-def gen_fbm(hurst: float, variance: float, n: int, seed: int,
-            replicate: int = 0) -> np.ndarray:
-    """Fractional Brownian motion: sample(FBM(hurst, variance), ...)."""
-    return sample(FBM(hurst, variance), n, seed, replicate)
-
-
-def gen_ar1(phi: float, gamma0: float, n: int, seed: int,
-            replicate: int = 0) -> np.ndarray:
-    """Stationary AR(1): sample(AR1(phi, gamma0), ...)."""
-    return sample(AR1(phi, gamma0), n, seed, replicate)
-
-
-def gen_white(gamma0: float, n: int, seed: int, replicate: int = 0) -> np.ndarray:
-    """White noise: sample(WhiteNoise(gamma0), ...)."""
-    return sample(WhiteNoise(gamma0), n, seed, replicate)
-
-
 def add_polynomial_trend(series, coefficients) -> np.ndarray:
     """Add beta_0 + beta_1 t + ... evaluated at t = 1..n to the series."""
     x = np.asarray(series, dtype=float)
@@ -160,11 +137,3 @@ def block_gap_mask(n: int, missing_fraction: float, mean_block_length: float,
         pos += run
         missing = not missing
     return mask
-
-
-def apply_gap_mask(series, mask) -> GappedSeries:
-    """Attach an availability mask to a series."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("mask removes every point")
-    return GappedSeries(values=np.asarray(series, dtype=float), mask=mask)

@@ -1,11 +1,13 @@
 """Second-order correlation structures of the supported input processes.
 
-Stationary processes are described by an autocovariance model (white
-noise, fractional Gaussian noise, Ornstein-Uhlenbeck / AR(1), or an
-explicit table); stationary-increment nonstationary processes by a
-variogram model (fractional Brownian motion or a table). Lags are
-integers throughout: everything downstream works on regularly sampled
-series.
+A process is named by one model object. Stationary processes are
+described by an autocovariance model (white noise, fractional Gaussian
+noise, Ornstein-Uhlenbeck / AR(1), or an explicit table), whose acvf
+method holds the formula; stationary-increment nonstationary processes
+by a variogram model (fractional Brownian motion or a table), whose
+variogram method does. Parameters are checked once, when the model is
+built. Lags are integers throughout: everything downstream works on
+regularly sampled series.
 """
 
 from __future__ import annotations
@@ -34,21 +36,6 @@ def _check_positive(**params: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
         if value <= 0:
             raise ValueError(f"{name} must be > 0")
-
-
-def fgn_acvf(hurst: float, variance: float, lag) -> np.ndarray | float:
-    """Autocovariance of fractional Gaussian noise.
-
-    gamma(tau) = (variance / 2) (|tau+1|^{2H} - 2 |tau|^{2H} + |tau-1|^{2H});
-    the second central difference of t -> variance * t^{2H} / 2.
-    """
-    check_hurst(hurst, 0.0, 1.0)
-    tau = np.abs(np.asarray(lag, dtype=float))
-    two_h = 2.0 * hurst
-    out = 0.5 * variance * (
-        np.abs(tau + 1) ** two_h - 2 * tau**two_h + np.abs(tau - 1) ** two_h
-    )
-    return out if out.ndim else float(out)
 
 
 def fgn_acvf_asymptotic(hurst: float, variance: float, lag) -> np.ndarray | float:
@@ -81,46 +68,15 @@ def fbm_covariance(h: float, variance: float, t, s) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def fbm_variogram(hurst: float, variance: float, lag) -> np.ndarray | float:
-    """Structure function S(t) = variance * t^{2(H-1)} for H in (1, 2)."""
-    check_hurst(hurst, 1.0, 2.0)
-    t = np.asarray(lag, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("lag must be >= 0")
-    out = variance * t ** (2.0 * (hurst - 1.0))
-    return out if out.ndim else float(out)
-
-
-def ou_acvf(tau_c: float, gamma0: float, lag) -> np.ndarray | float:
-    """Exponential autocovariance gamma0 * exp(-lag / tau_c).
-
-    Parameterised by the stationary variance gamma0 directly rather
-    than a Langevin noise amplitude; only the acvf shape matters to
-    every consumer in this package.
-    """
-    _check_positive(tau_c=tau_c, gamma0=gamma0)
-    t = np.abs(np.asarray(lag, dtype=float))
-    out = gamma0 * np.exp(-t / tau_c)
-    return out if out.ndim else float(out)
-
-
-def ar1_acvf(phi: float, gamma0: float, lag) -> np.ndarray | float:
-    """AR(1) autocovariance gamma0 * phi^|lag| (discretised OU process).
-
-    |phi|^t rounds to 0 past t = 1075 ln 2 / -ln|phi|; pow is slow there,
-    so it is evaluated below that lag only.
-    """
-    if not -1.0 < phi < 1.0:
-        raise ValueError("AR(1) coefficient must lie in (-1, 1)")
-    _check_positive(gamma0=gamma0)
-    t = np.abs(np.asarray(lag, dtype=float))
-    live = t < 746.0 / -math.log(max(abs(phi), 1e-300))
-    out = np.zeros_like(t)
-    out[live] = gamma0 * phi ** t[live]
-    return out if out.ndim else float(out)
-
-
 # --- model objects ---------------------------------------------------------
+
+
+def _lookup(values: tuple[float, ...], lags: np.ndarray) -> np.ndarray:
+    """values[lags] for lags in 0..L; InsufficientLagsError past L."""
+    if np.any(lags >= len(values)):
+        raise InsufficientLagsError(f"table covers lags 0..{len(values) - 1}, "
+                                    f"need up to {int(np.max(lags))}")
+    return np.asarray(values, dtype=float)[lags]
 
 
 @dataclass(frozen=True)
@@ -145,7 +101,17 @@ class FGN:
         _check_positive(variance=self.variance)
 
     def acvf(self, lags) -> np.ndarray:
-        return np.asarray(fgn_acvf(self.hurst, self.variance, lags))
+        """Autocovariance of fractional Gaussian noise.
+
+        gamma(tau) = (variance / 2) (|tau+1|^{2H} - 2 |tau|^{2H}
+        + |tau-1|^{2H}); the second central difference of
+        t -> variance * t^{2H} / 2.
+        """
+        tau = np.abs(np.asarray(lags, dtype=float))
+        two_h = 2.0 * self.hurst
+        return np.asarray(0.5 * self.variance * (
+            np.abs(tau + 1) ** two_h - 2 * tau**two_h
+            + np.abs(tau - 1) ** two_h))
 
 
 @dataclass(frozen=True)
@@ -157,7 +123,14 @@ class OU:
         _check_positive(tau_c=self.tau_c, gamma0=self.gamma0)
 
     def acvf(self, lags) -> np.ndarray:
-        return np.asarray(ou_acvf(self.tau_c, self.gamma0, lags))
+        """Exponential autocovariance gamma0 * exp(-lag / tau_c).
+
+        Parameterised by the stationary variance gamma0 directly rather
+        than a Langevin noise amplitude; only the acvf shape matters to
+        every consumer in this package.
+        """
+        t = np.abs(np.asarray(lags, dtype=float))
+        return np.asarray(self.gamma0 * np.exp(-t / self.tau_c))
 
 
 @dataclass(frozen=True)
@@ -171,7 +144,16 @@ class AR1:
         _check_positive(gamma0=self.gamma0)
 
     def acvf(self, lags) -> np.ndarray:
-        return np.asarray(ar1_acvf(self.phi, self.gamma0, lags))
+        """AR(1) autocovariance gamma0 * phi^|lag| (discretised OU process).
+
+        |phi|^t rounds to 0 past t = 1075 ln 2 / -ln|phi|; pow is slow
+        there, so it is evaluated below that lag only.
+        """
+        t = np.abs(np.asarray(lags, dtype=float))
+        live = t < 746.0 / -math.log(max(abs(self.phi), 1e-300))
+        out = np.zeros_like(t)
+        out[live] = self.gamma0 * self.phi ** t[live]
+        return out
 
 
 @dataclass(frozen=True)
@@ -189,13 +171,7 @@ class AcvfTable:
         object.__setattr__(self, "values", tuple(float(x) for x in v))
 
     def acvf(self, lags) -> np.ndarray:
-        t = np.asarray(lags)
-        if np.any(t >= len(self.values)):
-            raise InsufficientLagsError(
-                f"table covers lags 0..{len(self.values) - 1}, "
-                f"need up to {int(np.max(t))}"
-            )
-        return np.asarray(self.values, dtype=float)[t]
+        return _lookup(self.values, np.abs(np.asarray(lags)))
 
 
 @dataclass(frozen=True)
@@ -208,7 +184,11 @@ class FBM:
         _check_positive(variance=self.variance)
 
     def variogram(self, lags) -> np.ndarray:
-        return np.asarray(fbm_variogram(self.hurst, self.variance, lags))
+        """Structure function S(t) = variance * t^{2(H-1)} for H in (1, 2)."""
+        t = np.asarray(lags, dtype=float)
+        if np.any(t < 0):
+            raise ValueError("lag must be >= 0")
+        return np.asarray(self.variance * t ** (2.0 * (self.hurst - 1.0)))
 
     def covariance(self, t, s) -> np.ndarray | float:
         return fbm_covariance(self.hurst - 1.0, self.variance, t, s)
@@ -228,12 +208,9 @@ class VariogramTable:
 
     def variogram(self, lags) -> np.ndarray:
         t = np.asarray(lags)
-        if np.any(t >= len(self.values)):
-            raise InsufficientLagsError(
-                f"table covers lags 0..{len(self.values) - 1}, "
-                f"need up to {int(np.max(t))}"
-            )
-        return np.asarray(self.values, dtype=float)[t]
+        if np.any(t < 0):
+            raise ValueError("lag must be >= 0")
+        return _lookup(self.values, t)
 
 
 AcvfModel = WhiteNoise | FGN | OU | AR1 | AcvfTable
@@ -272,8 +249,9 @@ def model_from_spec(spec):
     {"kind": "fgn", "hurst": 0.7}; see MODELS for the kinds.
 
     A spec that is not an object, names no known kind, or passes a
-    missing, unknown or non-numeric parameter raises ModelSpecError; the
-    model's own range checks raise ValueError.
+    missing, unknown or non-numeric parameter raises ModelSpecError; a
+    JSON boolean is not a number here, although Python counts it as an
+    int. The model's own range checks raise ValueError.
     """
     if not isinstance(spec, dict):
         raise ModelSpecError(f"model spec must be a JSON object, got {spec!r}")
@@ -282,6 +260,11 @@ def model_from_spec(spec):
     if not isinstance(kind, str) or kind not in MODELS:
         raise ModelSpecError(
             f"unknown model kind {kind!r}; expected one of {sorted(MODELS)}")
+    for name, value in params.items():
+        if any(isinstance(v, bool)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ModelSpecError(f"parameter {name!r} of model kind "
+                                 f"{kind!r} must be a number, got {value!r}")
     try:
         return MODELS[kind](**params)
     except TypeError as exc:

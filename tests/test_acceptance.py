@@ -36,10 +36,8 @@ from dfakit.expectation import (
 )
 from dfakit.generators import (
     add_polynomial_trend,
-    apply_gap_mask,
     block_gap_mask,
-    gen_fbm,
-    gen_fgn,
+    sample_stack,
 )
 from dfakit.models import FBM, FGN, OU, fbm_covariance, fgn_acvf_asymptotic
 from dfakit.weights import (
@@ -77,13 +75,12 @@ def mc_ensembles():
     scales = default_scale_grid(MC_N, MC_ORDER)
     mask = block_gap_mask(MC_N, 0.2, 12.0, seed=99)
     out = {"scales": scales, "mask": mask}
-    for tag, gen in (("noise", lambda r: gen_fgn(0.7, 1.0, MC_N, MC_SEED, r)),
-                     ("motion", lambda r: gen_fbm(1.1, 1.0, MC_N, MC_SEED, r))):
-        samples = np.array([gen(r) for r in range(MC_REPS)])
+    for tag, model in (("noise", FGN(0.7, 1.0)), ("motion", FBM(1.1, 1.0))):
+        samples = sample_stack(model, MC_N, MC_SEED, range(MC_REPS))
         curves = ensemble(samples, mask, MC_ORDER, scales)
         # the batched engine gives what the per-replicate calls give
         for r in (0, 1, MC_REPS - 1):
-            gs = apply_gap_mask(samples[r], mask)
+            gs = GappedSeries(samples[r], mask)
             for key, ref in (("standard", dfa(samples[r], MC_ORDER, scales)),
                              ("f_hat", f_hat(gs, MC_ORDER, scales)),
                              ("f_tilde", f_tilde(gs, MC_ORDER, scales))):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
 import csv
 import importlib
 import io
@@ -13,13 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dfakit
 from dfakit import cli, expectation
 from dfakit.cli import _summary, build_parser, main
 from dfakit.estimators import GappedSeries, dfa, f_hat
-from dfakit.generators import block_gap_mask, gen_fgn, gen_white, sample
-from dfakit.models import OU, AcvfTable
+from dfakit.generators import block_gap_mask, sample
+from dfakit.models import FGN as FGNModel, OU, AcvfTable, WhiteNoise
 
 
 def write_series(path, values, mask=None):
@@ -52,7 +54,7 @@ def _with_gap_fraction(argv, fraction, source, tmp_path):
 
 class TestAnalyze:
     def test_matches_library(self, tmp_path):
-        x = gen_fgn(0.7, 1.0, 600, seed=4)
+        x = sample(FGNModel(0.7, 1.0), 600, seed=4)
         inp = tmp_path / "x.csv"
         out = tmp_path / "curve.csv"
         hout = tmp_path / "fit.json"
@@ -74,7 +76,7 @@ class TestAnalyze:
         assert 0.0 < fit["hurst"] < 1.5
 
     def test_missing_values_need_gap_estimator(self, tmp_path):
-        x = gen_fgn(0.7, 1.0, 400, seed=5)
+        x = sample(FGNModel(0.7, 1.0), 400, seed=5)
         mask = block_gap_mask(400, 0.2, 6.0, seed=6)
         inp = tmp_path / "x.csv"
         write_series(inp, x, mask)
@@ -86,7 +88,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("cell", ["inf", "-inf"])
     def test_non_finite_value_exit_4(self, tmp_path, cell):
         inp = tmp_path / "x.csv"
-        cells = [repr(float(v)) for v in gen_fgn(0.7, 1.0, 200, 7)]
+        cells = [repr(float(v)) for v in sample(FGNModel(0.7, 1.0), 200, 7)]
         cells[50] = cell
         inp.write_text("\n".join(cells) + "\n")
         rc = main(["analyze", "-i", str(inp), "--out", str(tmp_path / "o.csv"),
@@ -101,7 +103,7 @@ class TestAnalyze:
         assert rc == 4
 
     def test_na_handling_with_f_hat(self, tmp_path):
-        x = gen_fgn(0.7, 1.0, 400, seed=5)
+        x = sample(FGNModel(0.7, 1.0), 400, seed=5)
         mask = block_gap_mask(400, 0.2, 6.0, seed=6)
         inp = tmp_path / "x.csv"
         out = tmp_path / "curve.csv"
@@ -265,7 +267,8 @@ class TestSimulate:
         with open(out) as fh:
             fh.readline()
             vals = [float(line.strip()) for line in fh]
-        assert np.array_equal(np.array(vals), gen_fgn(0.7, 1.0, 256, 11))
+        assert np.array_equal(np.array(vals),
+                              sample(FGNModel(0.7, 1.0), 256, 11))
 
     def test_ou_round_trip(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -337,7 +340,7 @@ class TestMc:
                    "-m", "2", "--scales", "8", "16", "32",
                    "--out", str(out), "--hurst-out", str(hout)])
         assert rc == 0
-        x = gen_fgn(0.7, 1.0, 512, seed=8, replicate=0)
+        x = sample(FGNModel(0.7, 1.0), 512, seed=8, replicate=0)
         ref = dfa(x, 2, [8, 16, 32])
         with open(out) as fh:
             fh.readline()
@@ -398,7 +401,7 @@ class TestMc:
                    "--out", str(out),
                    "--hurst-out", str(out.with_suffix(".json"))])
         assert rc == 0
-        gs = GappedSeries(gen_white(1.0, 300, 4, 0), mask)
+        gs = GappedSeries(sample(WhiteNoise(1.0), 300, 4, 0), mask)
         ref = f_hat(gs, 1, [6, 20])
         rows = [r for r in read_curve_csv(out) if r["estimator"] == "f_hat"]
         got = np.array([float(r["mean_F2"]) for r in rows])
@@ -487,8 +490,12 @@ class TestModelSpec:
         '{"kind": "fgn"}', '{"kind": "fgn", "hurst": 0.7, "foo": 1}',
         '{"kind": "fgn", "hurst": "high"}',
         '{"kind": "table", "acvf": 1}',
+        '{"kind": "ar1", "phi": false}', '{"kind": "ou", "tau_c": true}',
+        # long enough for every command, so only the boolean is at fault
+        json.dumps({"kind": "table", "acvf": [1.0] + [False] * 64}),
     ], ids=["array", "string", "no-kind", "unknown-kind", "missing-param",
-            "unknown-param", "non-numeric-param", "table-not-list"])
+            "unknown-param", "non-numeric-param", "table-not-list",
+            "ar1-bool", "ou-bool", "table-bool"])
     def test_bad_spec_exit_4(self, tmp_path, capsys, command, spec):
         assert main(_model_argv(command, spec, tmp_path)) == 4
         err = capsys.readouterr().err
@@ -673,12 +680,28 @@ class TestOutputs:
          "estimator,scale,mean_F2,q05_F2,q95_F2,n_defined", "f_hat"),
     ], ids=["analyze", "mc"])
     def test_both_outputs_to_stdout(self, tmp_path, argv, header, key):
-        write_series(tmp_path / "x.csv", gen_fgn(0.7, 1.0, 300, seed=2))
+        write_series(tmp_path / "x.csv",
+                     sample(FGNModel(0.7, 1.0), 300, seed=2))
         proc = _run_module(argv, tmp_path)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("# config:") and lines[1] == header
         assert key in json.loads("\n".join(lines[lines.index("{"):]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=8),
+           st.integers(-2**63, 2**63 - 1))
+    def test_cells(self, values, k):
+        """A float cell, numpy's float64 too, is written as its repr, None
+        as an empty cell and an int as its digits."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_csv(None, argparse.Namespace(), ["a", "b", "c", "d"],
+                           [(np.float64(v), v, None, k) for v in values])
+        assert out.getvalue().splitlines() == [
+            "# config: {}", "a,b,c,d",
+            *(f"{float(v)!r},{float(v)!r},,{k}" for v in values)]
 
     def test_stdout_left_open(self, monkeypatch):
         out = io.StringIO()
@@ -691,7 +714,8 @@ class TestOutputs:
     def test_every_flag_is_read(self, tmp_path, command):
         """Every option of a subcommand changes what it does, so none is
         echoed into the config line without being read."""
-        write_series(tmp_path / "x.csv", gen_fgn(0.7, 1.0, 200, seed=2))
+        write_series(tmp_path / "x.csv",
+                     sample(FGNModel(0.7, 1.0), 200, seed=2))
         (tmp_path / "mask.csv").write_text("1\n" * 180 + "0\n" * 20)
         paths = {f"{{{k}}}": str(tmp_path / f) for k, f in (
             ("x", "x.csv"), ("mask", "mask.csv"), ("o", "o.out"),

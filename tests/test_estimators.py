@@ -24,7 +24,7 @@ from dfakit.exceptions import (
     TooFewPointsError,
 )
 from dfakit.expectation import expected_f2_increments, expected_f2_stationary
-from dfakit.generators import apply_gap_mask, block_gap_mask, gen_fgn
+from dfakit.generators import block_gap_mask, sample
 from dfakit.models import FBM, FGN
 
 
@@ -62,7 +62,7 @@ class TestDfa:
 
     def test_matches_expectation_engine(self):
         n = 2**15
-        x = gen_fgn(0.7, 1.0, n, 909)
+        x = sample(FGN(0.7, 1.0), n, 909)
         scales = [16, 64, 256, 1024]
         c = dfa(x, 2, scales)
         for i, s in enumerate(scales):
@@ -377,7 +377,7 @@ class TestEstimateHurst:
             estimate_hurst(c, fit_range=(4, 5))
 
     def test_fgn_recovers_hurst(self):
-        x = gen_fgn(0.7, 1.0, 1368, 55)
+        x = sample(FGN(0.7, 1.0), 1368, 55)
         c = dfa(x, 2, default_scale_grid(1368, 2))
         fit = estimate_hurst(c)
         assert fit.hurst == pytest.approx(0.7, abs=0.15)
@@ -406,7 +406,7 @@ class TestGappedSeries:
     def test_caller_arrays_stay_writable(self):
         x = np.arange(5.0)
         mask = np.ones(5, bool)
-        gs = apply_gap_mask(x, mask)
+        gs = GappedSeries(x, mask)
         x[0] = 7.0
         mask[1] = False
         assert gs.values[0] == 0.0

@@ -5,15 +5,11 @@ import pytest
 
 from dfakit import estimators
 from dfakit.cli import main
+from dfakit.estimators import GappedSeries
 from dfakit.exceptions import DFAError, EmbeddingError, InsufficientLagsError
 from dfakit.generators import (
     add_polynomial_trend,
-    apply_gap_mask,
     block_gap_mask,
-    gen_ar1,
-    gen_fbm,
-    gen_fgn,
-    gen_white,
     sample,
     sample_stack,
 )
@@ -25,7 +21,6 @@ from dfakit.models import (
     AcvfTable,
     VariogramTable,
     WhiteNoise,
-    fgn_acvf,
 )
 
 
@@ -36,25 +31,25 @@ def sample_acvf(x, lag):
 
 class TestDeterminism:
     def test_same_key_same_stream(self):
-        a = gen_fgn(0.7, 1.0, 512, seed=42, replicate=3)
-        b = gen_fgn(0.7, 1.0, 512, seed=42, replicate=3)
+        a = sample(FGN(0.7, 1.0), 512, seed=42, replicate=3)
+        b = sample(FGN(0.7, 1.0), 512, seed=42, replicate=3)
         assert np.array_equal(a, b)
 
     def test_replicates_differ(self):
-        a = gen_fgn(0.7, 1.0, 512, seed=42, replicate=0)
-        b = gen_fgn(0.7, 1.0, 512, seed=42, replicate=1)
+        a = sample(FGN(0.7, 1.0), 512, seed=42, replicate=0)
+        b = sample(FGN(0.7, 1.0), 512, seed=42, replicate=1)
         assert not np.array_equal(a, b)
 
     def test_seeds_differ(self):
-        a = gen_white(1.0, 64, seed=1)
-        b = gen_white(1.0, 64, seed=2)
+        a = sample(WhiteNoise(1.0), 64, seed=1)
+        b = sample(WhiteNoise(1.0), 64, seed=2)
         assert not np.array_equal(a, b)
 
 
 class TestFgn:
     def test_half_is_white(self):
         # H = 1/2 noise is uncorrelated: lag-1 sample acvf ~ N(0, 1/n)
-        x = gen_fgn(0.5, 1.0, 2**16, seed=7)
+        x = sample(FGN(0.5, 1.0), 2**16, seed=7)
         se = 1.0 / np.sqrt(x.size)
         assert abs(sample_acvf(x, 1)) < 4 * se
         assert sample_acvf(x, 0) == pytest.approx(1.0, abs=5 * se)
@@ -86,20 +81,20 @@ class TestFgn:
         # exact
         from dfakit.generators import _circulant_eigenvalues
         n = 257
-        gamma = np.asarray(fgn_acvf(0.8, 1.0, np.arange(n)))
-        lam = _circulant_eigenvalues(gamma, float(fgn_acvf(0.8, 1.0, n)))
+        gamma = np.asarray(FGN(0.8, 1.0).acvf(np.arange(n)))
+        lam = _circulant_eigenvalues(gamma, float(FGN(0.8, 1.0).acvf(n)))
         assert lam.min() >= 0
         back = np.fft.ifft(lam).real[:n]
         assert np.abs(back - gamma).max() < 1e-10
 
     def test_variance_scaling(self):
-        a = gen_fgn(0.6, 1.0, 256, seed=5)
-        b = gen_fgn(0.6, 4.0, 256, seed=5)
+        a = sample(FGN(0.6, 1.0), 256, seed=5)
+        b = sample(FGN(0.6, 4.0), 256, seed=5)
         assert np.allclose(b, 2.0 * a, rtol=1e-12)
 
     def test_rejects_short(self):
         with pytest.raises(ValueError):
-            gen_fgn(0.7, 1.0, 1, seed=0)
+            sample(FGN(0.7, 1.0), 1, seed=0)
 
 
 class TestSample:
@@ -158,46 +153,46 @@ class TestSampleStack:
 class TestFbm:
     def test_duality_with_noise(self):
         h = 1.3
-        incr = gen_fgn(h - 1.0, 1.0, 300, seed=9, replicate=2)
-        path = gen_fbm(h, 1.0, 300, seed=9, replicate=2)
+        incr = sample(FGN(h - 1.0, 1.0), 300, seed=9, replicate=2)
+        path = sample(FBM(h, 1.0), 300, seed=9, replicate=2)
         assert np.array_equal(path, np.cumsum(incr))
 
     def test_starts_near_zero(self):
         # X(1) equals the first increment, not an accumulated offset
-        path = gen_fbm(1.5, 1.0, 100, seed=3)
-        incr = gen_fgn(0.5, 1.0, 100, seed=3)
+        path = sample(FBM(1.5, 1.0), 100, seed=3)
+        incr = sample(FGN(0.5, 1.0), 100, seed=3)
         assert path[0] == incr[0]
 
     def test_brownian_msd(self):
         # mean squared displacement of standard Brownian motion is t
         reps = 200
         t = 64
-        vals = [gen_fbm(1.5, 1.0, t, seed=77, replicate=r)[-1] ** 2
+        vals = [sample(FBM(1.5, 1.0), t, seed=77, replicate=r)[-1] ** 2
                 for r in range(reps)]
         se = np.std(vals, ddof=1) / np.sqrt(reps)
         assert np.mean(vals) == pytest.approx(t, abs=4 * se)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            gen_fbm(0.7, 1.0, 100, seed=0)
+            sample(FBM(0.7, 1.0), 100, seed=0)
 
 
 class TestAr1:
     def test_lag1_correlation(self):
         phi, n = 0.6, 2**16
-        x = gen_ar1(phi, 2.0, n, seed=21)
+        x = sample(AR1(phi, 2.0), n, seed=21)
         assert sample_acvf(x, 1) / sample_acvf(x, 0) == pytest.approx(
             phi, abs=0.02)
 
     def test_stationary_variance(self):
-        x = gen_ar1(0.9, 3.0, 2**15, seed=22)
+        x = sample(AR1(0.9, 3.0), 2**15, seed=22)
         assert sample_acvf(x, 0) == pytest.approx(3.0, rel=0.2)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            gen_ar1(1.0, 1.0, 100, seed=0)
+            sample(AR1(1.0, 1.0), 100, seed=0)
         with pytest.raises(ValueError):
-            gen_ar1(0.5, -1.0, 100, seed=0)
+            sample(AR1(0.5, -1.0), 100, seed=0)
 
 
 class TestTrend:
@@ -254,12 +249,12 @@ class TestBlockGapMask:
 
 class TestApplyGapMask:
     def test_roundtrip(self):
-        x = gen_white(1.0, 50, seed=1)
+        x = sample(WhiteNoise(1.0), 50, seed=1)
         mask = block_gap_mask(50, 0.3, 3.0, seed=2)
-        gs = apply_gap_mask(x, mask)
+        gs = GappedSeries(x, mask)
         assert np.array_equal(gs.values, x)
         assert np.array_equal(gs.mask, mask)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
-            apply_gap_mask(np.ones(4), np.zeros(4, bool))
+            GappedSeries(np.ones(4), np.zeros(4, bool))

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from dfakit.core import weight_matrix
 from dfakit.exceptions import ModelSpecError
-from dfakit.expectation import expected_f2_increments, expected_f2_stationary
+from dfakit.expectation import (
+    expected_f2_general,
+    expected_f2_increments,
+    expected_f2_stationary,
+)
 from dfakit.models import (
     AR1,
     FBM,
@@ -14,34 +19,30 @@ from dfakit.models import (
     DerivedVariogram,
     VariogramTable,
     WhiteNoise,
-    ar1_acvf,
     check_hurst,
     fbm_covariance,
-    fbm_variogram,
-    fgn_acvf,
     fgn_acvf_asymptotic,
     model_from_spec,
-    ou_acvf,
 )
 
 
 class TestFgnAcvf:
     def test_white_noise_case(self):
-        assert fgn_acvf(0.5, 1.0, 1) == pytest.approx(0.0, abs=1e-15)
-        assert fgn_acvf(0.5, 2.0, 0) == pytest.approx(2.0)
+        assert FGN(0.5, 1.0).acvf(1) == pytest.approx(0.0, abs=1e-15)
+        assert FGN(0.5, 2.0).acvf(0) == pytest.approx(2.0)
 
     def test_h07_lag1(self):
-        assert fgn_acvf(0.7, 1.0, 1) == pytest.approx((2**1.4 - 2) / 2,
+        assert FGN(0.7, 1.0).acvf(1) == pytest.approx((2**1.4 - 2) / 2,
                                                       rel=1e-12)
 
     def test_antipersistent_partial_sum(self):
-        gam = fgn_acvf(0.3, 1.0, np.arange(1, 10**6))
+        gam = FGN(0.3, 1.0).acvf(np.arange(1, 10**6))
         assert np.all(gam < 0)
         # partial sums approach -gamma(0)/2
         assert gam.sum() == pytest.approx(-0.5, abs=2e-3)
 
     def test_persistent_divergence(self):
-        gam = fgn_acvf(0.9, 1.0, np.arange(1, 10**6))
+        gam = FGN(0.9, 1.0).acvf(np.arange(1, 10**6))
         assert gam.sum() > 1e3
 
     def test_second_difference_identity(self):
@@ -49,16 +50,16 @@ class TestFgnAcvf:
         f = lambda t: 0.5 * np.abs(t) ** (2 * h)
         for tau in (0, 1, 5, 100):
             expect = f(tau + 1) - 2 * f(tau) + f(tau - 1)
-            assert fgn_acvf(h, 1.0, tau) == pytest.approx(expect, rel=1e-12)
+            assert FGN(h, 1.0).acvf(tau) == pytest.approx(expect, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            fgn_acvf(1.2, 1.0, 1)
+            FGN(1.2, 1.0).acvf(1)
 
 
 class TestFgnAsymptotic:
     def test_ratio_converges(self):
-        exact = fgn_acvf(0.7, 1.0, 10**4)
+        exact = FGN(0.7, 1.0).acvf(10**4)
         asym = fgn_acvf_asymptotic(0.7, 1.0, 10**4)
         assert asym == pytest.approx(exact, rel=1e-3)
 
@@ -68,7 +69,7 @@ class TestFgnAsymptotic:
 
     def test_finite_lag_discrepancy(self):
         # at lag 1 the power law is a poor stand-in for the exact acvf
-        exact = fgn_acvf(0.9, 1.0, 1)
+        exact = FGN(0.9, 1.0).acvf(1)
         asym = fgn_acvf_asymptotic(0.9, 1.0, 1)
         assert abs(asym / exact - 1) > 0.01
 
@@ -94,9 +95,9 @@ class TestFbm:
         assert fbm_covariance(0.4, 2.0, 9, 4) == fbm_covariance(0.4, 2.0, 4, 9)
 
     def test_variogram_examples(self):
-        assert fbm_variogram(1.5, 1.0, 0) == 0.0
-        assert fbm_variogram(1.5, 1.0, 7) == pytest.approx(7.0)
-        assert fbm_variogram(1.1, 1.0, 16) == pytest.approx(16**0.2, rel=1e-12)
+        assert FBM(1.5, 1.0).variogram(0) == 0.0
+        assert FBM(1.5, 1.0).variogram(7) == pytest.approx(7.0)
+        assert FBM(1.1, 1.0).variogram(16) == pytest.approx(16**0.2, rel=1e-12)
 
     def test_covariance_variogram_consistency(self):
         h, var = 0.35, 1.7
@@ -110,31 +111,31 @@ class TestFbm:
 
 class TestOuAr1:
     def test_lag_zero(self):
-        assert ou_acvf(20.0, 3.0, 0) == pytest.approx(3.0)
+        assert OU(20.0, 3.0).acvf(0) == pytest.approx(3.0)
 
     def test_correlation_time(self):
-        assert ou_acvf(20.0, 1.0, 20) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert OU(20.0, 1.0).acvf(20) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_ar1_equivalence_at_integer_lags(self):
         tau = 20.0
         phi = np.exp(-1.0 / tau)
         lags = np.arange(50)
-        assert np.allclose(ou_acvf(tau, 1.0, lags), ar1_acvf(phi, 1.0, lags),
+        assert np.allclose(OU(tau, 1.0).acvf(lags), AR1(phi, 1.0).acvf(lags),
                            rtol=1e-12)
 
     @pytest.mark.parametrize("phi", [0.0, 1e-300, 0.6, -0.6, 0.999, -0.95])
     def test_ar1_skips_only_zero_powers(self, phi):
         # pow runs only below the lag where |phi|^t rounds to 0
         lags = np.arange(5000)
-        assert np.array_equal(ar1_acvf(phi, 2.0, lags),
+        assert np.array_equal(AR1(phi, 2.0).acvf(lags),
                               2.0 * phi ** lags.astype(float))
-        assert ar1_acvf(phi, 2.0, 3) == 2.0 * phi ** 3.0
+        assert AR1(phi, 2.0).acvf(3) == 2.0 * phi ** 3.0
 
     def test_domains(self):
         with pytest.raises(ValueError):
-            ou_acvf(-1.0, 1.0, 0)
+            OU(-1.0, 1.0).acvf(0)
         with pytest.raises(ValueError):
-            ar1_acvf(1.5, 1.0, 0)
+            AR1(1.5, 1.0).acvf(0)
 
 
 class TestStationaryToVariogram:
@@ -166,6 +167,21 @@ class TestModelObjects:
         with pytest.raises(InsufficientLagsError):
             tab.acvf(np.arange(10))
 
+    def test_table_acvf_is_even(self):
+        # the general engine reads gamma(t1 - t2), negative lags included
+        tab = AcvfTable(values=tuple(0.5 ** np.arange(16)))
+        m, s = 2, 16
+        idx = np.arange(1, s + 1)
+        kernel = tab.acvf(idx[:, None] - idx[None, :])
+        size = np.abs(weight_matrix(m, s).entries * kernel).sum() / s
+        got = expected_f2_general(lambda t1, t2: tab.acvf(t1 - t2), m, s)
+        ref = expected_f2_stationary(tab, m, s)
+        assert abs(got - ref) <= 1e-12 * size
+
+    def test_table_variogram_rejects_negative_lag(self):
+        with pytest.raises(ValueError, match="lag must be >= 0"):
+            VariogramTable(values=(0.0, 1.0, 2.0)).variogram(-1)
+
     @pytest.mark.parametrize("h, lo, hi", [
         (0.0, 0.0, 2.0), (1.0, 0.0, 2.0), (2.0, 0.0, 2.0),
         (1.3, 0.0, 1.0), (0.7, 1.0, 2.0)])
@@ -196,7 +212,9 @@ class TestModelObjects:
         {"kind": "fgn"}, {"kind": "fgn", "hurst": 0.7, "foo": 1},
         {"kind": "fgn", "hurst": "0.7"}, {"kind": "ar1", "phi": None},
         {"kind": "table"}, {"kind": "table", "acvf": 1.0},
-        {"kind": "table", "acvf": [1.0], "variogram": [0.0]}])
+        {"kind": "table", "acvf": [1.0], "variogram": [0.0]},
+        {"kind": "ar1", "phi": False}, {"kind": "ou", "tau_c": True},
+        {"kind": "table", "acvf": [1.0, False]}])
     def test_bad_spec(self, spec):
         with pytest.raises(ModelSpecError):
             model_from_spec(spec)

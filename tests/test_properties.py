@@ -18,7 +18,7 @@ from dfakit.expectation import (
     expected_f2_stationary,
 )
 from dfakit.generators import add_polynomial_trend, block_gap_mask
-from dfakit.models import FBM, FGN, fgn_acvf
+from dfakit.models import FBM, FGN
 from dfakit.weights import weight_function
 
 
@@ -200,7 +200,7 @@ def test_general_engine_is_invariant_to_window_offset(case, t, h):
     fbm = FBM(1 + h)
 
     def noise(t1, t2):
-        return fgn_acvf(h, 1.0, t1 - t2)
+        return FGN(h, 1.0).acvf(t1 - t2)
 
     for kernel, ref in ((fbm.covariance, expected_f2_increments(fbm, m, s)),
                         (noise, expected_f2_stationary(FGN(h), m, s))):
