@@ -32,8 +32,8 @@ import numpy as np
 
 from . import __version__
 from .estimators import (
-    FluctuationCurve,
     GappedSeries,
+    _hurst_fits,
     default_scale_grid,
     dfa,
     ensemble,
@@ -43,9 +43,10 @@ from .estimators import (
 )
 from .exceptions import DFAError, ScaleTooSmallError
 from .expectation import (
+    ExpectedCurve,
     ScalingConstant,
     asymptotic_lambda,
-    expected_f2,
+    expected_curve,
     scaling_model,
 )
 from .generators import block_gap_mask, sample, sample_stack
@@ -137,14 +138,15 @@ def _model(args):
     return model_from_spec(json.loads(args.model))
 
 
-def _fit_range(args, curve: FluctuationCurve):
+def _fit_range(args, scales: np.ndarray, defined: np.ndarray):
+    """The --fit-range, else the central two octaves of the defined
+    scales (all scales if none is defined)."""
     if args.fit_range:
         return tuple(args.fit_range)
-    # central two octaves of the defined scales
-    defined = curve.scales[curve.defined]
-    if defined.size == 0:
-        return None
-    log_lo, log_hi = np.log2(defined.min()), np.log2(defined.max())
+    kept = scales[defined]
+    if kept.size == 0:
+        return int(scales.min()), int(scales.max())
+    log_lo, log_hi = np.log2(kept.min()), np.log2(kept.max())
     mid = 0.5 * (log_lo + log_hi)
     return (int(2 ** (mid - 1)), int(np.ceil(2 ** (mid + 1))))
 
@@ -167,7 +169,7 @@ def cmd_analyze(args) -> int:
                ((int(s), f if ok else None, f2, int(nw), int(ok))
                 for s, f, f2, nw, ok in zip(curve.scales, curve.f, curve.f2,
                                             curve.n_windows, curve.defined)))
-    fit = estimate_hurst(curve, _fit_range(args, curve))
+    fit = estimate_hurst(curve, _fit_range(args, curve.scales, curve.defined))
     _write_json(args.hurst_out, {
         "estimator": curve.estimator,
         "hurst": fit.hurst,
@@ -179,11 +181,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _expected_rows(model, m: int, scales, lam: ScalingConstant | None):
+def _expected_rows(curve: ExpectedCurve, lam: ScalingConstant | None):
     """Per scale: s, E F^2(s) and, given lambda, lambda s^{2H} and K^2."""
-    for s in scales:
-        s = int(s)
-        ef2 = expected_f2(model, m, s)
+    for s, ef2 in zip(curve.scales.tolist(), curve.ef2.tolist()):
         if lam is not None:
             ls2h = lam.value * float(s) ** (2 * lam.hurst)
             yield s, ef2, ls2h, ef2 / ls2h
@@ -198,8 +198,11 @@ def cmd_expected(args) -> int:
     if hurst is None:
         hurst = getattr(model, "hurst", None)
     lam = asymptotic_lambda(args.order, hurst) if hurst is not None else None
+    # the whole curve before the output is opened, so that a model that
+    # fails at some scale leaves no partial file
+    curve = expected_curve(model, args.order, scales)
     _write_csv(args.out, args, ["s", "EF2", "lambda_s2H", "K2"],
-               _expected_rows(model, args.order, scales, lam))
+               _expected_rows(curve, lam))
     return 0
 
 
@@ -210,10 +213,10 @@ def cmd_bias(args) -> int:
         return EXIT_USAGE
     m, scales = args.order, _scales(args)
     lam = asymptotic_lambda(m, args.hurst)
-    model = scaling_model(args.hurst)
+    curve = expected_curve(scaling_model(args.hurst), m, scales)
     _write_csv(args.out, args, ["s", "K2", "K"],
                ((s, k2, np.sqrt(k2))
-                for s, _, _, k2 in _expected_rows(model, m, scales, lam)),
+                for s, _, _, k2 in _expected_rows(curve, lam)),
                comments=[f"# lambda: {repr(lam.value)}"])
     return 0
 
@@ -283,13 +286,6 @@ def _summary(f2: np.ndarray):
     return count, mean, *quantiles
 
 
-def _hurst_or_nan(args, curve: FluctuationCurve) -> float:
-    try:
-        return estimate_hurst(curve, _fit_range(args, curve)).hurst
-    except DFAError:
-        return float("nan")
-
-
 def cmd_mc(args) -> int:
     if args.ensemble < 1:
         raise DFAError(f"--ensemble needs R >= 1 replicates, got "
@@ -300,15 +296,20 @@ def cmd_mc(args) -> int:
     mask = _mask_for(args, n)
     samples = sample_stack(model, n, args.seed, range(args.ensemble))
     curves = ensemble(samples, mask, m, scales)
-    rows = []
+    rows, hurst = [], {}
     for tag, reps in curves.items():
-        f2 = np.array([np.where(c.defined, c.f2, np.nan) for c in reps])
-        for s, k, *stats in zip(scales, *_summary(f2)):
+        f2 = np.array([c.f2 for c in reps])
+        defined = np.array([c.defined for c in reps])
+        for s, k, *stats in zip(scales, *_summary(np.where(defined, f2,
+                                                           np.nan))):
             rows.append([tag, int(s), *(stats if k else [None] * 3), int(k)])
+        # one OLS per set of fitted scales; NaN where no fit exists
+        lo, hi = np.array([_fit_range(args, scales, d) for d in defined]).T
+        _, _, slope, _, _ = _hurst_fits(scales, f2, defined, lo, hi)
+        hurst[tag] = slope.tolist()
     _write_csv(args.out, args, ["estimator", "scale", "mean_F2", "q05_F2",
                                 "q95_F2", "n_defined"], rows)
-    _write_json(args.hurst_out, {tag: [_hurst_or_nan(args, c) for c in reps]
-                                 for tag, reps in curves.items()})
+    _write_json(args.hurst_out, hurst)
     return 0
 
 

@@ -44,6 +44,7 @@ the O(s^2) of B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,9 +138,12 @@ class FluctuationCurve:
         self.f2.setflags(write=False)
         self.n_windows.setflags(write=False)
 
-    @property
+    @cached_property
     def defined(self) -> np.ndarray:
-        return np.array([r is None for r in self.reasons])
+        """Read-only; built once, on first use."""
+        defined = np.array([r is None for r in self.reasons], dtype=bool)
+        defined.setflags(write=False)
+        return defined
 
     @property
     def f(self) -> np.ndarray:
@@ -397,6 +401,38 @@ def ensemble(samples, mask, m: int, scales
     return _curve(x, mask, m, scales, ("standard", "f_hat", "f_tilde"))
 
 
+def _hurst_fits(scales: np.ndarray, f2: np.ndarray, defined: np.ndarray,
+                s_min, s_max):
+    """OLS fits of log F against log s, one per row of f2 (R, S), over
+    the scales each row has defined, with F^2 > 0, in [s_min, s_max]
+    (scalars or one per row). Rows that select the same scales are
+    fitted together. Returns the selection (R, S), whether each row could
+    be fitted (>= 3 scales, not all equal) and, per row, the slope,
+    intercept and residual std, NaN where it could not."""
+    sel = (defined & (f2 > 0)  # F^2 = 0 (a constant series) has no log
+           & (scales >= np.asarray(s_min)[..., None])
+           & (scales <= np.asarray(s_max)[..., None]))
+    ok = np.zeros(len(f2), dtype=bool)
+    fits = np.full((3, len(f2)), np.nan)
+    groups, group_of = np.unique(sel, axis=0, return_inverse=True)
+    group_of = group_of.reshape(-1)
+    for k, cols in enumerate(groups):
+        # one distinct scale leaves the slope undefined (0 / 0)
+        if cols.sum() < 3 or np.ptp(scales[cols]) == 0:
+            continue
+        rows = group_of == k
+        logs = np.log(scales[cols].astype(float))
+        logf = 0.5 * np.log(f2[np.ix_(rows, cols)])
+        mean_f = logf.mean(axis=1)
+        dx, dy = logs - logs.mean(), logf - mean_f[:, None]
+        slope = (dy @ dx) / (dx @ dx)
+        resid = dy - slope[:, None] * dx
+        ok[rows] = True
+        fits[:, rows] = (slope, mean_f - slope * logs.mean(),
+                         resid.std(axis=1, ddof=2))
+    return sel, ok, *fits
+
+
 def estimate_hurst(curve: FluctuationCurve,
                    fit_range: tuple[int, int] | None = None) -> HurstFit:
     """Slope of log F(s) against log s over the defined scales in range."""
@@ -404,20 +440,13 @@ def estimate_hurst(curve: FluctuationCurve,
         s_min, s_max = int(curve.scales.min()), int(curve.scales.max())
     else:
         s_min, s_max = int(fit_range[0]), int(fit_range[1])
-    # F^2 = 0 (a constant series) has no logarithm
-    sel = (curve.defined & (curve.f2 > 0)
-           & (curve.scales >= s_min) & (curve.scales <= s_max))
-    # one distinct scale leaves the slope undefined (0 / 0)
-    if sel.sum() < 3 or np.ptp(curve.scales[sel]) == 0:
+    sel, ok, slope, intercept, resid_std = _hurst_fits(
+        curve.scales, curve.f2[None], curve.defined[None], s_min, s_max)
+    n_points = int(sel.sum())
+    if not ok[0]:
         raise TooFewPointsError(
             f"need >= 3 defined scales, not all equal, with F^2 > 0 in "
-            f"[{s_min}, {s_max}], have {int(sel.sum())}")
-    logs = np.log(curve.scales[sel].astype(float))
-    logf = 0.5 * np.log(curve.f2[sel])
-    dx, dy = logs - logs.mean(), logf - logf.mean()
-    slope = (dx @ dy) / (dx @ dx)
-    intercept = logf.mean() - slope * logs.mean()
-    resid = dy - slope * dx
-    return HurstFit(hurst=float(slope), intercept=float(intercept),
-                    s_min=s_min, s_max=s_max, n_points=int(sel.sum()),
-                    residual_std=float(resid.std(ddof=2)))
+            f"[{s_min}, {s_max}], have {n_points}")
+    return HurstFit(hurst=float(slope[0]), intercept=float(intercept[0]),
+                    s_min=s_min, s_max=s_max, n_points=n_points,
+                    residual_std=float(resid_std[0]))

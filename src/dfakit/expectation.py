@@ -6,6 +6,11 @@ Three interchangeable engines:
 * increments:   E F^2(s) = -(1/s) sum_{j>=1} G(j,s) S(j)
 * general:      E F^2(s) = (1/s) sum_{k,j} A_{k,j} gamma(t+k, t+j)
 
+Over a scale grid (expected_curve) the first two evaluate the model's
+lag function once, at lags up to the largest scale s_max, and read each
+scale's sum off a prefix of it: one lag evaluation of length s_max plus
+O(sum s) for G and the dot products, not O(sum s) lag evaluations.
+
 For scaling inputs E F^2(s) ~ lambda_{m,H} s^{2H}; the prefactor is a
 rational-coefficient sum over the asymptotic weights, and the squared
 correction K^2(s) = E F^2(s) / (lambda s^{2H}) quantifies the
@@ -56,24 +61,38 @@ class ExpectedCurve:
         self.ef2.setflags(write=False)
 
 
+def _ef2(model, m: int, scales: np.ndarray, stationary: bool) -> np.ndarray:
+    """E F^2 at each scale of an int array, from one evaluation of the
+    model's lag function out to the largest scale: its acvf at lags
+    0..s_max-1 (stationary) or its variogram at lags 1..s_max-1
+    (increments, m >= 1). Each scale's sum reads a prefix of it."""
+    if not stationary and m < 1 and scales.size:
+        raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
+    ef2 = np.zeros(scales.size)  # s = m + 1 leaves no residual
+    fitted = np.flatnonzero(scales != m + 1)
+    if not fitted.size:
+        return ef2
+    s_max = int(scales[fitted].max())
+    lags = np.asarray(model.acvf(np.arange(s_max)) if stationary
+                      else model.variogram(np.arange(1, s_max)), dtype=float)
+    for i in fitted:
+        s = int(scales[i])
+        g = weight_function(m, s)
+        if stationary:
+            ef2[i] = float(g[0] * lags[0] + 2.0 * (g[1:] @ lags[1:s])) / s
+        else:
+            ef2[i] = -float(g[1:] @ lags[:s - 1]) / s
+    return ef2
+
+
 def expected_f2_stationary(model: AcvfModel, m: int, s: int) -> float:
     """Expected squared fluctuation of a stationary process at scale s."""
-    if s == m + 1:
-        return 0.0
-    g = weight_function(m, s)
-    gamma = np.asarray(model.acvf(np.arange(s)), dtype=float)
-    return float(g[0] * gamma[0] + 2.0 * (g[1:] @ gamma[1:])) / s
+    return float(_ef2(model, m, np.array([s]), True)[0])
 
 
 def expected_f2_increments(model: VariogramModel, m: int, s: int) -> float:
     """Expected squared fluctuation from a variogram; needs m >= 1."""
-    if m < 1:
-        raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
-    if s == m + 1:
-        return 0.0
-    g = weight_function(m, s)
-    sv = np.asarray(model.variogram(np.arange(1, s)), dtype=float)
-    return -float(g[1:] @ sv) / s
+    return float(_ef2(model, m, np.array([s]), False)[0])
 
 
 def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
@@ -90,18 +109,19 @@ def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
     return float((a * gam).sum()) / s
 
 
-def expected_f2(model, m: int, s: int) -> float:
-    """E F^2(s) from the model's acvf if it has one, else its variogram."""
-    if hasattr(model, "acvf"):
-        return expected_f2_stationary(model, m, s)
-    return expected_f2_increments(model, m, s)
-
-
 def expected_curve(model, m: int, scales) -> ExpectedCurve:
-    """Evaluate the appropriate engine over a scale grid."""
-    scales = np.asarray(scales, dtype=int)
-    ef2 = np.array([expected_f2(model, m, int(s)) for s in scales])
+    """E F^2 over a scale grid, from the model's acvf if it has one, else
+    from its variogram. The model is evaluated once, out to the largest
+    scale s_max: the cost is that one lag evaluation of length s_max plus
+    O(sum s) for G and the dot products."""
+    scales = np.array(scales, dtype=int)  # a copy: the curve freezes it
+    ef2 = _ef2(model, m, scales, hasattr(model, "acvf"))
     return ExpectedCurve(scales=scales, ef2=ef2)
+
+
+def expected_f2(model, m: int, s: int) -> float:
+    """E F^2(s): the one-scale case of expected_curve."""
+    return float(expected_curve(model, m, [s]).ef2[0])
 
 
 @lru_cache(maxsize=128, typed=True)

@@ -19,9 +19,16 @@ from hypothesis import given, settings, strategies as st
 import dfakit
 from dfakit import cli, expectation
 from dfakit.cli import _summary, build_parser, main
-from dfakit.estimators import GappedSeries, dfa, f_hat
-from dfakit.generators import block_gap_mask, sample
-from dfakit.models import FGN as FGNModel, OU, AcvfTable, WhiteNoise
+from dfakit.estimators import (
+    GappedSeries,
+    dfa,
+    ensemble,
+    estimate_hurst,
+    f_hat,
+)
+from dfakit.exceptions import TooFewPointsError
+from dfakit.generators import block_gap_mask, sample, sample_stack
+from dfakit.models import FBM, FGN as FGNModel, OU, AcvfTable, WhiteNoise
 
 
 def write_series(path, values, mask=None):
@@ -160,6 +167,43 @@ class TestExpected:
                    "-m", "2", "--scales", "2", "8", "--out", str(out)])
         assert rc == 4
         assert not out.exists()
+
+    def test_model_failing_at_largest_scale_leaves_no_output(self, tmp_path,
+                                                              capsys):
+        # the table covers the lags of s = 4 and 8 but not those of 16
+        out = tmp_path / "f.csv"
+        rc = main(["expected", "--model", '{"kind": "table", "acvf": '
+                   '[1, 0.5, 0.25, 0.1, 0.05, 0, 0, 0, 0, 0]}', "-m", "1",
+                   "--scales", "4", "8", "16", "--out", str(out)])
+        assert rc == 4
+        assert "need up to 15" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _count_lag_calls(monkeypatch):
+    """The lengths of the FGN.acvf and FBM.variogram calls made."""
+    calls = []
+    for cls, name in ((FGNModel, "acvf"), (FBM, "variogram")):
+        def counted(self, lags, _lag_function=getattr(cls, name)):
+            calls.append(np.asarray(lags).size)
+            return _lag_function(self, lags)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv,s_max", [
+    (["expected", "--model", '{"kind": "fgn", "hurst": 0.7}'], 2 ** 12),
+    (["expected", "--model", '{"kind": "fbm", "hurst": 1.3}', "-m", "3",
+      "--scales", "5", "17", "4096"], 4095),
+    (["bias", "--hurst", "0.7"], 2 ** 12),
+    (["bias", "--hurst", "1.3", "-m", "1", "--scales", "3", "64", "900"],
+     899),
+], ids=["expected-fgn", "expected-fbm", "bias-fgn", "bias-fbm"])
+def test_lag_function_evaluated_once_per_command(tmp_path, monkeypatch, argv,
+                                                 s_max):
+    calls = _count_lag_calls(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == [s_max]
 
 
 class TestBias:
@@ -423,6 +467,43 @@ class TestMc:
             assert [row[k] for k in ("mean_F2", "q05_F2", "q95_F2",
                                      "n_defined")] == ["", "", "", "0"]
         assert rows[("standard", "50")]["n_defined"] == "3"
+
+    @pytest.mark.parametrize("fit_range", [None, (8, 50)])
+    def test_hurst_matches_per_curve_fit(self, tmp_path, fit_range):
+        # the mask above: f_hat is negative at some scales of some
+        # replicates, so the replicates select different scales, and no
+        # pair is present at s = 50
+        n, reps, m, scales = 110, 20, 1, [3, 4, 5, 6, 7, 8, 9, 10, 50]
+        mask = tmp_path / "mask.csv"
+        mask.write_text("0\n" * 100 + "1\n" * 10)
+        hout = tmp_path / "mc.json"
+        argv = ["mc", "--model", '{"kind": "white"}', "-n", str(n),
+                "--ensemble", str(reps), "-m", str(m),
+                "--scales", *map(str, scales), "--mask", str(mask),
+                "--out", str(tmp_path / "mc.csv"), "--hurst-out", str(hout)]
+        if fit_range:
+            argv += ["--fit-range", *map(str, fit_range)]
+        assert main(argv) == 0
+        with open(hout) as fh:
+            got = json.load(fh)
+        curves = ensemble(sample_stack(WhiteNoise(), n, 0, range(reps)),
+                          np.r_[np.zeros(100, bool), np.ones(10, bool)],
+                          m, scales)
+        args = argparse.Namespace(fit_range=fit_range)
+        unfitted = 0
+        for tag, row in curves.items():
+            want = []
+            for c in row:
+                try:
+                    want.append(estimate_hurst(
+                        c, cli._fit_range(args, c.scales, c.defined)).hurst)
+                except TooFewPointsError:
+                    want.append(np.nan)
+                    unfitted += 1
+            # NaN where want is NaN, and only there
+            np.testing.assert_allclose(got[tag], want, rtol=1e-12, atol=0)
+        # in [8, 50] some replicates of f_hat have too few scales to fit
+        assert 0 < unfitted < 3 * reps if fit_range else unfitted == 0
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_mask_excludes_gap_fraction(self, tmp_path, capsys, source):

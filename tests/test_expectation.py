@@ -12,6 +12,7 @@ from dfakit.expectation import (
     asymptotic_lambda,
     correction_function,
     expected_curve,
+    expected_f2,
     expected_f2_general,
     expected_f2_increments,
     expected_f2_scaling,
@@ -192,6 +193,31 @@ class TestModifiedF2:
 
 
 class TestExpectedCurve:
+    @pytest.mark.parametrize("model,name,s_max", [
+        (FGN(0.7), "acvf", 4096), (FBM(1.3), "variogram", 4095)])
+    def test_lag_function_evaluated_once(self, monkeypatch, model, name,
+                                         s_max):
+        calls = []
+        lag_function = getattr(type(model), name)
+
+        def counted(self, lags):
+            calls.append(np.asarray(lags).size)
+            return lag_function(self, lags)
+
+        monkeypatch.setattr(type(model), name, counted)
+        curve = expected_curve(model, 2, [4, 16, 100, 4096])
+        assert calls == [s_max]
+        assert curve.ef2[2] == expected_f2(model, 2, 100)
+
+    def test_empty_grid(self):
+        # no model evaluation, and no order check for the variogram engine
+        assert expected_curve(FBM(1.3), 0, []).ef2.size == 0
+
+    def test_scales_left_writable(self):
+        scales = np.array([8, 16])
+        expected_curve(FGN(0.7), 2, scales)
+        scales[0] = 9  # raises if the curve froze the caller's array
+
     def test_dispatch(self):
         scales = [8, 16, 32]
         c1 = expected_curve(FGN(0.7), 2, scales)

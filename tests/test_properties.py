@@ -13,12 +13,13 @@ from dfakit.estimators import (
     gap_weights,
 )
 from dfakit.expectation import (
+    expected_curve,
     expected_f2_general,
     expected_f2_increments,
     expected_f2_stationary,
 )
 from dfakit.generators import add_polynomial_trend, block_gap_mask
-from dfakit.models import FBM, FGN
+from dfakit.models import AR1, FBM, FGN, OU, AcvfTable, WhiteNoise
 from dfakit.weights import weight_function
 
 
@@ -207,3 +208,39 @@ def test_general_engine_is_invariant_to_window_offset(case, t, h):
         size = np.abs(a * kernel(idx[:, None], idx[None, :])).sum() / s
         got = expected_f2_general(kernel, m, s, t)
         assert abs(got - ref) <= 1e-12 * size, (kernel, got, ref)
+
+
+#: a table long enough for every scale drawn below
+_TABLE = AcvfTable(tuple(0.99 ** np.arange(4096)))
+
+
+@st.composite
+def curve_cases(draw):
+    """A model of each engine, an order and a scale set in m + 2..4096."""
+    kind = draw(st.sampled_from(["fgn", "fbm", "ou", "ar1", "white",
+                                 "table"]))
+    m = draw(st.integers(1 if kind == "fbm" else 0, 4))
+    model = {
+        "fgn": lambda: FGN(draw(st.floats(0.01, 0.99))),
+        "fbm": lambda: FBM(draw(st.floats(1.01, 1.99))),
+        "ou": lambda: OU(draw(st.floats(0.1, 1e3))),
+        "ar1": lambda: AR1(draw(st.sampled_from([-0.999, -0.6, 0.3,
+                                                 0.999]))),
+        "white": lambda: WhiteNoise(draw(st.floats(0.1, 10.0))),
+        "table": lambda: _TABLE,
+    }[kind]()
+    scales = draw(st.lists(st.integers(m + 2, 4096), min_size=1, max_size=6,
+                           unique=True))
+    return model, m, sorted(scales)
+
+
+@settings(max_examples=25, deadline=None)
+@given(curve_cases())
+def test_expected_curve_matches_per_scale_engine(case):
+    """Reading each scale's lags off one evaluation at the largest scale
+    gives the same bits as evaluating the model at that scale alone."""
+    model, m, scales = case
+    engine = (expected_f2_stationary if hasattr(model, "acvf")
+              else expected_f2_increments)
+    assert np.array_equal(expected_curve(model, m, scales).ef2,
+                          [engine(model, m, s) for s in scales])
