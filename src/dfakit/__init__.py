@@ -34,8 +34,6 @@ from .expectation import (
     correction_function,
     expected_curve,
     expected_f2_general,
-    expected_f2_increments,
-    expected_f2_stationary,
     modified_f2,
 )
 from .generators import (

@@ -41,7 +41,8 @@ from .estimators import (
     f_hat,
     f_tilde,
 )
-from .exceptions import DFAError, ScaleTooSmallError
+from .core import _check_scale
+from .exceptions import DFAError
 from .expectation import (
     ExpectedCurve,
     ScalingConstant,
@@ -112,9 +113,11 @@ def _write_csv(path, args, header, rows, comments=()) -> None:
 
 
 def _write_json(path, payload) -> None:
+    """A JSON artifact; a NaN or inf in it raises before the output is
+    opened, as RFC 8259 has no such numbers."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with _output(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _scales(args, n: int | None = None) -> np.ndarray:
@@ -128,9 +131,7 @@ def _scales(args, n: int | None = None) -> np.ndarray:
             return 2 ** np.arange(int(np.ceil(np.log2(m + 2))), 13)
         return default_scale_grid(n, m)
     scales = np.array(sorted({int(s) for s in args.scales}), int)
-    if scales[0] < m + 2:
-        raise ScaleTooSmallError(
-            f"scale {scales[0]} too small for order {m}: need s >= m + 2")
+    _check_scale(m, int(scales[0]))
     return scales
 
 
@@ -142,7 +143,10 @@ def _fit_range(args, scales: np.ndarray, defined: np.ndarray):
     """The --fit-range, else the central two octaves of the defined
     scales (all scales if none is defined)."""
     if args.fit_range:
-        return tuple(args.fit_range)
+        s_min, s_max = args.fit_range
+        if s_min > s_max:
+            raise DFAError(f"--fit-range {s_min} {s_max}: SMIN > SMAX")
+        return s_min, s_max
     kept = scales[defined]
     if kept.size == 0:
         return int(scales.min()), int(scales.max())
@@ -164,12 +168,14 @@ def cmd_analyze(args) -> int:
         curve = f_hat(gs, args.order, scales)
     else:
         curve = f_tilde(gs, args.order, scales)
+    # the fit before the output is opened, so that a failed fit leaves
+    # no file
+    fit = estimate_hurst(curve, _fit_range(args, curve.scales, curve.defined))
     _write_csv(args.out, args, ["scale", "F", "F_squared", "n_windows",
                                 "defined"],
                ((int(s), f if ok else None, f2, int(nw), int(ok))
                 for s, f, f2, nw, ok in zip(curve.scales, curve.f, curve.f2,
                                             curve.n_windows, curve.defined)))
-    fit = estimate_hurst(curve, _fit_range(args, curve.scales, curve.defined))
     _write_json(args.hurst_out, {
         "estimator": curve.estimator,
         "hurst": fit.hurst,
@@ -303,10 +309,11 @@ def cmd_mc(args) -> int:
         for s, k, *stats in zip(scales, *_summary(np.where(defined, f2,
                                                            np.nan))):
             rows.append([tag, int(s), *(stats if k else [None] * 3), int(k)])
-        # one OLS per set of fitted scales; NaN where no fit exists
+        # one OLS per set of fitted scales; null where no fit exists
         lo, hi = np.array([_fit_range(args, scales, d) for d in defined]).T
-        _, _, slope, _, _ = _hurst_fits(scales, f2, defined, lo, hi)
-        hurst[tag] = slope.tolist()
+        _, ok, slope, _, _ = _hurst_fits(scales, f2, defined, lo, hi)
+        hurst[tag] = [h if k else None
+                      for h, k in zip(slope.tolist(), ok.tolist())]
     _write_csv(args.out, args, ["estimator", "scale", "mean_F2", "q05_F2",
                                 "q95_F2", "n_defined"], rows)
     _write_json(args.hurst_out, hurst)
@@ -447,9 +454,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, csv.Error) as exc:
         print(f"dfakit: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DFAError, ValueError, ArithmeticError,
+    except (DFAError, ValueError, ArithmeticError, MemoryError,
             json.JSONDecodeError) as exc:
-        print(f"dfakit: {exc}", file=sys.stderr)
+        # a bare MemoryError carries no text
+        print(f"dfakit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

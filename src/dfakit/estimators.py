@@ -174,7 +174,7 @@ def default_scale_grid(n: int, m: int, count: int = 30) -> np.ndarray:
     return grid[(grid >= lo) & (grid <= hi)]
 
 
-def _check_scales(n: int, m: int, scales: np.ndarray) -> None:
+def _check_scales(n: int, scales: np.ndarray) -> None:
     if scales.size == 0:
         raise ValueError("empty scale grid")
     if int(scales.max()) > n:
@@ -241,7 +241,7 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
         )
     scales = np.asarray(scales, dtype=int)
     reps, n = x.shape
-    _check_scales(n, m, scales)
+    _check_scales(n, scales)
     if mask is not None and mask.all():
         mask = None
     gapped = [] if mask is None else [e for e in estimators

@@ -1,15 +1,19 @@
 """Exact expected squared fluctuation functions and finite-size bias.
 
-Three interchangeable engines:
+The model object picks the engine of expected_curve:
 
-* stationary:   E F^2(s) = [gamma(0) G(0,s) + 2 sum_j G(j,s) gamma(j)] / s
-* increments:   E F^2(s) = -(1/s) sum_{j>=1} G(j,s) S(j)
-* general:      E F^2(s) = (1/s) sum_{k,j} A_{k,j} gamma(t+k, t+j)
+* a model with an acvf (stationary):
+      E F^2(s) = [gamma(0) G(0,s) + 2 sum_{j>=1} G(j,s) gamma(j)] / s
+* a model with only a variogram (stationary increments, m >= 1):
+      E F^2(s) = -(1/s) sum_{j>=1} G(j,s) S(j)
 
-Over a scale grid (expected_curve) the first two evaluate the model's
-lag function once, at lags up to the largest scale s_max, and read each
-scale's sum off a prefix of it: one lag evaluation of length s_max plus
-O(sum s) for G and the dot products, not O(sum s) lag evaluations.
+models.DerivedVariogram(model) asks for the second form on a stationary
+model. Over a scale grid the lag function is evaluated once, at lags up
+to the largest scale s_max, and each scale's sum reads a prefix of it:
+one lag evaluation of length s_max plus O(sum s) for G and the dot
+products, not O(sum s) lag evaluations. expected_f2_general is the
+window-offset reference engine for a general kernel gamma(t1, t2):
+E F^2(s) = (1/s) sum_{k,j} A_{k,j} gamma(t+k, t+j).
 
 For scaling inputs E F^2(s) ~ lambda_{m,H} s^{2H}; the prefactor is a
 rational-coefficient sum over the asymptotic weights, and the squared
@@ -26,20 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import weight_matrix
-from .exceptions import (
-    NonpositiveCorrectionError,
-    OrderZeroUnsupportedError,
-    ScaleTooSmallError,
-)
-from .models import (
-    FBM,
-    FGN,
-    AcvfModel,
-    VariogramModel,
-    WhiteNoise,
-    check_hurst,
-)
+from .core import _check_scale, weight_matrix
+from .exceptions import NonpositiveCorrectionError, OrderZeroUnsupportedError
+from .models import FBM, FGN, WhiteNoise, check_hurst
 from .weights import asymptotic_coefficients, weight_function
 
 
@@ -61,45 +54,11 @@ class ExpectedCurve:
         self.ef2.setflags(write=False)
 
 
-def _ef2(model, m: int, scales: np.ndarray, stationary: bool) -> np.ndarray:
-    """E F^2 at each scale of an int array, from one evaluation of the
-    model's lag function out to the largest scale: its acvf at lags
-    0..s_max-1 (stationary) or its variogram at lags 1..s_max-1
-    (increments, m >= 1). Each scale's sum reads a prefix of it."""
-    if not stationary and m < 1 and scales.size:
-        raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
-    ef2 = np.zeros(scales.size)  # s = m + 1 leaves no residual
-    fitted = np.flatnonzero(scales != m + 1)
-    if not fitted.size:
-        return ef2
-    s_max = int(scales[fitted].max())
-    lags = np.asarray(model.acvf(np.arange(s_max)) if stationary
-                      else model.variogram(np.arange(1, s_max)), dtype=float)
-    for i in fitted:
-        s = int(scales[i])
-        g = weight_function(m, s)
-        if stationary:
-            ef2[i] = float(g[0] * lags[0] + 2.0 * (g[1:] @ lags[1:s])) / s
-        else:
-            ef2[i] = -float(g[1:] @ lags[:s - 1]) / s
-    return ef2
-
-
-def expected_f2_stationary(model: AcvfModel, m: int, s: int) -> float:
-    """Expected squared fluctuation of a stationary process at scale s."""
-    return float(_ef2(model, m, np.array([s]), True)[0])
-
-
-def expected_f2_increments(model: VariogramModel, m: int, s: int) -> float:
-    """Expected squared fluctuation from a variogram; needs m >= 1."""
-    return float(_ef2(model, m, np.array([s]), False)[0])
-
-
 def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
     """Window-offset-aware engine for a general kernel gamma(t1, t2).
 
-    For stationary kernels this reduces to the stationary engine; for
-    stationary-increment kernels the value is independent of t.
+    For stationary kernels this reduces to expected_curve's acvf sum;
+    for stationary-increment kernels the value is independent of t.
     """
     if s == m + 1:
         return 0.0
@@ -110,18 +69,29 @@ def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
 
 
 def expected_curve(model, m: int, scales) -> ExpectedCurve:
-    """E F^2 over a scale grid, from the model's acvf if it has one, else
-    from its variogram. The model is evaluated once, out to the largest
-    scale s_max: the cost is that one lag evaluation of length s_max plus
-    O(sum s) for G and the dot products."""
+    """E F^2 at each scale of a grid, by the engine the model picks: its
+    acvf at lags 0..s_max-1 if it has one, else its variogram at lags
+    1..s_max-1 (m >= 1). The lag function is evaluated once, out to the
+    largest scale s_max, and each scale's sum reads a prefix of it."""
     scales = np.array(scales, dtype=int)  # a copy: the curve freezes it
-    ef2 = _ef2(model, m, scales, hasattr(model, "acvf"))
+    stationary = hasattr(model, "acvf")
+    if not stationary and m < 1 and scales.size:
+        raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
+    ef2 = np.zeros(scales.size)  # s = m + 1 leaves no residual
+    fitted = np.flatnonzero(scales != m + 1)
+    if fitted.size:
+        s_max = int(scales[fitted].max())
+        lags = np.asarray(model.acvf(np.arange(s_max)) if stationary
+                          else model.variogram(np.arange(1, s_max)),
+                          dtype=float)
+        for i in fitted:
+            s = int(scales[i])
+            g = weight_function(m, s)
+            if stationary:
+                ef2[i] = float(g[0] * lags[0] + 2.0 * (g[1:] @ lags[1:s])) / s
+            else:
+                ef2[i] = -float(g[1:] @ lags[:s - 1]) / s
     return ExpectedCurve(scales=scales, ef2=ef2)
-
-
-def expected_f2(model, m: int, s: int) -> float:
-    """E F^2(s): the one-scale case of expected_curve."""
-    return float(expected_curve(model, m, [s]).ef2[0])
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -170,19 +140,14 @@ def scaling_model(hurst: float):
     return FBM(hurst=hurst)
 
 
-def expected_f2_scaling(m: int, hurst: float, s: int) -> float:
-    """E F^2(s) for the reference scaling process with exponent H."""
-    return expected_f2(scaling_model(hurst), m, s)
-
-
 def correction_function(m: int, hurst: float, s: int) -> float:
     """Squared finite-size correction K^2(s) = E F^2(s) / (lambda s^{2H}),
     with E F^2(s) the exact expectation of the unit-variance reference
     model of scaling_model(hurst)."""
-    if s < m + 2:
-        raise ScaleTooSmallError(f"scale {s} too small for order {m}")
+    _check_scale(m, s)
     lam = asymptotic_lambda(m, hurst).value
-    return expected_f2_scaling(m, hurst, s) / (lam * float(s) ** (2.0 * hurst))
+    ef2 = expected_curve(scaling_model(hurst), m, [s]).ef2[0]
+    return float(ef2 / (lam * float(s) ** (2.0 * hurst)))
 
 
 def modified_f2(f2: float, k2: float) -> float:

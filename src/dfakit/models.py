@@ -214,12 +214,12 @@ class VariogramTable:
 
 
 AcvfModel = WhiteNoise | FGN | OU | AR1 | AcvfTable
-VariogramModel = FBM | VariogramTable
 
 
 @dataclass(frozen=True)
 class DerivedVariogram:
-    """Variogram S(t) = 2 (gamma(0) - gamma(t)) of a stationary model."""
+    """Variogram S(t) = 2 (gamma(0) - gamma(t)) of a stationary model.
+    It has no acvf, so expected_curve takes its variogram sum for it."""
 
     model: AcvfModel
 

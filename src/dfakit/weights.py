@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ScaleTooSmallError
+from .core import _check_scale
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,6 @@ def weight_function(m: int, s: int) -> np.ndarray:
     g = closed_form_g_values(m, s)
     g.setflags(write=False)
     return g
-
-
-def _check_closed_form(m: int, s: int) -> None:
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
-    if s < m + 2:
-        raise ScaleTooSmallError(f"scale {s} too small for order {m}")
 
 
 def _denominator(m: int, s: int) -> int:
@@ -202,7 +195,7 @@ def closed_form_g(m: int, j: int, s: int, exact: bool = False):
     float (correctly rounded) unless ``exact`` is set.
     """
     m, j, s = int(m), int(j), int(s)
-    _check_closed_form(m, s)
+    _check_scale(m, s)
     if not 0 <= j <= s - 1:
         raise ValueError(f"lag {j} outside 0..{s - 1}")
     cf = _closed_form(m)
@@ -226,7 +219,7 @@ def closed_form_g_values(m: int, s: int) -> np.ndarray:
     s x s weight matrix would be too large to build.
     """
     m, s = int(m), int(s)
-    _check_closed_form(m, s)
+    _check_scale(m, s)
     cf = _closed_form(m)
     den = cf.denominator * _denominator(m, s) * s ** (2 * m)
     a = [_poly_at(row, s) / den for row in cf.ratio]

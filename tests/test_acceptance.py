@@ -28,11 +28,10 @@ from dfakit.estimators import (
 from dfakit.expectation import (
     asymptotic_lambda,
     correction_function,
+    expected_curve,
     expected_f2_general,
-    expected_f2_increments,
-    expected_f2_scaling,
-    expected_f2_stationary,
     modified_f2,
+    scaling_model,
 )
 from dfakit.generators import (
     add_polynomial_trend,
@@ -163,14 +162,15 @@ def test_criterion_04_trend_invariance():
 
 def test_criterion_05_scaling_law():
     for s in (5, 17, 200, 4096):
-        assert expected_f2_stationary(
-            FGN(0.5), 1, s) == pytest.approx((s**2 - 4) / (15 * s), rel=1e-9)
+        assert expected_curve(FGN(0.5), 1, [s]).ef2[0] == pytest.approx(
+            (s**2 - 4) / (15 * s), rel=1e-9)
     scales = 2 ** np.arange(8, 13)
     logs = np.log(scales)
     for h in (0.2, 0.7, 1.1, 1.5):
         for m in (1, 2, 3):
-            ef2 = np.array([expected_f2_scaling(m, h, int(s))
-                            for s in scales])
+            ef2 = np.array([
+                expected_curve(scaling_model(h), m, [int(s)]).ef2[0]
+                for s in scales])
             slope = np.polyfit(logs, np.log(ef2), 1)[0]
             assert abs(slope - 2 * h) < 0.02, (h, m, slope)
             lam = asymptotic_lambda(m, h).value
@@ -193,9 +193,9 @@ def test_criterion_06_antipersistent_power_law_substitution():
     scales = 2 ** np.arange(14, 19)
     logs = np.log(scales)
     ef_asym = np.array([
-        expected_f2_stationary(PowerLawAcvf(), 1, int(s)) for s in scales])
+        expected_curve(PowerLawAcvf(), 1, [int(s)]).ef2[0] for s in scales])
     ef_exact = np.array([
-        expected_f2_stationary(FGN(0.3), 1, int(s)) for s in scales])
+        expected_curve(FGN(0.3), 1, [int(s)]).ef2[0] for s in scales])
     slope_asym = np.polyfit(logs, np.log(ef_asym), 1)[0]
     slope_exact = np.polyfit(logs, np.log(ef_exact), 1)[0]
     assert abs(slope_asym - 1.0) < 0.05, slope_asym
@@ -213,7 +213,7 @@ def test_criterion_07_wrong_correction_backfires_for_motion():
     lam = asymptotic_lambda(m, h).value
     worst_raw = worst_mod = 0.0
     for s in range(16, 257, 16):
-        ef2 = expected_f2_scaling(m, h, s)
+        ef2 = expected_curve(scaling_model(h), m, [s]).ef2[0]
         target = lam * float(s) ** (2 * h)
         k2_wn = correction_function(m, 0.5, s)
         worst_raw = max(worst_raw, abs(ef2 / target - 1))
@@ -229,11 +229,11 @@ def test_criterion_08_exponential_correlation_crossover():
     step_var = 2.0 * gamma0 * (1.0 - np.exp(-1.0 / tau))
     ou = OU(tau)
     for s in range(3, 9):
-        f_ou = np.sqrt(expected_f2_stationary(ou, 1, s))
-        f_rw = np.sqrt(step_var * expected_f2_increments(FBM(1.5), 1, s))
+        f_ou = np.sqrt(expected_curve(ou, 1, [s]).ef2[0])
+        f_rw = np.sqrt(step_var * expected_curve(FBM(1.5), 1, [s]).ef2[0])
         assert abs(f_ou / f_rw - 1) < 0.05, s
     big = np.array([1000, 2048, 4096, 8192])
-    f2 = np.array([expected_f2_stationary(ou, 1, int(s)) for s in big])
+    f2 = np.array([expected_curve(ou, 1, [int(s)]).ef2[0] for s in big])
     slope = np.polyfit(np.log(big), np.log(np.sqrt(f2)), 1)[0]
     assert abs(slope - 0.5) < 0.05, slope
     report(8, "exponentially correlated curve tracks the random walk "

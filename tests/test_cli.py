@@ -109,6 +109,19 @@ class TestAnalyze:
                    "--hurst-out", str(tmp_path / "h.json")])
         assert rc == 4
 
+    @pytest.mark.parametrize("values, flags", [
+        (np.full(40, 3.7), ["-m", "1", "--scales", "4", "5", "6"]),
+        (sample(WhiteNoise(), 400, seed=3), ["--fit-range", "50", "10"]),
+    ], ids=["constant", "reversed-fit-range"])
+    def test_failed_fit_leaves_no_output(self, tmp_path, values, flags):
+        inp = tmp_path / "x.csv"
+        out, hout = tmp_path / "o.csv", tmp_path / "h.json"
+        write_series(inp, values)
+        rc = main(["analyze", "-i", str(inp), *flags, "--out", str(out),
+                   "--hurst-out", str(hout)])
+        assert rc == 4
+        assert not out.exists() and not hout.exists()
+
     def test_na_handling_with_f_hat(self, tmp_path):
         x = sample(FGNModel(0.7, 1.0), 400, seed=5)
         mask = block_gap_mask(400, 0.2, 6.0, seed=6)
@@ -486,6 +499,8 @@ class TestMc:
         assert main(argv) == 0
         with open(hout) as fh:
             got = json.load(fh)
+        got = {tag: [np.nan if h is None else h for h in row]
+               for tag, row in got.items()}
         curves = ensemble(sample_stack(WhiteNoise(), n, 0, range(reps)),
                           np.r_[np.zeros(100, bool), np.ones(10, bool)],
                           m, scales)
@@ -516,6 +531,49 @@ class TestMc:
         rc = main(_with_gap_fraction(argv, 0.2, source, tmp_path))
         assert rc == 4
         assert "exclude each other" in capsys.readouterr().err
+        assert not out.exists() and not hout.exists()
+
+    def test_unfitted_replicate_is_null(self, tmp_path):
+        # the mask of test_hurst_matches_per_curve_fit, whose [8, 50]
+        # fit range leaves some f_hat replicates unfitted
+        mask = tmp_path / "mask.csv"
+        mask.write_text("0\n" * 100 + "1\n" * 10)
+        hout = tmp_path / "mc.json"
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "110",
+                   "--ensemble", "20", "-m", "1",
+                   "--scales", "3", "4", "5", "6", "7", "8", "9", "10", "50",
+                   "--fit-range", "8", "50", "--mask", str(mask),
+                   "--out", str(tmp_path / "mc.csv"),
+                   "--hurst-out", str(hout)])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        got = json.loads(hout.read_text(), parse_constant=reject)
+        assert None in got["f_hat"]
+        assert all(isinstance(h, float) for h in got["standard"])
+
+    def test_reversed_fit_range_exit_4(self, tmp_path, capsys):
+        out, hout = tmp_path / "mc.csv", tmp_path / "mc.json"
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "200",
+                   "--ensemble", "2", "--fit-range", "10", "5",
+                   "--out", str(out), "--hurst-out", str(hout)])
+        assert rc == 4
+        assert "SMIN > SMAX" in capsys.readouterr().err
+        assert not out.exists() and not hout.exists()
+
+    def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 TiB")
+
+        monkeypatch.setattr(cli, "sample_stack", no_memory)
+        out, hout = tmp_path / "mc.csv", tmp_path / "mc.json"
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "200",
+                   "--ensemble", "2", "--out", str(out),
+                   "--hurst-out", str(hout)])
+        assert rc == 4
+        assert "Unable to allocate" in capsys.readouterr().err
         assert not out.exists() and not hout.exists()
 
     def test_empty_ensemble_exit_4(self, tmp_path, capsys):

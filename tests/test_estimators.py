@@ -23,7 +23,7 @@ from dfakit.exceptions import (
     ScaleExceedsLengthError,
     TooFewPointsError,
 )
-from dfakit.expectation import expected_f2_increments, expected_f2_stationary
+from dfakit.expectation import expected_curve
 from dfakit.generators import block_gap_mask, sample
 from dfakit.models import FBM, FGN
 
@@ -66,7 +66,7 @@ class TestDfa:
         scales = [16, 64, 256, 1024]
         c = dfa(x, 2, scales)
         for i, s in enumerate(scales):
-            expect = expected_f2_stationary(FGN(0.7), 2, s)
+            expect = expected_curve(FGN(0.7), 2, [s]).ef2[0]
             w = n // s
             # crude per-scale standard error from window spread
             se = expect * np.sqrt(2.0 * s / n) * 3
@@ -123,11 +123,11 @@ class TestGapWeights:
         lag = np.abs(np.subtract.outer(np.arange(s), np.arange(s)))
         for h in (0.3, 0.7):
             got = (pa_counts * FGN(h).acvf(lag)).sum() / (s * w)
-            want = expected_f2_stationary(FGN(h), m, s)
+            want = expected_curve(FGN(h), m, [s]).ef2[0]
             assert got == pytest.approx(want, rel=1e-11)
         for h in (1.1, 1.6):
             got = -(pa_counts * FBM(h).variogram(lag)).sum() / (2 * s * w)
-            want = expected_f2_increments(FBM(h), m, s)
+            want = expected_curve(FBM(h), m, [s]).ef2[0]
             assert got == pytest.approx(want, rel=1e-11)
 
 

@@ -12,12 +12,9 @@ from dfakit.expectation import (
     asymptotic_lambda,
     correction_function,
     expected_curve,
-    expected_f2,
     expected_f2_general,
-    expected_f2_increments,
-    expected_f2_scaling,
-    expected_f2_stationary,
     modified_f2,
+    scaling_model,
 )
 from dfakit.models import FBM, FGN, WhiteNoise, fbm_covariance
 from dfakit.weights import asymptotic_coefficients
@@ -26,14 +23,14 @@ from dfakit.weights import asymptotic_coefficients
 class TestStationaryEngine:
     def test_white_noise_closed_form(self):
         # (s^2 - 4) / (15 s) for order 1
-        assert expected_f2_stationary(WhiteNoise(), 1, 10) == pytest.approx(
+        assert expected_curve(WhiteNoise(), 1, [10]).ef2[0] == pytest.approx(
             0.64, rel=1e-10)
         for s in (5, 17, 200):
-            assert expected_f2_stationary(WhiteNoise(), 1, s) == pytest.approx(
-                (s**2 - 4) / (15 * s), rel=1e-9)
+            ef2 = expected_curve(WhiteNoise(), 1, [s]).ef2[0]
+            assert ef2 == pytest.approx((s**2 - 4) / (15 * s), rel=1e-9)
 
     def test_perfect_fit_scale(self):
-        assert expected_f2_stationary(FGN(0.7), 2, 3) == 0.0
+        assert expected_curve(FGN(0.7), 2, [3]).ef2[0] == 0.0
 
     def test_closed_form_engine_matches(self):
         # reference: the explicit weight matrix, not weight_function,
@@ -41,33 +38,33 @@ class TestStationaryEngine:
         kern = lambda t1, t2: FGN(0.9).acvf(np.abs(t1 - t2))
         for s in (16, 128, 1024):
             a = expected_f2_general(kern, 1, s)
-            b = expected_f2_stationary(FGN(0.9), 1, s)
+            b = expected_curve(FGN(0.9), 1, [s]).ef2[0]
             assert b == pytest.approx(a, rel=1e-9)
 
     def test_positive_for_nondegenerate(self):
         for m in (1, 2, 3):
             for s in (m + 2, 37, 256):
-                assert expected_f2_stationary(FGN(0.3), m, s) > 0
+                assert expected_curve(FGN(0.3), m, [s]).ef2[0] > 0
 
 
 class TestIncrementEngine:
     def test_random_walk_large_s(self):
         # lambda_{1,1.5} = 1/420
         s = 4096
-        assert expected_f2_increments(FBM(1.5), 1, s) == pytest.approx(
+        assert expected_curve(FBM(1.5), 1, [s]).ef2[0] == pytest.approx(
             s**3 / 420, rel=0.01)
 
     def test_agrees_with_general_kernel(self):
         model = FBM(1.1)
         kern = lambda t1, t2: fbm_covariance(0.1, 1.0, t1, t2)
         for s in (8, 64):
-            a = expected_f2_increments(model, 1, s)
+            a = expected_curve(model, 1, [s]).ef2[0]
             b = expected_f2_general(kern, 1, s, t=0)
             assert b == pytest.approx(a, rel=1e-9)
 
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
-            expected_f2_increments(FBM(1.5), 0, 10)
+            expected_curve(FBM(1.5), 0, [10]).ef2[0]
 
 
 class TestGeneralEngine:
@@ -75,7 +72,7 @@ class TestGeneralEngine:
         model = FGN(0.7)
         kern = lambda t1, t2: np.asarray(
             model.acvf(np.abs(t1 - t2).astype(int)))
-        a = expected_f2_stationary(model, 2, 32)
+        a = expected_curve(model, 2, [32]).ef2[0]
         b = expected_f2_general(kern, 2, 32, t=5)
         assert b == pytest.approx(a, rel=1e-9)
 
@@ -104,7 +101,7 @@ class TestScalingConstant:
     def test_matches_finite_size_limit(self):
         lam = asymptotic_lambda(1, 0.7).value
         s = 4096
-        ef2 = expected_f2_scaling(1, 0.7, s)
+        ef2 = expected_curve(scaling_model(0.7), 1, [s]).ef2[0]
         assert ef2 / (lam * s**1.4) == pytest.approx(1.0, abs=0.02)
 
     def test_positive_across_grid(self):
@@ -168,7 +165,7 @@ class TestModifiedF2:
 
     def test_own_correction_recovers_power_law(self):
         m, h, s = 1, 0.9, 64
-        ef2 = expected_f2_scaling(m, h, s)
+        ef2 = expected_curve(scaling_model(h), m, [s]).ef2[0]
         k2 = correction_function(m, h, s)
         lam = asymptotic_lambda(m, h).value
         assert modified_f2(ef2, k2) == pytest.approx(lam * s**(2 * h),
@@ -180,7 +177,7 @@ class TestModifiedF2:
         lam = asymptotic_lambda(m, h).value
         worst_raw, worst_mod = 0.0, 0.0
         for s in range(16, 257, 16):
-            ef2 = expected_f2_scaling(m, h, s)
+            ef2 = expected_curve(scaling_model(h), m, [s]).ef2[0]
             target = lam * s**(2 * h)
             k2_wn = correction_function(m, 0.5, s)
             worst_raw = max(worst_raw, abs(ef2 / target - 1))
@@ -207,7 +204,7 @@ class TestExpectedCurve:
         monkeypatch.setattr(type(model), name, counted)
         curve = expected_curve(model, 2, [4, 16, 100, 4096])
         assert calls == [s_max]
-        assert curve.ef2[2] == expected_f2(model, 2, 100)
+        assert curve.ef2[2] == expected_curve(model, 2, [100]).ef2[0]
 
     def test_empty_grid(self):
         # no model evaluation, and no order check for the variogram engine
@@ -224,6 +221,6 @@ class TestExpectedCurve:
         c2 = expected_curve(FBM(1.1), 2, scales)
         assert np.all(c1.ef2 > 0) and np.all(c2.ef2 > 0)
         assert c1.ef2[0] == pytest.approx(
-            expected_f2_stationary(FGN(0.7), 2, 8), rel=1e-12)
+            expected_curve(FGN(0.7), 2, [8]).ef2[0], rel=1e-12)
         assert c2.ef2[0] == pytest.approx(
-            expected_f2_increments(FBM(1.1), 2, 8), rel=1e-12)
+            expected_curve(FBM(1.1), 2, [8]).ef2[0], rel=1e-12)

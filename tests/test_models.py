@@ -6,9 +6,8 @@ import pytest
 from dfakit.core import weight_matrix
 from dfakit.exceptions import ModelSpecError
 from dfakit.expectation import (
+    expected_curve,
     expected_f2_general,
-    expected_f2_increments,
-    expected_f2_stationary,
 )
 from dfakit.models import (
     AR1,
@@ -146,12 +145,22 @@ class TestStationaryToVariogram:
         assert (DerivedVariogram(WhiteNoise(2.0)).variogram(5)
                 == pytest.approx(4.0))
 
-    @pytest.mark.parametrize("s", [8, 64, 256])
+    @pytest.mark.parametrize("s", [8, 64, 256, 4096])
     def test_cross_engine_equality(self, s):
-        model = FGN(hurst=0.7)
-        direct = expected_f2_stationary(model, 2, s)
-        via_var = expected_f2_increments(DerivedVariogram(model), 2, s)
-        assert via_var == pytest.approx(direct, rel=1e-9)
+        # the acvf sum against the variogram sum of DerivedVariogram, on
+        # every stationary kind
+        models = {"fgn 0.7": FGN(hurst=0.7), "white": WhiteNoise(),
+                  "fgn 0.1": FGN(0.1), "fgn 0.95": FGN(0.95),
+                  "ou 5": OU(5.0), "ou 300": OU(300.0),
+                  "ar1 -0.6": AR1(-0.6), "ar1 0.3": AR1(0.3),
+                  "ar1 0.999": AR1(0.999),
+                  "table": AcvfTable(tuple(0.9 ** np.arange(4096)))}
+        for name, model in models.items():
+            for m in range(1, 5):
+                direct = expected_curve(model, m, [s]).ef2[0]
+                via_var = expected_curve(DerivedVariogram(model), m,
+                                         [s]).ef2[0]
+                assert via_var == pytest.approx(direct, rel=1e-9), (name, m)
 
 
 class TestModelObjects:
@@ -175,7 +184,7 @@ class TestModelObjects:
         kernel = tab.acvf(idx[:, None] - idx[None, :])
         size = np.abs(weight_matrix(m, s).entries * kernel).sum() / s
         got = expected_f2_general(lambda t1, t2: tab.acvf(t1 - t2), m, s)
-        ref = expected_f2_stationary(tab, m, s)
+        ref = expected_curve(tab, m, [s]).ef2[0]
         assert abs(got - ref) <= 1e-12 * size
 
     def test_table_variogram_rejects_negative_lag(self):

@@ -15,8 +15,6 @@ from dfakit.estimators import (
 from dfakit.expectation import (
     expected_curve,
     expected_f2_general,
-    expected_f2_increments,
-    expected_f2_stationary,
 )
 from dfakit.generators import add_polynomial_trend, block_gap_mask
 from dfakit.models import AR1, FBM, FGN, OU, AcvfTable, WhiteNoise
@@ -203,8 +201,8 @@ def test_general_engine_is_invariant_to_window_offset(case, t, h):
     def noise(t1, t2):
         return FGN(h, 1.0).acvf(t1 - t2)
 
-    for kernel, ref in ((fbm.covariance, expected_f2_increments(fbm, m, s)),
-                        (noise, expected_f2_stationary(FGN(h), m, s))):
+    for kernel, ref in ((fbm.covariance, expected_curve(fbm, m, [s]).ef2[0]),
+                        (noise, expected_curve(FGN(h), m, [s]).ef2[0])):
         size = np.abs(a * kernel(idx[:, None], idx[None, :])).sum() / s
         got = expected_f2_general(kernel, m, s, t)
         assert abs(got - ref) <= 1e-12 * size, (kernel, got, ref)
@@ -240,7 +238,6 @@ def test_expected_curve_matches_per_scale_engine(case):
     """Reading each scale's lags off one evaluation at the largest scale
     gives the same bits as evaluating the model at that scale alone."""
     model, m, scales = case
-    engine = (expected_f2_stationary if hasattr(model, "acvf")
-              else expected_f2_increments)
     assert np.array_equal(expected_curve(model, m, scales).ef2,
-                          [engine(model, m, s) for s in scales])
+                          [expected_curve(model, m, [s]).ef2[0]
+                           for s in scales])
