@@ -10,7 +10,8 @@ Subcommands:
 * mc        — Monte Carlo ensemble study with and without gaps
 
 Output is CSV/JSON only, written to --out (and --hurst-out) or, when no
-path is given, to stdout, which stays open. Every CSV artifact starts with
+path is given, to stdout, which stays open; a run that fails removes the
+files it created. Every CSV artifact starts with
 a comment line carrying the fully resolved configuration, so runs can be
 reproduced from their artifacts; the JSON artifacts (the Hurst fits and
 the asymptotic d_q) carry none. simulate and mc take a gap mask from
@@ -25,6 +26,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -140,19 +142,18 @@ def _model(args):
 
 
 def _fit_range(args, scales: np.ndarray, defined: np.ndarray):
-    """The --fit-range, else the central two octaves of the defined
-    scales (all scales if none is defined)."""
+    """The --fit-range, else, per row of defined (..., S), the central two
+    octaves of the defined scales (all scales if none is defined)."""
     if args.fit_range:
-        s_min, s_max = args.fit_range
-        if s_min > s_max:
-            raise DFAError(f"--fit-range {s_min} {s_max}: SMIN > SMAX")
-        return s_min, s_max
-    kept = scales[defined]
-    if kept.size == 0:
-        return int(scales.min()), int(scales.max())
-    log_lo, log_hi = np.log2(kept.min()), np.log2(kept.max())
+        return tuple(args.fit_range)
+    log_lo = np.log2(np.where(defined, scales, scales.max()).min(axis=-1))
+    log_hi = np.log2(np.where(defined, scales, scales.min()).max(axis=-1))
     mid = 0.5 * (log_lo + log_hi)
-    return (int(2 ** (mid - 1)), int(np.ceil(2 ** (mid + 1))))
+    # C pow per value, as for a scalar: numpy's vector pow can round apart
+    lo, hi = (np.vectorize(pow)(2.0, mid + k) for k in (-1, 1))
+    some = defined.any(axis=-1)
+    return (np.where(some, lo, scales.min()).astype(int),
+            np.where(some, np.ceil(hi), scales.max()).astype(int))
 
 
 def cmd_analyze(args) -> int:
@@ -303,15 +304,13 @@ def cmd_mc(args) -> int:
     samples = sample_stack(model, n, args.seed, range(args.ensemble))
     curves = ensemble(samples, mask, m, scales)
     rows, hurst = [], {}
-    for tag, reps in curves.items():
-        f2 = np.array([c.f2 for c in reps])
-        defined = np.array([c.defined for c in reps])
-        for s, k, *stats in zip(scales, *_summary(np.where(defined, f2,
-                                                           np.nan))):
+    for tag, curve in curves.items():
+        f2 = np.where(curve.defined, curve.f2, np.nan)
+        for s, k, *stats in zip(scales, *_summary(f2)):
             rows.append([tag, int(s), *(stats if k else [None] * 3), int(k)])
         # one OLS per set of fitted scales; null where no fit exists
-        lo, hi = np.array([_fit_range(args, scales, d) for d in defined]).T
-        _, ok, slope, _, _ = _hurst_fits(scales, f2, defined, lo, hi)
+        _, ok, slope, _, _ = _hurst_fits(
+            scales, curve.f2, *_fit_range(args, scales, curve.defined))
         hurst[tag] = [h if k else None
                       for h, k in zip(slope.tolist(), ok.tolist())]
     _write_csv(args.out, args, ["estimator", "scale", "mean_F2", "q05_F2",
@@ -448,17 +447,30 @@ def _apply_config_file(args, argv) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
+    code, new = 1, []  # code 1 if an exception escapes
     try:
         args = _apply_config_file(args, argv)
-        return args.func(args)
+        # the outputs this run creates, removed if it fails
+        new = [path for path in (args.out, getattr(args, "hurst_out", None))
+               if path and not os.path.lexists(path)]
+        # before any input is read or drawn
+        s_min, s_max = getattr(args, "fit_range", None) or (0, 0)
+        if s_min > s_max:
+            raise DFAError(f"--fit-range {s_min} {s_max}: SMIN > SMAX")
+        code = args.func(args)
     except (OSError, csv.Error) as exc:
         print(f"dfakit: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code = EXIT_IO
     except (DFAError, ValueError, ArithmeticError, MemoryError,
             json.JSONDecodeError) as exc:
         # a bare MemoryError carries no text
         print(f"dfakit: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code = EXIT_NUMERIC
+    finally:
+        for path in new if code else ():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Sample DFA and the gap-tolerant modified fluctuation functions.
 
 Windowing is non-overlapping from the left; the tail of length
-n mod s is discarded. One engine evaluates all three estimators on an
-(R, n) stack of replicates that share one availability mask: ``dfa``,
-``f_hat`` and ``f_tilde`` are its R = 1 case, and ``ensemble`` runs a
-whole stack. Per scale, the pieces that depend only on (m, s, mask) are
-built once for the stack: the Gram-polynomial basis U of ``core``, the
-availability windows Delta, the kernel B and Delta B^T.
+n mod s is discarded. One engine evaluates all three estimators on a
+series, as ``dfa``, ``f_hat`` and ``f_tilde``, or on an (R, n) stack of
+replicates that share one availability mask, as ``ensemble``. A curve is
+its F^2 array, (S,) or (R, S): ``defined`` (F^2 >= 0) and ``reasons``
+(NaN, no valid pairs; negative) are read off it. Per scale, the pieces
+that depend only on (m, s, mask) are built once for the stack: the
+Gram-polynomial basis U of ``core``, the availability windows Delta, the
+kernel B and Delta B^T.
 
 * Gap-free input is detrended directly: F^2(s) is the mean over windows
   of |y - (y U) U^T|^2 / s, with y = cumsum(x_w) the window's profile
@@ -44,7 +46,6 @@ the O(s^2) of B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -110,40 +111,49 @@ class GapWeights:
     """Pair weights p_{k,j} = (# windows) / (# windows with both present)."""
 
     p: np.ndarray
-    defined: np.ndarray
     n_windows: int
 
     def __post_init__(self):
         self.p.setflags(write=False)
-        self.defined.setflags(write=False)
+
+    @property
+    def defined(self) -> np.ndarray:
+        """The pairs present together in some window."""
+        return self.p > 0
 
 
 @dataclass(frozen=True)
 class FluctuationCurve:
-    """F(s) over a scale grid, with per-scale diagnostics.
+    """F(s) over a scale grid, of a series (f2 (S,)) or of each row of a
+    stack ((R, S)), with per-scale diagnostics.
 
-    f2 retains raw (possibly negative) squared values; ``defined``
-    flags the usable scales and ``reasons`` says why the others are
-    not.
+    f2 retains raw (possibly negative) squared values, NaN where no
+    window holds a present pair; ``defined`` flags the usable scales and
+    ``reasons`` says why the others are not.
     """
 
     scales: np.ndarray
     f2: np.ndarray
     n_windows: np.ndarray
     estimator: str
-    reasons: tuple[str | None, ...]
 
     def __post_init__(self):
         self.scales.setflags(write=False)
         self.f2.setflags(write=False)
         self.n_windows.setflags(write=False)
 
-    @cached_property
+    @property
     def defined(self) -> np.ndarray:
-        """Read-only; built once, on first use."""
-        defined = np.array([r is None for r in self.reasons], dtype=bool)
-        defined.setflags(write=False)
-        return defined
+        """F^2 >= 0, so False at NaN."""
+        return self.f2 >= 0
+
+    @property
+    def reasons(self) -> tuple:
+        """Why each scale is undefined (None if it is not); a tuple per row
+        of a stack."""
+        codes = np.where(np.isnan(self.f2), NO_VALID_PAIRS,
+                         np.where(self.f2 < 0, NEGATIVE_SQUARED, None))
+        return tuple(map(tuple, codes)) if codes.ndim == 2 else tuple(codes)
 
     @property
     def f(self) -> np.ndarray:
@@ -196,7 +206,7 @@ def dfa(series, m: int, scales) -> FluctuationCurve:
     if x.ndim != 1:
         raise ValueError("series must be 1-d")
     _check_finite(x)
-    return _curve(x[None], None, m, scales, ("standard",))["standard"][0]
+    return _curve(x, None, m, scales, ("standard",))["standard"]
 
 
 def _pair_counts(mask: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,34 +232,36 @@ def gap_weights(mask, s: int) -> GapWeights:
     """
     dw, counts = _pair_counts(np.asarray(mask, dtype=bool), s)
     n_win = dw.shape[0]
-    defined = counts > 0
-    p = np.divide(n_win, counts, out=np.zeros((s, s)), where=defined)
-    return GapWeights(p=p, defined=defined, n_windows=n_win)
+    p = np.divide(n_win, counts, out=np.zeros((s, s)), where=counts > 0)
+    return GapWeights(p=p, n_windows=n_win)
 
 
+# an F^2 that overflows raises NonFiniteValueError, so its warnings say
+# nothing more
+@np.errstate(over="ignore", invalid="ignore")
 def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
-           estimators: tuple[str, ...]
-           ) -> dict[str, tuple[FluctuationCurve, ...]]:
+           estimators: tuple[str, ...]) -> dict[str, FluctuationCurve]:
     """The one engine behind dfa, f_hat, f_tilde and ensemble.
 
-    x is an (R, n) stack of finite replicates sharing one mask; mask None
-    is gap-free. Returns, per estimator, one curve per replicate.
+    x is a finite series (n,) or an (R, n) stack of finite replicates
+    sharing one mask; mask None is gap-free. Returns, per estimator, one
+    curve with f2 of shape (S,) or (R, S), NaN where no pair is present.
     """
     if "f_hat" in estimators and m < 1:
         raise OrderZeroUnsupportedError(
             "difference-kernel estimator needs order >= 1"
         )
     scales = np.asarray(scales, dtype=int)
-    reps, n = x.shape
+    stack = np.atleast_2d(x)
+    reps, n = stack.shape
     _check_scales(n, scales)
     if mask is not None and mask.all():
         mask = None
     gapped = [] if mask is None else [e for e in estimators
                                       if e != "standard"]
     direct = [e for e in estimators if e not in gapped]
-    xz = np.where(mask, x, 0.0) if gapped else x
+    xz = np.where(mask, stack, 0.0) if gapped else stack
     f2 = {e: np.full((reps, scales.size), np.nan) for e in estimators}
-    pairless = np.zeros(scales.size, dtype=bool)
     block = max(1, _BLOCK_VALUES // n)
     for i, s in enumerate(scales):
         s = int(s)
@@ -261,7 +273,7 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
             try:
                 dw, counts = _pair_counts(mask, s)
             except AllPairsMissingError:
-                pairless[i], b = True, None
+                b = None
             else:
                 # B = A W / max(counts, 1), in place; the counts come after
                 # A, so two s x s arrays are live. A pair with count 0 is
@@ -278,7 +290,7 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
         for lo in range(0, reps, block):
             rows = slice(lo, lo + block)
             if direct:
-                xw = _windows(x[rows], s)
+                xw = _windows(stack[rows], s)
                 # one buffer, detrended in place: the windows, their
                 # profiles and the residuals
                 y = np.empty(xw.shape)
@@ -319,18 +331,16 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
                     f2["f_tilde"][rows, i] = (
                         quad + 2.0 * _row_dot(shift, cross, shift.shape[0])
                         + (shift * shift) @ self_weights) / size
+        # only a value too large to square overflows; NaN is left to mean
+        # that no window holds a present pair
+        done = direct + (gapped if b is not None else [])
+        if not all(np.isfinite(f2[e][:, i]).all() for e in done):
+            raise NonFiniteValueError(
+                f"F^2 at scale {s} is not finite; rescale the series")
     nw = n // scales
-    out = {}
-    for e in estimators:
-        skip = pairless if e in gapped else np.zeros_like(pairless)
-        out[e] = tuple(
-            FluctuationCurve(
-                scales=scales, f2=row, n_windows=nw, estimator=e,
-                reasons=tuple(NO_VALID_PAIRS if gone
-                              else NEGATIVE_SQUARED if v < 0 else None
-                              for gone, v in zip(skip, row)))
-            for row in f2[e])
-    return out
+    return {e: FluctuationCurve(scales=scales, f2=v if x.ndim == 2 else v[0],
+                                n_windows=nw, estimator=e)
+            for e, v in f2.items()}
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray, reps: int) -> np.ndarray:
@@ -349,8 +359,7 @@ def f_hat(gs: GappedSeries, m: int, scales) -> FluctuationCurve:
     Memory per scale is O(n) for gap-free input; with gaps it is
     O(n + s^2) (two s x s arrays at the peak), and time O(n s).
     """
-    return _curve(gs.values[None], gs.mask, m, scales,
-                  ("f_hat",))["f_hat"][0]
+    return _curve(gs.values, gs.mask, m, scales, ("f_hat",))["f_hat"]
 
 
 def f_tilde(gs: GappedSeries, m: int, scales) -> FluctuationCurve:
@@ -373,19 +382,17 @@ def f_tilde(gs: GappedSeries, m: int, scales) -> FluctuationCurve:
     median 9.6e-14, 99th percentile 1.6e-11 and maximum 1.5e-9 (f_hat:
     1.7e-16, 1.2e-15 and 1.7e-14).
     """
-    return _curve(gs.values[None], gs.mask, m, scales,
-                  ("f_tilde",))["f_tilde"][0]
+    return _curve(gs.values, gs.mask, m, scales, ("f_tilde",))["f_tilde"]
 
 
-def ensemble(samples, mask, m: int, scales
-             ) -> dict[str, tuple[FluctuationCurve, ...]]:
+def ensemble(samples, mask, m: int, scales) -> dict[str, FluctuationCurve]:
     """Curves of every replicate in an (R, n) stack sharing one mask.
 
-    Returns one curve per replicate under "standard" (``dfa`` of the
+    Returns one curve with an (R, S) f2 under "standard" (``dfa`` of the
     full samples) and, when a mask is given, under "f_hat" and
-    "f_tilde" (of the samples with the mask applied). Each curve equals
-    the one the per-replicate call gives; the per-scale pieces that
-    depend only on (m, s, mask) are built once for the whole stack.
+    "f_tilde" (of the samples with the mask applied). Row r equals the
+    curve the per-replicate call gives; the per-scale pieces that depend
+    only on (m, s, mask) are built once for the whole stack.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or not len(x):
@@ -401,15 +408,14 @@ def ensemble(samples, mask, m: int, scales
     return _curve(x, mask, m, scales, ("standard", "f_hat", "f_tilde"))
 
 
-def _hurst_fits(scales: np.ndarray, f2: np.ndarray, defined: np.ndarray,
-                s_min, s_max):
+def _hurst_fits(scales: np.ndarray, f2: np.ndarray, s_min, s_max):
     """OLS fits of log F against log s, one per row of f2 (R, S), over
-    the scales each row has defined, with F^2 > 0, in [s_min, s_max]
+    the scales where a row has F^2 > 0 (so defined), in [s_min, s_max]
     (scalars or one per row). Rows that select the same scales are
     fitted together. Returns the selection (R, S), whether each row could
     be fitted (>= 3 scales, not all equal) and, per row, the slope,
     intercept and residual std, NaN where it could not."""
-    sel = (defined & (f2 > 0)  # F^2 = 0 (a constant series) has no log
+    sel = ((f2 > 0)  # F^2 = 0 (a constant series) has no log
            & (scales >= np.asarray(s_min)[..., None])
            & (scales <= np.asarray(s_max)[..., None]))
     ok = np.zeros(len(f2), dtype=bool)
@@ -436,12 +442,14 @@ def _hurst_fits(scales: np.ndarray, f2: np.ndarray, defined: np.ndarray,
 def estimate_hurst(curve: FluctuationCurve,
                    fit_range: tuple[int, int] | None = None) -> HurstFit:
     """Slope of log F(s) against log s over the defined scales in range."""
+    if curve.f2.ndim != 1:
+        raise ValueError("estimate_hurst fits one series, not a stack")
     if fit_range is None:
         s_min, s_max = int(curve.scales.min()), int(curve.scales.max())
     else:
         s_min, s_max = int(fit_range[0]), int(fit_range[1])
     sel, ok, slope, intercept, resid_std = _hurst_fits(
-        curve.scales, curve.f2[None], curve.defined[None], s_min, s_max)
+        curve.scales, curve.f2[None], s_min, s_max)
     n_points = int(sel.sum())
     if not ok[0]:
         raise TooFewPointsError(

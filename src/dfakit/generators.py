@@ -114,7 +114,7 @@ def add_polynomial_trend(series, coefficients) -> np.ndarray:
 
 
 def block_gap_mask(n: int, missing_fraction: float, mean_block_length: float,
-                   seed: int, replicate: int = 0) -> np.ndarray:
+                   seed: int) -> np.ndarray:
     """Availability mask with geometrically distributed gap blocks.
 
     Missing runs have the given mean length; present runs are sized so
@@ -125,7 +125,7 @@ def block_gap_mask(n: int, missing_fraction: float, mean_block_length: float,
     if not 1.0 <= mean_block_length < np.inf:  # NaN fails too
         raise ValueError("mean_block_length must be finite and >= 1, "
                          f"got {mean_block_length}")
-    rng = _rng(seed, replicate)
+    rng = _rng(seed, 0)
     mean_present = mean_block_length * (1.0 - missing_fraction) / missing_fraction
     mask = np.empty(n, dtype=bool)
     pos = 0

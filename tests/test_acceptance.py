@@ -83,10 +83,10 @@ def mc_ensembles():
             for key, ref in (("standard", dfa(samples[r], MC_ORDER, scales)),
                              ("f_hat", f_hat(gs, MC_ORDER, scales)),
                              ("f_tilde", f_tilde(gs, MC_ORDER, scales))):
-                np.testing.assert_allclose(curves[key][r].f2, ref.f2,
+                np.testing.assert_allclose(curves[key].f2[r], ref.f2,
                                            rtol=1e-12)
-                assert curves[key][r].reasons == ref.reasons
-        out[tag] = {short: np.array([c.f2 for c in curves[key]])
+                assert curves[key].reasons[r] == ref.reasons
+        out[tag] = {short: curves[key].f2
                     for short, key in (("full", "standard"), ("hat", "f_hat"),
                                        ("tilde", "f_tilde"))}
     return out

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -10,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,33 @@ class TestAnalyze:
                    "--hurst-out", str(hout)])
         assert rc == 4
         assert not out.exists() and not hout.exists()
+
+    def test_overflowing_series_exit_4(self, tmp_path, capsys):
+        inp = tmp_path / "x.csv"
+        write_series(inp, np.random.default_rng(8).normal(size=4000) * 1e160)
+        out, hout = tmp_path / "o.csv", tmp_path / "h.json"
+        rc = main(["analyze", "-i", str(inp), "-m", "1", "--out", str(out),
+                   "--hurst-out", str(hout)])
+        assert rc == 4
+        assert "rescale" in capsys.readouterr().err
+        assert not out.exists() and not hout.exists()
+
+    def test_reversed_fit_range_refused_before_reading(self, tmp_path,
+                                                       capsys):
+        # a missing input would exit 3 if it were read first
+        rc = main(["analyze", "-i", str(tmp_path / "missing.csv"),
+                   "--fit-range", "50", "10"])
+        assert rc == 4
+        assert "SMIN > SMAX" in capsys.readouterr().err
+
+    def test_failed_second_write_leaves_no_output(self, tmp_path):
+        inp = tmp_path / "x.csv"
+        write_series(inp, sample(WhiteNoise(), 400, seed=3))
+        out = tmp_path / "o.csv"
+        rc = main(["analyze", "-i", str(inp), "--out", str(out),
+                   "--hurst-out", str(tmp_path / "missing" / "h.json")])
+        assert rc == 3
+        assert not out.exists()
 
     def test_na_handling_with_f_hat(self, tmp_path):
         x = sample(FGNModel(0.7, 1.0), 400, seed=5)
@@ -506,9 +535,10 @@ class TestMc:
                           m, scales)
         args = argparse.Namespace(fit_range=fit_range)
         unfitted = 0
-        for tag, row in curves.items():
+        for tag, curve in curves.items():
             want = []
-            for c in row:
+            for f2 in curve.f2:
+                c = dataclasses.replace(curve, f2=f2)
                 try:
                     want.append(estimate_hurst(
                         c, cli._fit_range(args, c.scales, c.defined)).hurst)
@@ -562,6 +592,42 @@ class TestMc:
         assert rc == 4
         assert "SMIN > SMAX" in capsys.readouterr().err
         assert not out.exists() and not hout.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_reversed_fit_range_refused_before_sampling(
+            self, tmp_path, capsys, monkeypatch, source):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_stack called")
+
+        monkeypatch.setattr(cli, "sample_stack", no_sampling)
+        argv = ["mc", "--model", '{"kind": "white"}', "--ensemble", "500",
+                "--gap-fraction", "0.2", "--out", str(tmp_path / "mc.csv"),
+                "--hurst-out", str(tmp_path / "mc.json")]
+        if source == "flag":
+            argv += ["--fit-range", "10", "5"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"fit_range": [10, 5]}))
+            argv = ["--config", str(cfg), *argv]
+        assert main(argv) == 4
+        assert "SMIN > SMAX" in capsys.readouterr().err
+
+    def test_failed_second_write_leaves_no_output(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "200",
+                   "--ensemble", "2", "--out", str(out),
+                   "--hurst-out", str(tmp_path / "missing" / "h.json")])
+        assert rc == 3
+        assert not out.exists()
+
+    def test_failed_run_keeps_a_file_it_did_not_create(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        out.write_text("kept\n")
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "200",
+                   "--ensemble", "2", "--out", str(out),
+                   "--hurst-out", str(tmp_path / "missing" / "h.json")])
+        assert rc == 3
+        assert out.exists()
 
     def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
@@ -881,6 +947,123 @@ class TestOutputs:
             main(["weights", "-m", "1", "-s", "8", "--scales", "8",
                   "--out", str(tmp_path / "w.csv")])
         assert exc.value.code == 2
+
+
+MODEL_SPECS = ['{"kind": "white"}', FGN, '{"kind": "fgn", "hurst": 0.2}',
+               '{"kind": "fbm", "hurst": 1.3}', '{"kind": "ou", "tau_c": 5}',
+               '{"kind": "ar1", "phi": 0.6}', '{"kind": "fgn", "hurst": 1.5}',
+               '{"kind": "table", "acvf": [1.0, 0.3]}',
+               '{"kind": "table", "variogram": [0.0, 1.0, 2.0]}',
+               '{"kind": "levy"}', "not json"]
+
+
+def _mostly(good, *bad):
+    """One of the good values three times in four, else one of the bad."""
+    return st.one_of(*[st.sampled_from(good)] * 3, st.sampled_from(bad))
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of one of the six subcommands with small sizes, and the
+    files it reads. Each flag takes a bad value now and then: a series
+    may be scaled to 1e160 or be constant, a fit range reversed, a mask
+    hold a 2, and an output path lie in a missing directory. Paths are
+    relative to the run's directory."""
+    command = draw(st.sampled_from(
+        ["analyze", "expected", "bias", "weights", "simulate", "mc"]))
+    argv, files = [command], {}
+
+    def maybe(flag, strategy):
+        if draw(st.booleans()):
+            value = draw(strategy)
+            argv.extend([flag, *map(str, value if isinstance(value, list)
+                                    else [value])])
+
+    def output(flag):
+        path = draw(_mostly([None, f"{flag[2:]}.out"],
+                            f"missing/{flag[2:]}.out"))
+        if path:
+            argv.extend([flag, path])
+
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if command != "simulate":
+        maybe("-m", _mostly([1, 2, 3], -1, 0, 4))
+    if command not in ("simulate", "weights"):
+        maybe("--scales", st.lists(st.integers(3, 80), min_size=1,
+                                   max_size=4))
+    if command in ("expected", "simulate", "mc"):
+        argv.extend(["--model", draw(_mostly(MODEL_SPECS[:6],
+                                             *MODEL_SPECS[6:]))])
+    if command == "expected":
+        maybe("--hurst", _mostly([0.3, 0.7, 1.4], 1.0, 2.5))
+    if command == "bias":
+        argv.extend(["--hurst", str(draw(_mostly([0.3, 0.7, 1.4],
+                                                 1.0, 2.5)))])
+    if command == "analyze":
+        n = draw(_mostly(list(range(60, 301)), 3, 10))
+        gaps = draw(_mostly([0.0], 0.3))
+        x = rng.normal(size=n) * draw(_mostly([1.0], 1e160, 0.0))
+        files["x.csv"] = "".join(f"{v!r}\n" if ok else "NA\n" for v, ok in
+                                 zip(x.tolist(), rng.random(n) >= gaps))
+        argv.extend(["-i", "x.csv"])
+        maybe("--estimator", st.sampled_from(["standard", "f_hat",
+                                              "f_tilde"]))
+    if command == "weights":
+        if draw(st.booleans()):
+            argv.append("--asymptotic")
+        else:
+            maybe("-s", _mostly(list(range(4, 41)), -1, 0, 3))
+    if command in ("simulate", "mc"):
+        n = draw(_mostly(list(range(60, 301)), -1, 1, 8))
+        argv.extend(["-n", str(n)])
+        maybe("--seed", st.integers(0, 9))
+        maybe("--block-length", _mostly([1.0, 12.0], 0.5))
+        if draw(st.booleans()):
+            argv.extend(["--gap-fraction", str(draw(_mostly([0.2, 0.6],
+                                                            0.0, 1.0)))])
+        elif draw(st.booleans()):
+            cells = (rng.random(max(n, 1)) > 0.2).astype(int)
+            cells[0] = draw(_mostly([1], 2))
+            files["mask.csv"] = "".join(f"{c}\n" for c in cells)
+            argv.extend(["--mask", "mask.csv"])
+    if command == "simulate":
+        maybe("--replicate", st.integers(0, 3))
+    if command == "mc":
+        maybe("--ensemble", _mostly([1, 2, 3], -1, 0))
+    if command in ("analyze", "mc"):
+        maybe("--fit-range", _mostly([[4, 16], [8, 50], [16, 100]],
+                                     [10, 5], [1, 3]))
+        output("--hurst-out")
+    output("--out")
+    return argv, files
+
+
+@settings(max_examples=30, deadline=None)
+@given(cli_argvs())
+def test_any_argv_exits_cleanly(case):
+    """Every argv ends in exit 0, 2, 3 or 4 with no traceback; a failed
+    run leaves no --out or --hurst-out file, a run that succeeds all of
+    them."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in files.items():
+            (tmp / name).write_text(text)
+        argv = [str(tmp / a) if a in files or a.endswith(".out") else a
+                for a in argv]
+        outputs = [Path(argv[i + 1]) for i, a in enumerate(argv)
+                   if a in ("--out", "--hurst-out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+        assert code in (0, 2, 3, 4), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert all(p.exists() == (code == 0) for p in outputs), (
+            code, err.getvalue())
 
 
 class TestConsoleScript:

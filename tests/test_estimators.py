@@ -5,7 +5,9 @@ import pytest
 
 from dfakit import core, estimators
 from dfakit.estimators import (
+    NEGATIVE_SQUARED,
     NO_VALID_PAIRS,
+    FluctuationCurve,
     GappedSeries,
     default_scale_grid,
     dfa,
@@ -346,25 +348,27 @@ class TestFTilde:
 class TestEstimateHurst:
     def test_exact_power_law(self):
         scales = np.array([4, 8, 16, 32, 64])
-        from dfakit.estimators import FluctuationCurve
         curve = FluctuationCurve(
             scales=scales, f2=(2.0 * scales.astype(float) ** 0.7) ** 2,
-            n_windows=np.ones(5, int), estimator="standard",
-            reasons=(None,) * 5)
+            n_windows=np.ones(5, int), estimator="standard")
         fit = estimate_hurst(curve)
         assert fit.hurst == pytest.approx(0.7, abs=1e-12)
         assert np.exp(fit.intercept) == pytest.approx(2.0, rel=1e-10)
 
     def test_skips_undefined_scales(self):
         scales = np.array([4, 8, 16, 32, 64])
-        from dfakit.estimators import FluctuationCurve
         f2 = (1.0 * scales.astype(float) ** 0.5) ** 2
         f2[2] = -1.0
         curve = FluctuationCurve(
             scales=scales, f2=f2, n_windows=np.ones(5, int),
-            estimator="f_hat",
-            reasons=(None, None, "negative-squared-value", None, None))
+            estimator="f_hat")
         assert estimate_hurst(curve).n_points == 4
+
+    def test_rejects_a_stack(self):
+        x = np.random.default_rng(57).normal(size=(2, 200))
+        curve = ensemble(x, None, 1, [8, 16, 32])["standard"]
+        with pytest.raises(ValueError, match="one series"):
+            estimate_hurst(curve)
 
     def test_repeated_scale_has_no_slope(self):
         x = np.random.default_rng(56).normal(size=200)
@@ -381,6 +385,44 @@ class TestEstimateHurst:
         c = dfa(x, 2, default_scale_grid(1368, 2))
         fit = estimate_hurst(c)
         assert fit.hurst == pytest.approx(0.7, abs=0.15)
+
+
+class TestFluctuationCurve:
+    def test_diagnostics_read_off_f2(self):
+        f2 = np.array([[1.0, np.nan, -1.0], [0.0, 2.0, np.nan]])
+        kw = dict(scales=np.array([4, 8, 16]), n_windows=np.array([4, 2, 1]),
+                  estimator="f_hat")
+        stack = FluctuationCurve(f2=f2, **kw)
+        assert stack.defined.tolist() == [[True, False, False],
+                                          [True, True, False]]
+        assert stack.reasons == ((None, NO_VALID_PAIRS, NEGATIVE_SQUARED),
+                                 (None, None, NO_VALID_PAIRS))
+        one = FluctuationCurve(f2=f2[1], **kw)
+        assert one.defined.tolist() == [True, True, False]
+        assert one.reasons == (None, None, NO_VALID_PAIRS)
+
+
+class TestOverflowingF2:
+    """Values too large to square give F^2 = inf (or NaN); the engine
+    refuses them, so that NaN in f2 means only that no pair is present."""
+
+    X = np.random.default_rng(70).normal(size=400) * 1e160
+    MASK = block_gap_mask(400, 0.2, 6.0, seed=71)
+
+    def test_dfa(self):
+        with pytest.raises(NonFiniteValueError, match="scale 10.*rescale"):
+            dfa(self.X, 1, [10, 20, 40, 80])
+
+    @pytest.mark.parametrize("estimator", [f_hat, f_tilde])
+    def test_gapped(self, estimator):
+        with pytest.raises(NonFiniteValueError, match="scale 10.*rescale"):
+            estimator(GappedSeries(self.X, self.MASK), 1, [10, 20, 40, 80])
+
+    @pytest.mark.parametrize("gapped", [False, True])
+    def test_ensemble(self, gapped):
+        x = np.stack([self.X / 1e160, self.X])
+        with pytest.raises(NonFiniteValueError, match="rescale"):
+            ensemble(x, self.MASK if gapped else None, 1, [10, 20])
 
 
 class TestScaleGrid:
@@ -432,11 +474,11 @@ class TestEnsemble:
             for key, ref in (("standard", dfa(row, self.M, scales)),
                              ("f_hat", f_hat(gs, self.M, scales)),
                              ("f_tilde", f_tilde(gs, self.M, scales))):
-                got = curves[key][r]
+                got = curves[key]
                 assert got.estimator == ref.estimator
-                assert got.reasons == ref.reasons
+                assert got.reasons[r] == ref.reasons
                 assert np.array_equal(got.n_windows, ref.n_windows)
-                np.testing.assert_allclose(got.f2, ref.f2, rtol=1e-12)
+                np.testing.assert_allclose(got.f2[r], ref.f2, rtol=1e-12)
 
     def test_blocks_do_not_change_the_result(self, monkeypatch):
         x = self._stack()
@@ -447,8 +489,8 @@ class TestEnsemble:
         monkeypatch.setattr(estimators, "_BLOCK_VALUES", 3 * self.N + 1)
         split = ensemble(x, mask, self.M, scales)
         for key in whole:
-            for a, b in zip(whole[key], split[key]):
-                np.testing.assert_allclose(a.f2, b.f2, rtol=1e-12)
+            for a, b in zip(whole[key].f2, split[key].f2):
+                np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_basis_built_once_per_scale(self, monkeypatch):
         calls = []
@@ -471,15 +513,15 @@ class TestEnsemble:
         x = self._stack(3)
         curves = ensemble(x, None, 0, [8, 20])
         assert list(curves) == ["standard"]
-        assert np.array_equal(curves["standard"][2].f2, dfa(x[2], 0, [8, 20]).f2)
+        assert np.array_equal(curves["standard"].f2[2], dfa(x[2], 0, [8, 20]).f2)
 
     def test_full_mask_collapses_bit_for_bit(self):
         x = self._stack(3)
         curves = ensemble(x, np.ones(self.N, bool), self.M, [8, 20, 50])
         for r in range(3):
-            ref = curves["standard"][r].f2
-            assert np.array_equal(curves["f_hat"][r].f2, ref)
-            assert np.array_equal(curves["f_tilde"][r].f2, ref)
+            ref = curves["standard"].f2[r]
+            assert np.array_equal(curves["f_hat"].f2[r], ref)
+            assert np.array_equal(curves["f_tilde"].f2[r], ref)
 
     def test_bad_input(self):
         x = self._stack(2)
