@@ -28,7 +28,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,16 +44,14 @@ from .estimators import (
 )
 from .core import _check_scale
 from .exceptions import DFAError
-from .expectation import (
-    ExpectedCurve,
-    ScalingConstant,
-    asymptotic_lambda,
-    expected_curve,
-    scaling_model,
-)
+from .expectation import asymptotic_lambda, expected_curve, scaling_model
 from .generators import block_gap_mask, sample, sample_stack
 from .models import model_from_spec
-from .weights import asymptotic_coefficients, weight_function
+from .weights import (
+    asymptotic_coefficients,
+    asymptotic_inverse_gram,
+    weight_function,
+)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -188,14 +185,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _expected_rows(curve: ExpectedCurve, lam: ScalingConstant | None):
+def _expected_rows(scales, ef2, hurst, lam: float | None):
     """Per scale: s, E F^2(s) and, given lambda, lambda s^{2H} and K^2."""
-    for s, ef2 in zip(curve.scales.tolist(), curve.ef2.tolist()):
+    for s, e in zip(scales.tolist(), ef2.tolist()):
         if lam is not None:
-            ls2h = lam.value * float(s) ** (2 * lam.hurst)
-            yield s, ef2, ls2h, ef2 / ls2h
+            ls2h = lam * float(s) ** (2 * float(hurst))
+            yield s, e, ls2h, e / ls2h
         else:
-            yield s, ef2, None, None
+            yield s, e, None, None
 
 
 def cmd_expected(args) -> int:
@@ -204,12 +201,13 @@ def cmd_expected(args) -> int:
     hurst = args.hurst
     if hurst is None:
         hurst = getattr(model, "hurst", None)
-    lam = asymptotic_lambda(args.order, hurst) if hurst is not None else None
     # the whole curve before the output is opened, so that a model that
-    # fails at some scale leaves no partial file
-    curve = expected_curve(model, args.order, scales)
+    # fails at some scale leaves no partial file, and before lambda, so
+    # that an order the curve refuses is refused before its d_q are derived
+    ef2 = expected_curve(model, args.order, scales)
+    lam = asymptotic_lambda(args.order, hurst) if hurst is not None else None
     _write_csv(args.out, args, ["s", "EF2", "lambda_s2H", "K2"],
-               _expected_rows(curve, lam))
+               _expected_rows(scales, ef2, hurst, lam))
     return 0
 
 
@@ -219,23 +217,22 @@ def cmd_bias(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     m, scales = args.order, _scales(args)
+    ef2 = expected_curve(scaling_model(args.hurst), m, scales)
     lam = asymptotic_lambda(m, args.hurst)
-    curve = expected_curve(scaling_model(args.hurst), m, scales)
     _write_csv(args.out, args, ["s", "K2", "K"],
-               ((s, k2, np.sqrt(k2))
-                for s, _, _, k2 in _expected_rows(curve, lam)),
-               comments=[f"# lambda: {repr(lam.value)}"])
+               ((s, k2, np.sqrt(k2)) for s, _, _, k2
+                in _expected_rows(scales, ef2, args.hurst, lam)),
+               comments=[f"# lambda: {repr(lam)}"])
     return 0
 
 
 def cmd_weights(args) -> int:
     if args.asymptotic:
-        coeffs = asymptotic_coefficients(args.order)
         _write_json(args.out, {
             "order": args.order,
-            "d": [str(Fraction(x)) for x in coeffs.d],
+            "d": [str(x) for x in asymptotic_coefficients(args.order)],
             "inverse_gram": [[str(x) for x in row]
-                             for row in coeffs.inverse_gram],
+                             for row in asymptotic_inverse_gram(args.order)],
         })
         return 0
     if args.scale is None:
@@ -259,7 +256,7 @@ def _mask_for(args, n: int) -> np.ndarray | None:
             raise DFAError(f"mask file {args.mask} holds "
                            f"{gs.values.size} values, not {n}")
         return gs.values == 1.0
-    if args.gap_fraction:
+    if args.gap_fraction is not None:
         return block_gap_mask(n, args.gap_fraction, args.block_length,
                               args.seed + 10_000)
     return None

@@ -107,22 +107,6 @@ class GappedSeries:
 
 
 @dataclass(frozen=True)
-class GapWeights:
-    """Pair weights p_{k,j} = (# windows) / (# windows with both present)."""
-
-    p: np.ndarray
-    n_windows: int
-
-    def __post_init__(self):
-        self.p.setflags(write=False)
-
-    @property
-    def defined(self) -> np.ndarray:
-        """The pairs present together in some window."""
-        return self.p > 0
-
-
-@dataclass(frozen=True)
 class FluctuationCurve:
     """F(s) over a scale grid, of a series (f2 (S,)) or of each row of a
     stack ((R, S)), with per-scale diagnostics.
@@ -221,19 +205,21 @@ def _pair_counts(mask: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     return dw, dw.T @ dw
 
 
-def gap_weights(mask, s: int) -> GapWeights:
-    """Per-scale pair weights from the availability mask.
+def gap_weights(mask, s: int) -> np.ndarray:
+    """Per-scale pair weights from the availability mask, as a read-only
+    (s, s) array p.
 
     p_{k,j} = W / (windows where k and j are both present), where
     W = len(mask) // s counts all-missing windows too, as the estimators'
-    1/(sW) does. Pairs present in no window are marked undefined and get
-    weight 0 — the availability factors already remove them from every
-    sum.
+    1/(sW) does. Pairs present in no window get weight 0 (p > 0 marks the
+    pairs present together somewhere) — the availability factors already
+    remove them from every sum.
     """
     dw, counts = _pair_counts(np.asarray(mask, dtype=bool), s)
-    n_win = dw.shape[0]
-    p = np.divide(n_win, counts, out=np.zeros((s, s)), where=counts > 0)
-    return GapWeights(p=p, n_windows=n_win)
+    p = np.divide(dw.shape[0], counts, out=np.zeros((s, s)),
+                  where=counts > 0)
+    p.setflags(write=False)
+    return p
 
 
 # an F^2 that overflows raises NonFiniteValueError, so its warnings say

@@ -24,7 +24,6 @@ finite-size bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,24 +33,6 @@ from .core import _check_scale, weight_matrix
 from .exceptions import NonpositiveCorrectionError, OrderZeroUnsupportedError
 from .models import FBM, FGN, WhiteNoise, check_hurst
 from .weights import asymptotic_coefficients, weight_function
-
-
-@dataclass(frozen=True)
-class ScalingConstant:
-    """Prefactor lambda in E F^2(s) ~ lambda s^{2H}."""
-
-    hurst: float
-    value: float
-
-
-@dataclass(frozen=True)
-class ExpectedCurve:
-    scales: np.ndarray
-    ef2: np.ndarray
-
-    def __post_init__(self):
-        self.scales.setflags(write=False)
-        self.ef2.setflags(write=False)
 
 
 def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
@@ -68,12 +49,13 @@ def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
     return float((a * gam).sum()) / s
 
 
-def expected_curve(model, m: int, scales) -> ExpectedCurve:
-    """E F^2 at each scale of a grid, by the engine the model picks: its
-    acvf at lags 0..s_max-1 if it has one, else its variogram at lags
-    1..s_max-1 (m >= 1). The lag function is evaluated once, out to the
-    largest scale s_max, and each scale's sum reads a prefix of it."""
-    scales = np.array(scales, dtype=int)  # a copy: the curve freezes it
+def expected_curve(model, m: int, scales) -> np.ndarray:
+    """E F^2 at each scale of a grid, as a read-only array of the grid's
+    shape (S,), by the engine the model picks: its acvf at lags
+    0..s_max-1 if it has one, else its variogram at lags 1..s_max-1
+    (m >= 1). The lag function is evaluated once, out to the largest
+    scale s_max, and each scale's sum reads a prefix of it."""
+    scales = np.asarray(scales, dtype=int)
     stationary = hasattr(model, "acvf")
     if not stationary and m < 1 and scales.size:
         raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
@@ -91,12 +73,14 @@ def expected_curve(model, m: int, scales) -> ExpectedCurve:
                 ef2[i] = float(g[0] * lags[0] + 2.0 * (g[1:] @ lags[1:s])) / s
             else:
                 ef2[i] = -float(g[1:] @ lags[:s - 1]) / s
-    return ExpectedCurve(scales=scales, ef2=ef2)
+    ef2.setflags(write=False)
+    return ef2
 
 
 @lru_cache(maxsize=128, typed=True)
-def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
-    """Scaling prefactor lambda_{m,H} from the expansion coefficients.
+def asymptotic_lambda(m: int, hurst) -> float:
+    """Scaling prefactor lambda_{m,H} in E F^2(s) ~ lambda s^{2H}, from
+    the expansion coefficients.
 
     lambda = 2H(2H-1) sum_q d_q/(q+2H-1)   for stationary H != 1/2,
     lambda = d_0                           for white noise H = 1/2,
@@ -111,7 +95,7 @@ def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
         raise ValueError("scaling constant needs order >= 1")
     hf = float(hurst)
     check_hurst(hf)
-    d = asymptotic_coefficients(m).d
+    d = asymptotic_coefficients(m)
     exact = isinstance(hurst, Fraction)
     if hf == 0.5:
         lam = d[0] if exact else float(d[0])
@@ -127,7 +111,7 @@ def asymptotic_lambda(m: int, hurst) -> ScalingConstant:
     if value <= 0:
         raise NonpositiveCorrectionError(
             f"lambda_{{{m},{hf}}} came out nonpositive")
-    return ScalingConstant(hurst=hf, value=value)
+    return value
 
 
 def scaling_model(hurst: float):
@@ -145,8 +129,8 @@ def correction_function(m: int, hurst: float, s: int) -> float:
     with E F^2(s) the exact expectation of the unit-variance reference
     model of scaling_model(hurst)."""
     _check_scale(m, s)
-    lam = asymptotic_lambda(m, hurst).value
-    ef2 = expected_curve(scaling_model(hurst), m, [s]).ef2[0]
+    ef2 = expected_curve(scaling_model(hurst), m, [s])[0]
+    lam = asymptotic_lambda(m, hurst)
     return float(ef2 / (lam * float(s) ** (2.0 * hurst)))
 
 

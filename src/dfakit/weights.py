@@ -20,9 +20,12 @@ and weight_function evaluate it in float64 in O(s) time and memory,
 within 3.3e-16 of max|G| of the exact value for m = 0..6 (measured at
 every lag of each s <= 64 and of s = 100, 300 and 1000, and at 100
 random lags of s = 8000 and 2^16), and for m = 7, 8 within 2.4e-16
-at 24 lags of s = 1000, 8000 and 2^16 and 1.4e-15 at s = 10. These
-checks cover m <= 8 only: at s = m + 2 the error was 1.8e-14 and
-6.0e-14 of max|G| for m = 10 and 12, where the Bernstein terms cancel.
+at 24 lags of s = 1000, 8000 and 2^16 and 1.4e-15 at s = 10. Above
+m = 8 the Bernstein terms cancel at small scales: at s = m + 2 the
+error was 8.2e-15, 1.8e-14 and 6.0e-14 of max|G| for m = 9, 10 and 12.
+So the float evaluation takes orders up to MAX_FLOAT_ORDER = 8 and
+raises DFAError above, before the closed form of the order is derived;
+closed_form_g and the d_q below, which are exact, take every order.
 For large s,
 
     G(j, s) ~ sum_q d_q s^{2-q} j^q     (j > 0),   G(0, s) ~ d_0 s^2,
@@ -36,7 +39,6 @@ asymptotic_inverse_gram, is reported next to the d_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -45,15 +47,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _check_scale
+from .exceptions import DFAError
 
-
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """Exact expansion coefficients d_0..d_{2m+3} and the stripped
-    inverse Gram matrix of the same order."""
-
-    d: tuple[Fraction, ...]
-    inverse_gram: tuple[tuple[Fraction, ...], ...]
+#: the highest order whose G closed_form_g_values evaluates in float64
+MAX_FLOAT_ORDER = 8
 
 
 @lru_cache(maxsize=256)
@@ -61,9 +58,9 @@ def weight_function(m: int, s: int) -> np.ndarray:
     """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix,
     j = 0..s-1, as a cached array that raises on write.
 
-    Every order takes the one closed form (closed_form_g_values): O(s)
-    time and memory per scale; see the module docstring for its
-    derivation and precision.
+    Every order up to MAX_FLOAT_ORDER takes the one closed form
+    (closed_form_g_values): O(s) time and memory per scale; see the
+    module docstring for its derivation and precision.
     """
     g = closed_form_g_values(m, s)
     g.setflags(write=False)
@@ -216,9 +213,14 @@ def closed_form_g_values(m: int, s: int) -> np.ndarray:
     (1-x)^{-2m}, so they hardly cancel (see the module docstring for the
     measured error); Horner in x itself was 3.5e-15 of max|G| off at
     m = 6, s = 10. Lets the expectation engines reach scales where the
-    s x s weight matrix would be too large to build.
+    s x s weight matrix would be too large to build. Raises DFAError for
+    an order above MAX_FLOAT_ORDER.
     """
     m, s = int(m), int(s)
+    if m > MAX_FLOAT_ORDER:
+        raise DFAError(f"order {m}: G is evaluated in floating point for "
+                       f"orders up to {MAX_FLOAT_ORDER} only, as above that "
+                       "its terms cancel at small scales")
     _check_scale(m, s)
     cf = _closed_form(m)
     den = cf.denominator * _denominator(m, s) * s ** (2 * m)
@@ -272,8 +274,9 @@ def asymptotic_inverse_gram(m: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def asymptotic_coefficients(m: int) -> AsymptoticCoefficients:
-    """Read d_0..d_{2m+3} off the closed form of G (order m >= 1).
+def asymptotic_coefficients(m: int) -> tuple[Fraction, ...]:
+    """The exact d_0..d_{2m+3}, read off the closed form of G (order
+    m >= 1).
 
     N = (j-s-1)(j-s)(j-s+1) Q has total degree 2m+3, and its top terms
     d_p j^p s^{2m+3-p} give G ~ N / s^{2m+1}. The cubic's top part is
@@ -287,19 +290,17 @@ def asymptotic_coefficients(m: int) -> AsymptoticCoefficients:
         raise ValueError("asymptotic coefficients need order >= 1")
     cf, n = _closed_form(m), 2 * m
     top = [cf.quotient[p][n - p] for p in range(n + 1)]
-    d = tuple(Fraction(sum(comb(3, i) * (-1) ** (3 - i) * top[p - i]
-                           for i in range(4) if 0 <= p - i <= n),
-                       cf.denominator)
-              for p in range(n + 4))
-    return AsymptoticCoefficients(d=d,
-                                  inverse_gram=asymptotic_inverse_gram(m))
+    return tuple(Fraction(sum(comb(3, i) * (-1) ** (3 - i) * top[p - i]
+                              for i in range(4) if 0 <= p - i <= n),
+                          cf.denominator)
+                 for p in range(n + 4))
 
 
 def asymptotic_weight(m: int, j: int, s: int) -> float:
     """Large-s approximation of G(j, s)."""
     if not 0 <= j <= s - 1:
         raise ValueError(f"lag {j} outside 0..{s - 1}")
-    d = asymptotic_coefficients(m).d
+    d = asymptotic_coefficients(m)
     if j == 0:
         return float(d[0]) * s**2
     return float(sum(dq * Fraction(s) ** (2 - q) * Fraction(j) ** q

@@ -248,6 +248,18 @@ def test_lag_function_evaluated_once_per_command(tmp_path, monkeypatch, argv,
     assert calls == [s_max]
 
 
+@pytest.mark.parametrize("argv", [
+    ["weights", "-m", "9", "-s", "20"],
+    ["expected", "--model", '{"kind": "fgn", "hurst": 0.7}', "-m", "9"],
+    ["bias", "-m", "9", "--hurst", "0.7"],
+], ids=["weights", "expected", "bias"])
+def test_order_above_float_cap_exit_4(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 4
+    assert "order 9" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBias:
     def test_k2_column(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -403,6 +415,17 @@ class TestSimulate:
         rc = main(_with_gap_fraction(argv, 0.5, source, tmp_path))
         assert rc == 4
         assert "exclude each other" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_zero_gap_fraction_exit_4(self, tmp_path, capsys, source):
+        # 0 is a fraction outside (0, 1), not "no mask"
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--model", '{"kind": "white"}', "-n", "200",
+                "--out", str(out)]
+        rc = main(_with_gap_fraction(argv, 0, source, tmp_path))
+        assert rc == 4
+        assert "(0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_simulate_then_analyze(self, tmp_path):
@@ -561,6 +584,17 @@ class TestMc:
         rc = main(_with_gap_fraction(argv, 0.2, source, tmp_path))
         assert rc == 4
         assert "exclude each other" in capsys.readouterr().err
+        assert not out.exists() and not hout.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_zero_gap_fraction_exit_4(self, tmp_path, capsys, source):
+        out, hout = tmp_path / "mc.csv", tmp_path / "mc.json"
+        argv = ["mc", "--model", '{"kind": "white"}', "-n", "200",
+                "--ensemble", "2", "--out", str(out), "--hurst-out",
+                str(hout)]
+        rc = main(_with_gap_fraction(argv, 0, source, tmp_path))
+        assert rc == 4
+        assert "(0, 1)" in capsys.readouterr().err
         assert not out.exists() and not hout.exists()
 
     def test_unfitted_replicate_is_null(self, tmp_path):

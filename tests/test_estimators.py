@@ -68,7 +68,7 @@ class TestDfa:
         scales = [16, 64, 256, 1024]
         c = dfa(x, 2, scales)
         for i, s in enumerate(scales):
-            expect = expected_curve(FGN(0.7), 2, [s]).ef2[0]
+            expect = expected_curve(FGN(0.7), 2, [s])[0]
             w = n // s
             # crude per-scale standard error from window spread
             se = expect * np.sqrt(2.0 * s / n) * 3
@@ -81,24 +81,25 @@ class TestDfa:
 
 class TestGapWeights:
     def test_no_gaps(self):
-        gw = gap_weights(np.ones(20, bool), 5)
-        assert np.all(gw.p == 1.0)
-        assert gw.defined.all()
+        p = gap_weights(np.ones(20, bool), 5)
+        assert np.all(p == 1.0)
+        assert (p > 0).all()
+        assert not p.flags.writeable
 
     def test_half_windows_missing_pair(self):
         mask = np.ones(20, bool)
         mask[2] = False   # kills pairs involving k=3 in window 0
         mask[7] = False   # and k=3 in window 1; windows 2,3 intact
-        gw = gap_weights(mask, 5)
-        assert gw.p[2, 0] == pytest.approx(2.0)
-        assert gw.p[0, 0] == pytest.approx(1.0)
+        p = gap_weights(mask, 5)
+        assert p[2, 0] == pytest.approx(2.0)
+        assert p[0, 0] == pytest.approx(1.0)
 
     def test_pair_never_present(self):
         mask = np.ones(10, bool)
         mask[np.arange(10) % 5 == 2] = False  # position 3 of every window
-        gw = gap_weights(mask, 5)
-        assert not gw.defined[2, 2]
-        assert gw.p[2, 2] == 0.0
+        p = gap_weights(mask, 5)
+        assert not (p > 0)[2, 2]
+        assert p[2, 2] == 0.0
 
     def test_all_pairs_missing(self):
         with pytest.raises(AllPairsMissingError):
@@ -107,7 +108,8 @@ class TestGapWeights:
     def test_empty_window_numerator_flag(self):
         mask = np.ones(20, bool)
         mask[5:10] = False  # window 1 fully missing
-        assert gap_weights(mask, 5).n_windows == 4
+        # W = 4 counts it: pair (0, 0) is present in 3 windows of 4
+        assert gap_weights(mask, 5)[0, 0] == 4 / 3
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_weighted_pair_sums_are_unbiased(self, m):
@@ -119,17 +121,17 @@ class TestGapWeights:
         w = n // s
         dw = mask.reshape(w, s).astype(int)
         counts = dw.T @ dw
-        gw = gap_weights(mask, s)
-        assert gw.defined.all() and not dw.any(axis=1).all()
-        pa_counts = gw.p * weight_matrix(m, s).entries * counts
+        p = gap_weights(mask, s)
+        assert (p > 0).all() and not dw.any(axis=1).all()
+        pa_counts = p * weight_matrix(m, s).entries * counts
         lag = np.abs(np.subtract.outer(np.arange(s), np.arange(s)))
         for h in (0.3, 0.7):
             got = (pa_counts * FGN(h).acvf(lag)).sum() / (s * w)
-            want = expected_curve(FGN(h), m, [s]).ef2[0]
+            want = expected_curve(FGN(h), m, [s])[0]
             assert got == pytest.approx(want, rel=1e-11)
         for h in (1.1, 1.6):
             got = -(pa_counts * FBM(h).variogram(lag)).sum() / (2 * s * w)
-            want = expected_curve(FBM(h), m, [s]).ef2[0]
+            want = expected_curve(FBM(h), m, [s])[0]
             assert got == pytest.approx(want, rel=1e-11)
 
 
@@ -236,7 +238,7 @@ def _longdouble_reference(x, mask, m, s):
     """f_hat and f_tilde from their pairwise and product definitions with
     the dense pair weights p * A, summed in extended precision."""
     w = x.size // s
-    pa = (gap_weights(mask, s).p.astype(np.longdouble)
+    pa = (gap_weights(mask, s).astype(np.longdouble)
           * weight_matrix(m, s).entries.astype(np.longdouble))
     xw = np.where(mask, x, 0.0)[: w * s].reshape(w, s).astype(np.longdouble)
     dw = mask[: w * s].reshape(w, s)
@@ -282,7 +284,7 @@ class TestEngineMatchesDenseRoute:
         gs = GappedSeries(x, mask)
         hat = f_hat(gs, m, scales)
         tilde = f_tilde(gs, m, scales)
-        assert not gap_weights(mask, 8).defined.all()
+        assert not (gap_weights(mask, 8) > 0).all()
         assert hat.reasons[-1] == tilde.reasons[-1] == NO_VALID_PAIRS
         with pytest.raises(AllPairsMissingError):
             gap_weights(mask, 110)

@@ -157,9 +157,9 @@ class TestStationaryToVariogram:
                   "table": AcvfTable(tuple(0.9 ** np.arange(4096)))}
         for name, model in models.items():
             for m in range(1, 5):
-                direct = expected_curve(model, m, [s]).ef2[0]
+                direct = expected_curve(model, m, [s])[0]
                 via_var = expected_curve(DerivedVariogram(model), m,
-                                         [s]).ef2[0]
+                                         [s])[0]
                 assert via_var == pytest.approx(direct, rel=1e-9), (name, m)
 
 
@@ -184,7 +184,7 @@ class TestModelObjects:
         kernel = tab.acvf(idx[:, None] - idx[None, :])
         size = np.abs(weight_matrix(m, s).entries * kernel).sum() / s
         got = expected_f2_general(lambda t1, t2: tab.acvf(t1 - t2), m, s)
-        ref = expected_curve(tab, m, [s]).ef2[0]
+        ref = expected_curve(tab, m, [s])[0]
         assert abs(got - ref) <= 1e-12 * size
 
     def test_table_variogram_rejects_negative_lag(self):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from dfakit.core import weight_matrix
+from dfakit.exceptions import DFAError
 from dfakit.weights import (
+    MAX_FLOAT_ORDER,
     _closed_form,
     asymptotic_coefficients,
     asymptotic_inverse_gram,
@@ -158,6 +160,31 @@ class TestClosedForm:
             exact = closed_form_g(m, j, s, exact=True)
             assert abs(Fraction(g[j]) - exact) <= tol, j
 
+    @pytest.mark.parametrize("m", range(MAX_FLOAT_ORDER + 1))
+    def test_small_scales_match_exact(self, m):
+        # the Horner terms cancel most at small scales: every lag of each
+        # s = m+2..6m+2
+        for s in range(m + 2, 6 * m + 3):
+            g = weight_function(m, s)
+            tol = Fraction(2e-15) * Fraction(np.abs(g).max())
+            for j in range(s):
+                exact = closed_form_g(m, j, s, exact=True)
+                assert abs(Fraction(g[j]) - exact) <= tol, (s, j)
+
+    @pytest.mark.parametrize("evaluate", [closed_form_g_values,
+                                          weight_function])
+    def test_float_order_capped(self, evaluate):
+        misses = _closed_form.cache_info().misses
+        with pytest.raises(DFAError, match="order 9"):
+            evaluate(MAX_FLOAT_ORDER + 1, 20)
+        # refused before the closed form of the order is derived
+        assert _closed_form.cache_info().misses == misses
+
+    def test_exact_paths_take_every_order(self):
+        m = MAX_FLOAT_ORDER + 1
+        assert len(asymptotic_coefficients(m)) == 2 * m + 4
+        assert closed_form_g(m, m + 1, m + 2, exact=True) == 0
+
     @pytest.mark.parametrize("m", range(7))
     def test_exact_matches_fraction_matrix(self, m):
         # the form is fitted on scales 2m+3..4m+3; check it off the fit
@@ -185,7 +212,7 @@ class TestClosedForm:
         lead = [sum(comb(3, i) * (-1) ** (3 - i) * top[p - i]
                     for i in range(4) if 0 <= p - i <= deg)
                 for p in range(deg + 4)]
-        assert tuple(lead) == asymptotic_coefficients(m).d
+        assert tuple(lead) == asymptotic_coefficients(m)
 
     def test_vector_matches_scalar(self):
         cf = closed_form_g_values(2, 40)
@@ -219,24 +246,24 @@ class TestInverseGram:
 class TestAsymptoticCoefficients:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_exact_rows(self, m):
-        got = asymptotic_coefficients(m).d
+        got = asymptotic_coefficients(m)
         want = tuple(Fraction(x) for x in D_TABLE[m])
         assert got == want
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_d1_is_minus_half(self, m):
-        assert asymptotic_coefficients(m).d[1] == Fraction(-1, 2)
+        assert asymptotic_coefficients(m)[1] == Fraction(-1, 2)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_moment_identity(self, m):
         # the rows of A sum to zero, so G(0, s) + 2 sum_{j>0} G(j, s) = 0;
         # at leading order in s that is sum_q d_q / (q + 1) = 0
-        d = asymptotic_coefficients(m).d
+        d = asymptotic_coefficients(m)
         assert sum(dq / (q + 1) for q, dq in enumerate(d)) == 0
 
     def test_length(self):
         for m in range(1, 8):
-            assert len(asymptotic_coefficients(m).d) == 2 * m + 4
+            assert len(asymptotic_coefficients(m)) == 2 * m + 4
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_matches_large_scale_weights(self, m):
@@ -244,7 +271,7 @@ class TestAsymptoticCoefficients:
         # expansion polynomial evaluated at that ratio
         s = 4096
         g = weight_function(m, s)
-        d = [float(x) for x in asymptotic_coefficients(m).d]
+        d = [float(x) for x in asymptotic_coefficients(m)]
         for ratio in (0.1, 0.25, 0.5, 0.75):
             j = int(round(ratio * s))
             poly = sum(dq * (j / s) ** q for q, dq in enumerate(d))
