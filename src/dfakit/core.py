@@ -14,8 +14,10 @@ ways: directly from the windowed profile, as the quadratic form
 x^T A x / s in the raw window, or as a weighted sum of squared pairwise
 differences. An orthonormal basis U of the row space of B comes from
 the Gram-polynomial recurrence on the recentred abscissae t - (s+1)/2,
-in O(m s); recentring leaves the span, so Q and A do not change. Building
-A = D^T D - V^T V, V = U^T D, holds two s x s arrays: A and V^T V.
+in O(m s); recentring leaves the span, so Q and A do not change. A is
+built as D^T D - V^T V, V = U^T D, a tile of b rows at a time (the
+dense A is the one tile of s rows), and V^T V a chunk of rows at a time,
+so a tile holds its own b x s array and one chunk's product.
 """
 
 from __future__ import annotations
@@ -78,14 +80,42 @@ def _orthonormal_rowspace(m: int, s: int) -> np.ndarray:
     return u[:-1].T
 
 
-def _weight_entries(u: np.ndarray) -> np.ndarray:
-    """A = D^T D - V^T V from the s x (m+1) basis U, with V = U^T D the
-    suffix sums of U and (D^T D)_{ij} = min(s + 1 - i, s + 1 - j)."""
-    r = np.arange(u.shape[0], 0, -1, dtype=float)
-    a = np.minimum.outer(r, r)
-    vt = np.cumsum(u[::-1], axis=0)[::-1]
-    a -= vt @ vt.T
-    return a
+#: V^T V is formed in row chunks of about this many values
+_CHUNK_VALUES = 2 ** 18
+
+
+def _weight_rows(u: np.ndarray, width: int):
+    """The rows of A = D^T D - V^T V from the s x (m+1) basis U, in tiles
+    of ``width``: yields (rows, A[rows, :]), a fresh C-ordered array each.
+    A is symmetric, so a tile is also the columns A[:, rows], transposed
+    (to the bit up to s = 512, where V^T V is one chunk; to rounding
+    above).
+
+    V = U^T D holds the suffix sums of U, formed once, and
+    (D^T D)_{ij} = min(s + 1 - i, s + 1 - j). V^T V is formed in chunks
+    of max(1, _CHUNK_VALUES // s) rows that depend on s alone, not on
+    the tile: a matrix product's rounding depends on its shape, and so
+    the same chunk, always the same product, gives every entry of A to
+    the bit whatever the width. A tile overlapping part of a chunk forms
+    the whole chunk.
+    """
+    s = u.shape[0]
+    r = np.arange(s, 0, -1, dtype=float)
+    v = np.cumsum(u[::-1], axis=0)[::-1].T.copy()  # V, (m+1) x s
+    chunk = max(1, min(s, _CHUNK_VALUES // s))
+    for lo in range(0, s, width):
+        hi = min(lo + width, s)
+        a = np.minimum.outer(r[lo:hi], r)
+        for q in range(lo - lo % chunk, hi, chunk):
+            i0, i1 = max(q, lo), min(q + chunk, hi)
+            a[i0 - lo:i1 - lo] -= (v[:, q:q + chunk].T @ v)[i0 - q:i1 - q]
+        yield slice(lo, hi), a
+
+
+def weight_matrix(m: int, s: int) -> WeightMatrix:
+    """Construct A = D^T (I - Q) D, as one tile of _weight_rows."""
+    u = _orthonormal_rowspace(m, s)
+    return WeightMatrix(m, s, next(_weight_rows(u, s))[1])
 
 
 def hat_matrix(m: int, s: int) -> np.ndarray:
@@ -105,11 +135,6 @@ def apply_residual_projection(m: int, window: np.ndarray) -> np.ndarray:
 def cumulative_sum_matrix(s: int) -> np.ndarray:
     """Lower-triangular all-ones matrix D: (D x) is the running sum of x."""
     return np.tril(np.ones((s, s)))
-
-
-def weight_matrix(m: int, s: int) -> WeightMatrix:
-    """Construct A = D^T (I - Q) D (see _weight_entries)."""
-    return WeightMatrix(m, s, _weight_entries(_orthonormal_rowspace(m, s)))
 
 
 def profile(series: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ replicates that share one availability mask, as ``ensemble``. A curve is
 its F^2 array, (S,) or (R, S): ``defined`` (F^2 >= 0) and ``reasons``
 (NaN, no valid pairs; negative) are read off it. Per scale, the pieces
 that depend only on (m, s, mask) are built once for the stack: the
-Gram-polynomial basis U of ``core``, the availability windows Delta, the
-kernel B and Delta B^T.
+Gram-polynomial basis U of ``core``, the availability windows Delta and
+the tiles of the kernel B.
 
 * Gap-free input is detrended directly: F^2(s) is the mean over windows
   of |y - (y U) U^T|^2 / s, with y = cumsum(x_w) the window's profile
@@ -35,12 +35,21 @@ kernel B and Delta B^T.
   estimators; the other terms cost O(R W s). An all-missing window has
   y_c = 0 and delta = 0 and adds exactly 0. B, the pair weights p * A of
   ``gap_weights`` (p = W / pair counts, W counting all-missing windows
-  too), is built in place from A and the pair counts, with at most two
-  s x s arrays live.
+  too), is never held whole: it is built and applied in tiles of
+  b = max(1, _BLOCK_VALUES // s) rows, which, B being symmetric, are
+  its columns J transposed. Each tile B[J, :] =
+  A[J, :] W / max(counts[J, :], 1) is formed once per scale, from the
+  suffix sums V of U and the pair counts (Delta^T Delta)[J, :], and
+  applied to every block of replicates; the tiles add up the quadratic
+  form, Delta B^T and f_tilde's offset terms. Below s = 1024 a tile is
+  the whole of B; above, no scale holds an s x s array.
 
-Replicates go through in blocks of about 2^20 values (at least one
-replicate), so the temporaries per scale take O(block n) memory besides
-the O(s^2) of B.
+Replicates go through in blocks of about _BLOCK_VALUES = 2^20 values (at
+least one replicate), so memory per scale is O(_BLOCK_VALUES + block n):
+f_hat at n = 16384 (s up to 4096) peaked at 25 MiB, where the dense B
+took 257 MiB. Compute is not bounded: it stays O(R n s) per scale, so
+O(R n sum s) over a grid, about 10^10 multiply-adds per pass at
+n = 10^5 on the default grid and 10^12 at 10^6 (minutes on 2 CPUs).
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _orthonormal_rowspace, _weight_entries
+from .core import _orthonormal_rowspace, _weight_rows
 from .exceptions import (
     AllPairsMissingError,
     NonFiniteValueError,
@@ -193,8 +202,8 @@ def dfa(series, m: int, scales) -> FluctuationCurve:
     return _curve(x, None, m, scales, ("standard",))["standard"]
 
 
-def _pair_counts(mask: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delta (W x s) and the pair counts Delta^T Delta of gap_weights."""
+def _availability(mask: np.ndarray, s: int) -> np.ndarray:
+    """Delta (W x s), the availability of each window as 0.0 or 1.0."""
     dw = _windows(mask, s).astype(float)
     if dw.shape[0] == 0:
         raise ScaleExceedsLengthError(f"scale {s} exceeds mask length")
@@ -202,7 +211,18 @@ def _pair_counts(mask: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
         raise AllPairsMissingError(
             f"no pair is present in any window at scale {s}"
         )
-    return dw, dw.T @ dw
+    return dw
+
+
+def _kernel_tiles(u: np.ndarray, dw: np.ndarray):
+    """The one walk over A and the pair counts of a scale: yields
+    (J, A[J, :], (Delta^T Delta)[J, :]) in tiles of
+    max(1, _BLOCK_VALUES // s) rows, fresh arrays each, so that no tile
+    holds more than about _BLOCK_VALUES values once s^2 exceeds it. Both
+    matrices are symmetric: a tile, transposed, is the columns J."""
+    s = u.shape[0]
+    for rows, a in _weight_rows(u, max(1, _BLOCK_VALUES // s)):
+        yield rows, a, dw[:, rows].T @ dw
 
 
 def gap_weights(mask, s: int) -> np.ndarray:
@@ -215,7 +235,8 @@ def gap_weights(mask, s: int) -> np.ndarray:
     pairs present together somewhere) — the availability factors already
     remove them from every sum.
     """
-    dw, counts = _pair_counts(np.asarray(mask, dtype=bool), s)
+    dw = _availability(np.asarray(mask, dtype=bool), s)
+    counts = dw.T @ dw
     p = np.divide(dw.shape[0], counts, out=np.zeros((s, s)),
                   where=counts > 0)
     p.setflags(write=False)
@@ -253,73 +274,16 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
         s = int(s)
         size = (n // s) * s
         u = _orthonormal_rowspace(m, s)
-        b = None  # frees the last scale's kernel before this one is built
-        if gapped:
-            b = _weight_entries(u)
-            try:
-                dw, counts = _pair_counts(mask, s)
-            except AllPairsMissingError:
-                b = None
-            else:
-                # B = A W / max(counts, 1), in place; the counts come after
-                # A, so two s x s arrays are live. A pair with count 0 is
-                # never present together: B gives the sums of p * A.
-                np.maximum(counts, 1.0, out=counts)
-                b *= np.divide(n // s, counts, out=counts)
-                del counts
-                # the correction term's weights: (Y*Y) . (Delta B^T) is
-                # <B, (Y*Y)^T Delta>
-                dbw = dw @ b.T  # row w is B delta_w
-                dbt = dbw.ravel()
-                self_weights = np.einsum("ws,ws->w", dw, dbw)  # delta.B delta
-                first = dw.argmax(axis=1)
-        for lo in range(0, reps, block):
-            rows = slice(lo, lo + block)
-            if direct:
-                xw = _windows(stack[rows], s)
-                # one buffer, detrended in place: the windows, their
-                # profiles and the residuals
-                y = np.empty(xw.shape)
-                if m >= 1:
-                    # a constant shift adds a ramp to the profile, which
-                    # the fit removes; shifting by a window value keeps
-                    # the profile small and makes a constant window give
-                    # exactly zero
-                    np.subtract(xw, xw[..., :1], out=y)
-                else:
-                    y[...] = xw
-                y = y.reshape(-1, s)
-                np.cumsum(y, axis=1, out=y)
-                y -= (y @ u) @ u.T
-                val = _row_dot(y, y, xw.shape[0]) / size
-                for e in direct:
-                    f2[e][rows, i] = val
-            if b is not None:
-                yw = _windows(xz[rows], s)
-                # the pairwise form is invariant to a shift of each
-                # window; centring on a present value stops its two terms
-                # from cancelling in floating point
-                shift = yw[:, np.arange(yw.shape[1]), first]
-                yc = yw - shift[..., None]
-                yc *= dw
-                # per replicate, the sum over windows of yc^T B yc: the
-                # one (R W, s) x (s, s) product of the scale
-                flat = yc.reshape(-1, s)
-                quad = _row_dot(flat @ b, flat, yc.shape[0])
-                if "f_hat" in gapped:
-                    sq = (yc * yc).reshape(yc.shape[0], -1)
-                    f2["f_hat"][rows, i] = (quad - sq @ dbt) / size
-                if "f_tilde" in gapped:
-                    # yw = yc + shift delta and B is symmetric, so
-                    # yw^T B yw = yc^T B yc + 2 shift (yc . B delta)
-                    #             + shift^2 (delta . B delta)
-                    cross = np.einsum("rws,ws->rw", yc, dbw)
-                    f2["f_tilde"][rows, i] = (
-                        quad + 2.0 * _row_dot(shift, cross, shift.shape[0])
-                        + (shift * shift) @ self_weights) / size
+        if direct:
+            val = _residual_sums(stack, u, block) / size
+            for e in direct:
+                f2[e][:, i] = val
+        sums = _gapped_sums(xz, mask, u, block, gapped) if gapped else None
+        for e, total in (sums or {}).items():
+            f2[e][:, i] = total / size
         # only a value too large to square overflows; NaN is left to mean
         # that no window holds a present pair
-        done = direct + (gapped if b is not None else [])
+        done = direct + (gapped if sums is not None else [])
         if not all(np.isfinite(f2[e][:, i]).all() for e in done):
             raise NonFiniteValueError(
                 f"F^2 at scale {s} is not finite; rescale the series")
@@ -327,6 +291,97 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
     return {e: FluctuationCurve(scales=scales, f2=v if x.ndim == 2 else v[0],
                                 n_windows=nw, estimator=e)
             for e, v in f2.items()}
+
+
+def _residual_sums(stack: np.ndarray, u: np.ndarray,
+                   block: int) -> np.ndarray:
+    """Per replicate of the stack (R, n), the sum over windows of the
+    squared residuals of the detrended profiles, at the scale of the
+    basis u."""
+    s, m = u.shape[0], u.shape[1] - 1
+    out = np.empty(stack.shape[0])
+    for lo in range(0, stack.shape[0], block):
+        rows = slice(lo, lo + block)
+        xw = _windows(stack[rows], s)
+        # one buffer, detrended in place: the windows, their profiles and
+        # the residuals
+        y = np.empty(xw.shape)
+        if m >= 1:
+            # a constant shift adds a ramp to the profile, which the fit
+            # removes; shifting by a window value keeps the profile small
+            # and makes a constant window give exactly zero
+            np.subtract(xw, xw[..., :1], out=y)
+        else:
+            y[...] = xw
+        y = y.reshape(-1, s)
+        np.cumsum(y, axis=1, out=y)
+        y -= (y @ u) @ u.T
+        out[rows] = _row_dot(y, y, xw.shape[0])
+    return out
+
+
+def _gapped_sums(xz: np.ndarray, mask: np.ndarray, u: np.ndarray,
+                 block: int, gapped: list[str]) -> dict | None:
+    """Per replicate of the zero-filled stack xz (R, n), the window sum of
+    each gapped estimator at the scale of u (F^2 times s W), or None when
+    no window holds a present pair.
+
+    B is walked in the tiles of _kernel_tiles, each built once and
+    applied to every block of replicates. The centred windows are formed
+    once if the stack is one block, else once per tile and block.
+    """
+    reps, s = xz.shape[0], u.shape[0]
+    try:
+        dw = _availability(mask, s)
+    except AllPairsMissingError:
+        return None
+    nw = dw.shape[0]
+    # the pairwise form is invariant to a shift of each window; centring
+    # on a present value stops its two terms from cancelling in floating
+    # point
+    shift = _windows(xz, s)[:, np.arange(nw), dw.argmax(axis=1)]
+
+    def centred(rows):
+        yc = _windows(xz[rows], s) - shift[rows, :, None]
+        yc *= dw
+        return yc
+
+    held = centred(slice(None)) if reps <= block else None
+    quad, corr, cross = np.zeros(reps), np.zeros(reps), np.zeros(reps)
+    self_weights = np.zeros(nw)  # delta . B delta
+    for cols, b, counts in _kernel_tiles(u, dw):
+        # B[cols, :] = A[cols, :] W / max(counts, 1), in place. A pair
+        # with count 0 is never present together: B gives the sums of
+        # p * A. B is symmetric, so b.T is the columns B[:, cols].
+        np.maximum(counts, 1.0, out=counts)
+        b *= np.divide(nw, counts, out=counts)
+        del counts
+        b = b.T
+        # row w of Delta B[:, cols] is (B delta_w)[cols]
+        dbw = dw @ b
+        self_weights += np.einsum("wk,wk->w", dw[:, cols], dbw)
+        for lo in range(0, reps, block):
+            rows = slice(lo, lo + block)
+            yc = centred(rows) if held is None else held
+            r = yc.shape[0]
+            flat = yc.reshape(-1, s)
+            part = yc[..., cols]
+            # the one (R W, s) x (s, b) product of the tile
+            quad[rows] += _row_dot(flat @ b, part, r)
+            if "f_hat" in gapped:
+                corr[rows] += (part * part).reshape(r, -1) @ dbw.ravel()
+            if "f_tilde" in gapped:
+                cross[rows] += _row_dot(
+                    shift[rows], np.einsum("rwk,wk->rw", part, dbw), r)
+    sums = {}
+    if "f_hat" in gapped:
+        sums["f_hat"] = quad - corr
+    if "f_tilde" in gapped:
+        # yw = yc + shift delta, so yw^T B yw = yc^T B yc
+        # + 2 shift (yc . B delta) + shift^2 (delta . B delta)
+        sums["f_tilde"] = (quad + 2.0 * cross
+                           + (shift * shift) @ self_weights)
+    return sums
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray, reps: int) -> np.ndarray:
@@ -343,7 +398,8 @@ def f_hat(gs: GappedSeries, m: int, scales) -> FluctuationCurve:
     turns negative are flagged undefined; the raw value is kept in f2.
 
     Memory per scale is O(n) for gap-free input; with gaps it is
-    O(n + s^2) (two s x s arrays at the peak), and time O(n s).
+    O(n + _BLOCK_VALUES), B being walked in tiles (see the module
+    docstring), and time O(n s).
     """
     return _curve(gs.values, gs.mask, m, scales, ("f_hat",))["f_hat"]
 
@@ -357,7 +413,7 @@ def f_tilde(gs: GappedSeries, m: int, scales) -> FluctuationCurve:
     cancels and the estimator is biased.
 
     Memory per scale is O(n) for gap-free input; with gaps it is
-    O(n + s^2) (two s x s arrays at the peak), and time O(n s).
+    O(n + _BLOCK_VALUES), as for f_hat, and time O(n s).
 
     Precision: the window offsets c enter only through the scalar terms
     2 c (y_c . B delta) + c^2 (delta . B delta) added to f_hat's centred

@@ -215,6 +215,10 @@ def closed_form_g_values(m: int, s: int) -> np.ndarray:
     m = 6, s = 10. Lets the expectation engines reach scales where the
     s x s weight matrix would be too large to build. Raises DFAError for
     an order above MAX_FLOAT_ORDER.
+
+    Memory: the result plus two s-length scratch arrays, w and u. The
+    Horner sum runs in the result; u then holds w^2 and 1 - w^2, which
+    are exact for s < 2^26, so G(s-1, s) is exactly 0.
     """
     m, s = int(m), int(s)
     if m > MAX_FLOAT_ORDER:
@@ -225,19 +229,20 @@ def closed_form_g_values(m: int, s: int) -> np.ndarray:
     cf = _closed_form(m)
     den = cf.denominator * _denominator(m, s) * s ** (2 * m)
     a = [_poly_at(row, s) / den for row in cf.ratio]
-    j = np.arange(s, dtype=float)
-    w = s - j
-    u = np.divide(j, w, out=j)
-    acc = np.full(s, a[-1])
+    w = np.arange(s, 0, -1, dtype=float)  # w = s - j
+    u = np.arange(s, dtype=float)
+    u /= w
+    g = np.full(s, a[-1])
     for ak in a[-2::-1]:
-        acc *= u
-        acc += ak
-    w2 = w * w
-    g = 1.0 - w2
+        g *= u
+        g += ak
+    # the prefactor -w (w^2 - 1) w^{2m}, one factor at a time
     g *= w
+    np.multiply(w, w, out=u)
     for _ in range(m):
-        g *= w2
-    g *= acc
+        g *= u
+    np.subtract(1.0, u, out=u)
+    g *= u
     return g
 
 

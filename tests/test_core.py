@@ -8,6 +8,7 @@ import pytest
 
 from dfakit.core import (
     _orthonormal_rowspace,
+    _weight_rows,
     apply_residual_projection,
     cumulative_sum_matrix,
     design_matrix,
@@ -162,6 +163,23 @@ class TestWeightMatrix:
         x2 = rng.normal(size=s) ** 2
         total = (a * (x2[:, None] + x2[None, :])).sum()
         assert abs(total) < 1e-8 * np.abs(a).max()
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_tiles_equal_dense_bit_for_bit(self, m):
+        # the gapped estimators walk A in tiles whose width depends on s;
+        # f_tilde's offset terms amplify a last-bit change of A, so every
+        # width must give the same bits (at s = 1500 V^T V takes several
+        # chunks, which the tiles straddle)
+        for s, widths in ((m + 2, (1,)), (37, (1, 3, 7)), (300, (7, 299)),
+                          (1500, (200, 499))):
+            dense = weight_matrix(m, s).entries
+            u = _orthonormal_rowspace(m, s)
+            for width in widths:
+                tiled = np.empty((s, s))
+                for rows, a in _weight_rows(u, width):
+                    assert a.shape == (rows.stop - rows.start, s)
+                    tiled[rows] = a
+                assert np.array_equal(tiled, dense), (s, width)
 
     def test_cumsum_matrix(self):
         d = cumulative_sum_matrix(4)

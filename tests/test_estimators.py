@@ -1,5 +1,7 @@
 """Tests for the sample and gap-tolerant estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,84 @@ class TestEngineMatchesDenseRoute:
             ref_hat, ref_tilde = _longdouble_reference(x, mask, m, s)
             assert hat.f2[i] == pytest.approx(ref_hat, rel=1e-12)
             assert tilde.f2[i] == pytest.approx(ref_tilde, rel=1e-12)
+
+
+class TestKernelTiles:
+    """The engine walks B in tiles of max(1, _BLOCK_VALUES // s) columns;
+    the tiles must give the dense route's sums at every width."""
+
+    # TestEngineMatchesDenseRoute's data: empty windows, a pair never
+    # present at s = 8, no present point at s = 110
+    N, M, SCALES = 200, 2, (5, 8, 10, 17, 30, 110)
+
+    def _data(self, offset, reps=1):
+        rng = np.random.default_rng(60)
+        x = np.cumsum(rng.normal(size=(reps, self.N)), axis=1) + offset
+        mask = rng.random(self.N) > 0.25
+        mask[:110] = False
+        mask[np.arange(self.N) % 8 == 3] = False
+        return x, mask
+
+    @staticmethod
+    def _tile_width(monkeypatch, width, s):
+        # _BLOCK_VALUES sets the replicate blocks too: narrow tiles also
+        # take the path that centres the windows once per tile and block
+        monkeypatch.setattr(estimators, "_BLOCK_VALUES", width * s)
+
+    @pytest.mark.parametrize("width", [1, 3, "s"])
+    @pytest.mark.parametrize("offset", [5.0, 1e3])
+    def test_estimators_match_dense_reference(self, monkeypatch, width,
+                                              offset):
+        x, mask = self._data(offset)
+        gs = GappedSeries(x[0], mask)
+        for s in self.SCALES:
+            self._tile_width(monkeypatch, s if width == "s" else width, s)
+            hat = f_hat(gs, self.M, [s])
+            tilde = f_tilde(gs, self.M, [s])
+            if s == 110:
+                assert hat.reasons[0] == tilde.reasons[0] == NO_VALID_PAIRS
+                continue
+            ref_hat, ref_tilde = _longdouble_reference(x[0], mask, self.M, s)
+            assert hat.f2[0] == pytest.approx(ref_hat, rel=1e-12)
+            assert tilde.f2[0] == pytest.approx(ref_tilde, rel=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 3, "s"])
+    def test_ensemble_matches_dense_route(self, monkeypatch, width):
+        x, mask = self._data(20.0, reps=5)
+        dense = ensemble(x, mask, self.M, self.SCALES)
+        for i, s in enumerate(self.SCALES):
+            self._tile_width(monkeypatch, s if width == "s" else width, s)
+            tiled = ensemble(x, mask, self.M, [s])
+            for key in dense:
+                np.testing.assert_allclose(tiled[key].f2[:, 0],
+                                           dense[key].f2[:, i], rtol=1e-12)
+
+    def test_walker_yields_dense_a_and_counts(self, monkeypatch):
+        _, mask = self._data(0.0)
+        s = 17
+        u = core._orthonormal_rowspace(self.M, s)
+        dw = estimators._availability(mask, s)
+        monkeypatch.setattr(estimators, "_BLOCK_VALUES", 4 * s)
+        tiles = list(estimators._kernel_tiles(u, dw))
+        assert [c.stop - c.start for c, _, _ in tiles] == [4] * 4 + [1]
+        a = np.vstack([t[1] for t in tiles])
+        counts = np.vstack([t[2] for t in tiles])
+        assert np.array_equal(a, weight_matrix(self.M, s).entries)
+        assert np.array_equal(counts, dw.T @ dw)
+
+    def test_f_hat_memory_bounded(self):
+        # two dense s x s arrays at s = 4096 took 257 MiB
+        n, m = 16384, 2
+        x = sample(FGN(0.7), n, seed=3)
+        gs = GappedSeries(x, block_gap_mask(n, 0.2, 10.0, seed=4))
+        scales = default_scale_grid(n, m)
+        tracemalloc.start()
+        try:
+            f_hat(gs, m, scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestBadInput:

@@ -87,6 +87,22 @@ class TestFgn:
         back = np.fft.ifft(lam).real[:n]
         assert np.abs(back - gamma).max() < 1e-10
 
+    @pytest.mark.parametrize("h", [0.99, 0.999])
+    def test_embedding_nonnegative_at_a_million(self, h):
+        # an acvf off by eps tau^2 at long lags made the minimum -0.197
+        # (H = 0.99) and -0.234 (H = 0.999) at n = 10^6
+        from dfakit.generators import _circulant_eigenvalues
+        n = 2**20
+        model = FGN(h)
+        lam = _circulant_eigenvalues(np.asarray(model.acvf(np.arange(n))),
+                                     float(model.acvf(n)))
+        assert lam.min() >= 0
+
+    def test_sample_at_a_million(self):
+        x = sample(FGN(0.99), 2**20, 0)
+        assert x.shape == (2**20,)
+        assert np.isfinite(x).all()
+
     def test_variance_scaling(self):
         a = sample(FGN(0.6, 1.0), 256, seed=5)
         b = sample(FGN(0.6, 4.0), 256, seed=5)

@@ -1,5 +1,7 @@
 """Tests for the correlation-structure models."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,53 @@ class TestFgnAcvf:
     def test_domain(self):
         with pytest.raises(ValueError):
             FGN(1.2, 1.0).acvf(1)
+
+    @staticmethod
+    def _reference(h, tau):
+        """gamma(tau) at 50 digits, t^{2H} = exp(2H ln t); the second
+        difference loses about 12 of them at lag 2^20."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            two_h = 2 * Decimal(h)
+
+            def power(t):
+                return (two_h * Decimal(t).ln()).exp() if t else Decimal(0)
+
+            return float((power(tau + 1) - 2 * power(tau)
+                          + power(abs(tau - 1))) / 2)
+
+    @pytest.mark.parametrize("h", [0.01, 0.2, 0.45, 0.49, 0.51, 0.55, 0.7,
+                                   0.9, 0.99, 0.999])
+    def test_matches_extended_precision(self, h):
+        lags = np.union1d(np.arange(80), np.unique(np.round(
+            np.geomspace(1, 2**20, 40)).astype(int)))
+        got = FGN(h).acvf(lags)
+        ref = np.array([self._reference(h, int(t)) for t in lags])
+        err = np.abs(got - ref) / np.abs(ref)
+        far = lags >= 64
+        assert err[far].max() <= 1e-14
+        # below lag 64 the three-power difference, no worse than it was
+        t = lags[~far].astype(float)
+        direct = 0.5 * (np.abs(t + 1) ** (2 * h) - 2 * t ** (2 * h)
+                        + np.abs(t - 1) ** (2 * h))
+        assert np.all(err[~far] <= np.abs(direct - ref[~far])
+                      / np.abs(ref[~far]))
+
+    def test_lag_shapes(self):
+        fgn = FGN(0.7, 2.0)
+        lags = np.array([[0, -3, 70], [-100, 5, 1]])
+        got = fgn.acvf(lags)
+        assert got.shape == lags.shape
+        assert np.array_equal(got, fgn.acvf(np.abs(lags).ravel()).reshape(
+            lags.shape))
+        assert fgn.acvf(-70) == fgn.acvf(70) == got[0, 2]
+        assert np.ndim(fgn.acvf(3)) == 0
+        assert float(fgn.acvf(0)) == 2.0
+
+    def test_rejects_fractional_lag_below_series(self):
+        # the table below lag 64 is indexed by the lag
+        with pytest.raises(ValueError, match="integers"):
+            FGN(0.7).acvf(2.5)
 
 
 class TestFgnAsymptotic:
