@@ -32,17 +32,19 @@ the tiles of the kernel B.
       y^T B y = y_c^T B y_c + 2 c (y_c . B delta) + c^2 (delta . B delta),
 
   and one (R W, s) x (s, s) product Y_c B per scale serves both
-  estimators; the other terms cost O(R W s). An all-missing window has
-  y_c = 0 and delta = 0 and adds exactly 0. B, the pair weights p * A of
-  ``gap_weights`` (p = W / pair counts, W counting all-missing windows
-  too), is never held whole: it is built and applied in tiles of
+  estimators, whose sums are always formed together; the other terms
+  cost O(R W s). An all-missing window has y_c = 0 and delta = 0 and
+  adds exactly 0. B, the pair weights p * A of ``gap_weights``
+  (p = W / pair counts, W counting all-missing windows too), is never
+  held whole: it is built and applied in tiles of
   b = max(1, _BLOCK_VALUES // s) rows, which, B being symmetric, are
   its columns J transposed. Each tile B[J, :] =
   A[J, :] W / max(counts[J, :], 1) is formed once per scale, from the
   suffix sums V of U and the pair counts (Delta^T Delta)[J, :], and
-  applied to every block of replicates; the tiles add up the quadratic
-  form, Delta B^T and f_tilde's offset terms. Below s = 1024 a tile is
-  the whole of B; above, no scale holds an s x s array.
+  applied to every block of replicates, whose centred windows are
+  formed there; the tiles add up the quadratic form, Delta B^T and
+  f_tilde's offset terms. Below s = 1024 a tile is the whole of B;
+  above, no scale holds an s x s array.
 
 Replicates go through in blocks of about _BLOCK_VALUES = 2^20 values (at
 least one replicate), so memory per scale is O(_BLOCK_VALUES + block n):
@@ -262,31 +264,27 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
     stack = np.atleast_2d(x)
     reps, n = stack.shape
     _check_scales(n, scales)
-    if mask is not None and mask.all():
-        mask = None
-    gapped = [] if mask is None else [e for e in estimators
-                                      if e != "standard"]
-    direct = [e for e in estimators if e not in gapped]
-    xz = np.where(mask, stack, 0.0) if gapped else stack
+    gap_free = mask is None or bool(mask.all())
+    xz = None if gap_free else np.where(mask, stack, 0.0)
     f2 = {e: np.full((reps, scales.size), np.nan) for e in estimators}
     block = max(1, _BLOCK_VALUES // n)
     for i, s in enumerate(scales):
         s = int(s)
-        size = (n // s) * s
         u = _orthonormal_rowspace(m, s)
-        if direct:
-            val = _residual_sums(stack, u, block) / size
-            for e in direct:
-                f2[e][:, i] = val
-        sums = _gapped_sums(xz, mask, u, block, gapped) if gapped else None
-        for e, total in (sums or {}).items():
-            f2[e][:, i] = total / size
+        if gap_free:
+            sums = dict.fromkeys(estimators, _residual_sums(stack, u, block))
+        else:
+            sums = _gapped_sums(xz, mask, u, block) or {}
+            if "standard" in estimators:
+                sums["standard"] = _residual_sums(stack, u, block)
         # only a value too large to square overflows; NaN is left to mean
         # that no window holds a present pair
-        done = direct + (gapped if sums is not None else [])
-        if not all(np.isfinite(f2[e][:, i]).all() for e in done):
-            raise NonFiniteValueError(
-                f"F^2 at scale {s} is not finite; rescale the series")
+        for e in estimators:
+            if e in sums:
+                f2[e][:, i] = sums[e] / ((n // s) * s)
+                if not np.isfinite(f2[e][:, i]).all():
+                    raise NonFiniteValueError(
+                        f"F^2 at scale {s} is not finite; rescale the series")
     nw = n // scales
     return {e: FluctuationCurve(scales=scales, f2=v if x.ndim == 2 else v[0],
                                 n_windows=nw, estimator=e)
@@ -305,15 +303,10 @@ def _residual_sums(stack: np.ndarray, u: np.ndarray,
         xw = _windows(stack[rows], s)
         # one buffer, detrended in place: the windows, their profiles and
         # the residuals
-        y = np.empty(xw.shape)
-        if m >= 1:
-            # a constant shift adds a ramp to the profile, which the fit
-            # removes; shifting by a window value keeps the profile small
-            # and makes a constant window give exactly zero
-            np.subtract(xw, xw[..., :1], out=y)
-        else:
-            y[...] = xw
-        y = y.reshape(-1, s)
+        # a constant shift adds a ramp to the profile, which the fit
+        # removes; shifting by a window value keeps the profile small and
+        # makes a constant window give exactly zero
+        y = (xw - xw[..., :1] if m >= 1 else xw.copy()).reshape(-1, s)
         np.cumsum(y, axis=1, out=y)
         y -= (y @ u) @ u.T
         out[rows] = _row_dot(y, y, xw.shape[0])
@@ -321,14 +314,14 @@ def _residual_sums(stack: np.ndarray, u: np.ndarray,
 
 
 def _gapped_sums(xz: np.ndarray, mask: np.ndarray, u: np.ndarray,
-                 block: int, gapped: list[str]) -> dict | None:
-    """Per replicate of the zero-filled stack xz (R, n), the window sum of
-    each gapped estimator at the scale of u (F^2 times s W), or None when
+                 block: int) -> dict | None:
+    """Per replicate of the zero-filled stack xz (R, n), the window sums
+    of f_hat and f_tilde at the scale of u (F^2 times s W), or None when
     no window holds a present pair.
 
     B is walked in the tiles of _kernel_tiles, each built once and
-    applied to every block of replicates. The centred windows are formed
-    once if the stack is one block, else once per tile and block.
+    applied to every block of replicates, whose centred windows are
+    formed there.
     """
     reps, s = xz.shape[0], u.shape[0]
     try:
@@ -336,19 +329,13 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray, u: np.ndarray,
     except AllPairsMissingError:
         return None
     nw = dw.shape[0]
-    # the pairwise form is invariant to a shift of each window; centring
-    # on a present value stops its two terms from cancelling in floating
-    # point
     shift = _windows(xz, s)[:, np.arange(nw), dw.argmax(axis=1)]
-
-    def centred(rows):
-        yc = _windows(xz[rows], s) - shift[rows, :, None]
-        yc *= dw
-        return yc
-
-    held = centred(slice(None)) if reps <= block else None
     quad, corr, cross = np.zeros(reps), np.zeros(reps), np.zeros(reps)
     self_weights = np.zeros(nw)  # delta . B delta
+    # the centred windows of a replicate block, one buffer for every
+    # tile: a fresh array per tile made the heap shrink and refault on
+    # every tile (5x the page faults of f_hat at n = 10^5)
+    buf = np.empty((min(reps, block), nw, s))
     for cols, b, counts in _kernel_tiles(u, dw):
         # B[cols, :] = A[cols, :] W / max(counts, 1), in place. A pair
         # with count 0 is never present together: B gives the sums of
@@ -362,26 +349,23 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray, u: np.ndarray,
         self_weights += np.einsum("wk,wk->w", dw[:, cols], dbw)
         for lo in range(0, reps, block):
             rows = slice(lo, lo + block)
-            yc = centred(rows) if held is None else held
-            r = yc.shape[0]
-            flat = yc.reshape(-1, s)
+            # the pairwise form is invariant to a shift of each window;
+            # centring on a present value stops its two terms from
+            # cancelling in floating point
+            xw = _windows(xz[rows], s)
+            r = len(xw)
+            yc = np.subtract(xw, shift[rows, :, None], out=buf[:r])
+            yc *= dw
             part = yc[..., cols]
             # the one (R W, s) x (s, b) product of the tile
-            quad[rows] += _row_dot(flat @ b, part, r)
-            if "f_hat" in gapped:
-                corr[rows] += (part * part).reshape(r, -1) @ dbw.ravel()
-            if "f_tilde" in gapped:
-                cross[rows] += _row_dot(
-                    shift[rows], np.einsum("rwk,wk->rw", part, dbw), r)
-    sums = {}
-    if "f_hat" in gapped:
-        sums["f_hat"] = quad - corr
-    if "f_tilde" in gapped:
-        # yw = yc + shift delta, so yw^T B yw = yc^T B yc
-        # + 2 shift (yc . B delta) + shift^2 (delta . B delta)
-        sums["f_tilde"] = (quad + 2.0 * cross
-                           + (shift * shift) @ self_weights)
-    return sums
+            quad[rows] += _row_dot(yc.reshape(-1, s) @ b, part, r)
+            corr[rows] += (part * part).reshape(r, -1) @ dbw.ravel()
+            cross[rows] += _row_dot(
+                shift[rows], np.einsum("rwk,wk->rw", part, dbw), r)
+    # yw = yc + shift delta, so yw^T B yw = yc^T B yc
+    # + 2 shift (yc . B delta) + shift^2 (delta . B delta)
+    return {"f_hat": quad - corr,
+            "f_tilde": quad + 2.0 * cross + (shift * shift) @ self_weights}
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray, reps: int) -> np.ndarray:

@@ -6,7 +6,8 @@ Gaussian series from any model with an autocovariance (white noise,
 fGn, OU, AR(1), an acvf table) through one circulant embedding
 (Davies-Harte), which reproduces the target autocovariance exactly at
 every lag. The acvf and the embedding's eigenvalues are computed once
-per stack, and one inverse FFT runs over each block of rows;
+per stack, and one real inverse FFT of the Hermitian half of the
+spectrum (entries 0..n of 2n) runs over each block of rows;
 sample(model, n, seed, replicate) is its one-row case, so a row of a
 stack equals the sample of its key bit for bit. For fGn the 2n
 embedding is nonnegative in exact arithmetic for every H (Craigmile
@@ -79,7 +80,7 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     out = np.empty((len(keys), n))
     if lam.min() >= 0:
         m = 2 * n
-        root = np.sqrt(lam)
+        root = np.sqrt(lam[:n + 1])
         # rows go through in blocks, so the complex temporaries take
         # O(block n) memory
         block = max(1, estimators._BLOCK_VALUES // n)
@@ -89,14 +90,13 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
             v = np.empty((len(rows), m))
             for row, r in zip(v, rows):
                 _rng(seed, r).standard_normal(out=row)
-            z = np.empty((len(rows), m), dtype=complex)
+            z = np.empty((len(rows), n + 1), dtype=complex)
             z[:, 0] = v[:, 0]
             z[:, n] = v[:, 1]
             z[:, 1:n] = (v[:, 2::2] + 1j * v[:, 3::2]) / np.sqrt(2)
-            z[:, n + 1:] = np.conj(z[:, n - 1:0:-1])
             z *= root
-            out[lo:lo + len(rows)] = np.sqrt(m) * np.fft.ifft(
-                z, axis=1).real[:, :n]
+            out[lo:lo + len(rows)] = np.sqrt(m) * np.fft.irfft(
+                z, m, axis=1)[:, :n]
         return out
     if n > _CHOLESKY_MAX_N:
         raise EmbeddingError(

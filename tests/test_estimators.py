@@ -315,7 +315,7 @@ class TestKernelTiles:
     @staticmethod
     def _tile_width(monkeypatch, width, s):
         # _BLOCK_VALUES sets the replicate blocks too: narrow tiles also
-        # take the path that centres the windows once per tile and block
+        # split a stack into blocks of few replicates
         monkeypatch.setattr(estimators, "_BLOCK_VALUES", width * s)
 
     @pytest.mark.parametrize("width", [1, 3, "s"])
@@ -505,6 +505,18 @@ class TestOverflowingF2:
         x = np.stack([self.X / 1e160, self.X])
         with pytest.raises(NonFiniteValueError, match="rescale"):
             ensemble(x, self.MASK if gapped else None, 1, [10, 20])
+
+    def test_offset_overflows_f_tilde_only(self):
+        # f_tilde's shift^2 (delta . B delta) overflows at an offset
+        # f_hat's centred windows never see; the engine forms both sums,
+        # and only the estimators asked for are checked
+        x = np.random.default_rng(72).normal(size=400) * 1e145 + 1e155
+        gs = GappedSeries(x, self.MASK)
+        assert np.isfinite(f_hat(gs, 1, [10, 20, 40]).f2).all()
+        with pytest.raises(NonFiniteValueError, match="rescale"):
+            f_tilde(gs, 1, [10, 20, 40])
+        with pytest.raises(NonFiniteValueError, match="rescale"):
+            ensemble(x[None], self.MASK, 1, [10, 20, 40])
 
 
 class TestScaleGrid:

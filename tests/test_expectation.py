@@ -106,6 +106,23 @@ class TestScalingConstant:
             for h in (0.1, 0.49, 0.51, 0.95, 1.05, 1.5, 1.95):
                 assert asymptotic_lambda(m, h) > 0
 
+    def test_float_hurst_is_exact(self):
+        # the d_q alternate in sign and cancel, so a sum of rounded
+        # float terms is off in the last digits (up to 5e-7 at m = 8);
+        # lambda at a float H must be the rounded exact value at that H
+        def exact(m, h):
+            h, d = Fraction(h), asymptotic_coefficients(m)
+            if h == Fraction(1, 2):
+                return float(d[0])
+            total = sum(dq / (q + 2 * h - 1) for q, dq in enumerate(d))
+            return float(2 * h * (2 * h - 1) * total if h < 1 else -total)
+
+        grid = [*np.linspace(0.001, 0.999, 25),
+                *np.linspace(1.001, 1.999, 25), 0.5]
+        for m in range(1, 9):
+            for h in map(float, grid):
+                assert asymptotic_lambda(m, h) == exact(m, h), (m, h)
+
     def test_domain(self):
         for bad in (0.0, 1.0, 2.0, -0.3, 2.5):
             with pytest.raises(ValueError):

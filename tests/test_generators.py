@@ -156,6 +156,27 @@ class TestSampleStack:
         for row, r in zip(stack, self.KEYS):
             assert np.array_equal(row, sample(model, n, 13, r))
 
+    @pytest.mark.parametrize("model", [FGN(0.7), AR1(0.9)],
+                             ids=["fgn", "ar1"])
+    @pytest.mark.parametrize("n", [1368, 2**16])
+    def test_half_spectrum_matches_full_synthesis(self, model, n):
+        # Davies-Harte over the whole 2n spectrum, the conjugate half
+        # mirrored in, as the reference for the Hermitian-half draw
+        from dfakit.generators import _circulant_eigenvalues, _rng
+        lam = _circulant_eigenvalues(np.asarray(model.acvf(np.arange(n))),
+                                     float(model.acvf(n)))
+        keys = (0, 5)
+        full = np.empty((len(keys), n))
+        for row, r in zip(full, keys):
+            v = _rng(9, r).standard_normal(2 * n)
+            z = np.empty(2 * n, dtype=complex)
+            z[0], z[n] = v[0], v[1]
+            z[1:n] = (v[2::2] + 1j * v[3::2]) / np.sqrt(2)
+            z[n + 1:] = np.conj(z[n - 1:0:-1])
+            row[:] = (np.sqrt(2 * n)
+                      * np.fft.ifft(z * np.sqrt(lam)).real[:n])
+        assert np.abs(sample_stack(model, n, 9, keys) - full).max() < 1e-13
+
     @pytest.mark.parametrize("model", [FGN(0.3), FBM(1.6)],
                              ids=["fgn", "fbm"])
     def test_blocks_do_not_change_the_stack(self, monkeypatch, model):
