@@ -175,8 +175,9 @@ def default_scale_grid(n: int, m: int, count: int = 30) -> np.ndarray:
             f"series of length {n} cannot hold the minimum scale {lo}"
         )
     hi = max(n // 4, lo)
-    grid = np.unique(np.round(np.geomspace(lo, hi, count)).astype(int))
-    return grid[(grid >= lo) & (grid <= hi)]
+    # geomspace ends at lo and hi exactly and rounds to a nondecreasing grid
+    grid = np.round(np.geomspace(lo, hi, count)).astype(int)
+    return grid[np.diff(grid, prepend=lo - 1) > 0]
 
 
 def _check_scales(n: int, scales: np.ndarray) -> None:
@@ -435,34 +436,32 @@ def ensemble(samples, mask, m: int, scales) -> dict[str, FluctuationCurve]:
 
 
 def _hurst_fits(scales: np.ndarray, f2: np.ndarray, s_min, s_max):
-    """OLS fits of log F against log s, one per row of f2 (R, S), over
-    the scales where a row has F^2 > 0 (so defined), in [s_min, s_max]
-    (scalars or one per row). Rows that select the same scales are
-    fitted together. Returns the selection (R, S), whether each row could
-    be fitted (>= 3 scales, not all equal) and, per row, the slope,
-    intercept and residual std, NaN where it could not."""
+    """OLS fits of log F against log s in one masked pass over the rows of
+    f2 (R, S), each over its scales with F^2 > 0 (so defined) in
+    [s_min, s_max] (scalars or one per row). Returns the selection, whether
+    each row could be fitted (>= 3 scales, not all equal) and, per row,
+    the slope, intercept and residual std, NaN where it could not."""
     sel = ((f2 > 0)  # F^2 = 0 (a constant series) has no log
            & (scales >= np.asarray(s_min)[..., None])
            & (scales <= np.asarray(s_max)[..., None]))
-    ok = np.zeros(len(f2), dtype=bool)
+    k = sel.sum(1)
+    per = np.maximum(k, 1)[:, None]  # no 0 / 0 in a row with no scale
+    # log s as offsets from the largest selected one (all are >= 0): equal
+    # scales then give dx = 0 exactly, where their mean need not round
+    logs = np.log(scales.astype(float))
+    x0 = np.where(sel, logs, 0.0).max(1, initial=0.0)[:, None]
+    xy = np.where(sel, [logs - x0, 0.5 * np.log(np.where(sel, f2, 1.0))], 0.0)
+    means = xy.sum(2, keepdims=True) / per
+    dx, dy = np.where(sel, xy - means, 0.0)
+    sxx = (dx * dx).sum(1)
+    ok = (k >= 3) & (sxx > 0)
     fits = np.full((3, len(f2)), np.nan)
-    groups, group_of = np.unique(sel, axis=0, return_inverse=True)
-    group_of = group_of.reshape(-1)
-    for k, cols in enumerate(groups):
-        # one distinct scale leaves the slope undefined (0 / 0)
-        if cols.sum() < 3 or np.ptp(scales[cols]) == 0:
-            continue
-        rows = group_of == k
-        logs = np.log(scales[cols].astype(float))
-        logf = 0.5 * np.log(f2[np.ix_(rows, cols)])
-        mean_f = logf.mean(axis=1)
-        dx, dy = logs - logs.mean(), logf - mean_f[:, None]
-        slope = (dy @ dx) / (dx @ dx)
-        resid = dy - slope[:, None] * dx
-        ok[rows] = True
-        fits[:, rows] = (slope, mean_f - slope * logs.mean(),
-                         resid.std(axis=1, ddof=2))
-    return sel, ok, *fits
+    slope = np.divide((dx * dy).sum(1), sxx, out=fits[0], where=ok)[:, None]
+    fits[1] = (means[1] - slope * (x0 + means[0]))[:, 0]
+    resid = dy - slope * dx
+    resid = np.where(sel, resid - resid.sum(1, keepdims=True) / per, 0.0)
+    np.divide((resid * resid).sum(1), k - 2, out=fits[2], where=ok)
+    return sel, ok, fits[0], fits[1], np.sqrt(fits[2])
 
 
 def estimate_hurst(curve: FluctuationCurve,

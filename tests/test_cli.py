@@ -910,6 +910,32 @@ def _run_module(argv, cwd):
                           capture_output=True, text=True, env=env)
 
 
+def test_mc_and_analyze_leave_numpy_ma_unloaded(tmp_path):
+    """np.unique imports numpy.ma on its first call (tens of ms of CPU);
+    the Hurst fit and the default grid do without it, so a fresh
+    interpreter that runs mc (default grid, gapped) and a gapped analyze
+    never loads it."""
+    x = sample(FGNModel(0.7, 1.0), 400, seed=5)
+    write_series(tmp_path / "x.csv", x, block_gap_mask(400, 0.2, 6.0, seed=6))
+    script = f"""
+import sys
+from dfakit.cli import main
+d = {str(tmp_path)!r}
+assert main(["mc", "--model", '{{"kind": "fgn", "hurst": 0.7}}',
+             "-n", "300", "--ensemble", "3", "--gap-fraction", "0.2",
+             "--out", d + "/mc.csv", "--hurst-out", d + "/mc.json"]) == 0
+assert main(["analyze", "-i", d + "/x.csv", "--estimator", "f_hat",
+             "--out", d + "/a.csv", "--hurst-out", d + "/a.json"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dfakit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+
+
 class TestOutputs:
     @pytest.mark.parametrize("argv, header, key", [
         (["analyze", "-i", "x.csv"], "scale,F,F_squared,n_windows,defined",

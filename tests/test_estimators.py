@@ -457,10 +457,53 @@ class TestEstimateHurst:
         with pytest.raises(TooFewPointsError):
             estimate_hurst(dfa(x, 1, [8, 8, 8]))
 
+    def test_no_scales_has_no_fit(self):
+        curve = FluctuationCurve(scales=np.array([], int), f2=np.array([]),
+                                 n_windows=np.array([], int),
+                                 estimator="standard")
+        with pytest.raises(TooFewPointsError):
+            estimate_hurst(curve, fit_range=(4, 16))
+
     def test_too_few_points(self):
         c = dfa(np.arange(100, dtype=float) % 7, 1, [4, 8, 16])
         with pytest.raises(TooFewPointsError):
             estimate_hurst(c, fit_range=(4, 5))
+
+    def test_masked_fit_equals_per_row_ols(self):
+        # rows with different selections in one call: per-row ranges,
+        # NaN, negative and zero F^2, two scales, one repeated scale (the
+        # rounded mean of three log 6 is not log 6), none
+        scales = np.array([4, 6, 6, 6, 8, 12, 16, 24, 32, 48, 64, 96])
+        rng = np.random.default_rng(58)
+        f2 = (np.exp(rng.normal(0.0, 0.1, (7, scales.size)))
+              * scales ** rng.uniform(0.2, 3.8, (7, 1)))
+        f2[1, [0, 5]] = np.nan
+        f2[1, [2, 9]] *= -1.0
+        f2[4, 3:5] = 0.0
+        f2[5, -1] = np.nan
+        f2[6] = np.nan
+        s_min = np.array([4, 6, 6, 12, 4, 16, 4])
+        s_max = np.array([96, 64, 6, 16, 96, 96, 96])
+        sel, ok, slope, intercept, resid_std = estimators._hurst_fits(
+            scales, f2, s_min, s_max)
+        ref_sel = (f2 > 0) & (scales >= s_min[:, None]) & (
+            scales <= s_max[:, None])
+        assert np.array_equal(sel, ref_sel)
+        assert ok.tolist() == [True, True, False, False, True, True, False]
+        for r in range(len(f2)):
+            cols = ref_sel[r]
+            assert ok[r] == (cols.sum() >= 3 and np.ptp(scales[cols]) > 0)
+            if not ok[r]:
+                assert np.isnan([slope[r], intercept[r], resid_std[r]]).all()
+                continue
+            x = np.log(scales[cols].astype(float))
+            y = 0.5 * np.log(f2[r, cols])
+            b, a = np.polyfit(x, y, 1)
+            resid = y - (a + b * x)
+            assert slope[r] == pytest.approx(b, abs=1e-12)
+            assert intercept[r] == pytest.approx(a, abs=1e-12)
+            assert resid_std[r] == pytest.approx(np.std(resid, ddof=2),
+                                                 abs=1e-12)
 
     def test_fgn_recovers_hurst(self):
         x = sample(FGN(0.7, 1.0), 1368, 55)

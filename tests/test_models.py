@@ -88,6 +88,15 @@ class TestFgnAcvf:
         assert np.all(err[~far] <= np.abs(direct - ref[~far])
                       / np.abs(ref[~far]))
 
+    @pytest.mark.parametrize("h", [0.01, 0.2, 0.45, 0.49, 0.51, 0.55, 0.7,
+                                   0.9, 0.99, 0.999])
+    def test_near_lags_match_extended_precision(self, h):
+        # the three-power difference was off by up to 5.3e-11 here
+        lags = np.arange(1, 64)
+        ref = np.array([self._reference(h, int(t)) for t in lags])
+        err = np.abs(FGN(h).acvf(lags) - ref) / np.abs(ref)
+        assert err.max() <= 1e-14
+
     def test_lag_shapes(self):
         fgn = FGN(0.7, 2.0)
         lags = np.array([[0, -3, 70], [-100, 5, 1]])
@@ -100,7 +109,8 @@ class TestFgnAcvf:
         assert float(fgn.acvf(0)) == 2.0
 
     def test_rejects_fractional_lag_below_series(self):
-        # the table below lag 64 is indexed by the lag
+        # below lag 64 the acvf is read off a table of gamma(0..63), and
+        # the series does not cover lags in (1, 2)
         with pytest.raises(ValueError, match="integers"):
             FGN(0.7).acvf(2.5)
 

@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracle import exact_estimator_means
+
 from dfakit.core import weight_matrix
 from dfakit.estimators import (
     GappedSeries,
@@ -16,6 +18,7 @@ from dfakit.expectation import (
     expected_curve,
     expected_f2_general,
 )
+from dfakit.exceptions import AllPairsMissingError
 from dfakit.generators import add_polynomial_trend, block_gap_mask
 from dfakit.models import AR1, FBM, FGN, OU, AcvfTable, WhiteNoise
 from dfakit.weights import weight_function
@@ -242,3 +245,55 @@ def test_expected_curve_matches_per_scale_engine(case):
     assert np.array_equal(expected_curve(model, m, scales),
                           [expected_curve(model, m, [s])[0]
                            for s in scales])
+
+
+@st.composite
+def oracle_cases(draw):
+    """A model of each kind, a block or iid mask, m = 1..3 and scales."""
+    kind = draw(st.sampled_from(["white", "fgn", "ou", "ar1", "fbm"]))
+    model = {
+        "white": lambda: WhiteNoise(draw(st.floats(0.1, 10.0))),
+        "fgn": lambda: FGN(draw(st.floats(0.05, 0.95))),
+        "ou": lambda: OU(draw(st.floats(0.5, 100.0))),
+        "ar1": lambda: AR1(draw(st.sampled_from([-0.6, 0.3, 0.9]))),
+        "fbm": lambda: FBM(draw(st.floats(1.05, 1.95))),
+    }[kind]()
+    n = draw(st.integers(64, 256))
+    m = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    fraction = draw(st.floats(0.05, 0.3))
+    if draw(st.booleans()):
+        mask = block_gap_mask(n, fraction, draw(st.floats(1.0, 12.0)), seed)
+    else:
+        mask = np.random.default_rng(seed).random(n) >= fraction
+    mask[0] = True
+    scales = draw(st.lists(st.integers(m + 2, n // 2), min_size=1,
+                           max_size=5, unique=True))
+    return model, mask, m, sorted(scales)
+
+
+def _all_pairs_covered(mask, s):
+    try:
+        return bool((gap_weights(mask, s) > 0).all())
+    except AllPairsMissingError:
+        return False
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_cases())
+def test_exact_means_from_the_engine(case):
+    """Summed over the columns of the covariance factor, the engine gives
+    E F^2 of each estimator exactly: standard equals expected_curve, and
+    where every pair of a window is present together somewhere, f_hat is
+    unbiased, and so is f_tilde on stationary input (the paper's claims;
+    f_tilde on a motion is not)."""
+    model, mask, m, scales = case
+    means = exact_estimator_means(model, mask, m, scales)
+    expected = expected_curve(model, m, scales)
+    np.testing.assert_allclose(means["standard"], expected, rtol=1e-12)
+    covered = [_all_pairs_covered(mask, s) for s in scales]
+    np.testing.assert_allclose(means["f_hat"][covered], expected[covered],
+                               rtol=1e-11)
+    if not isinstance(model, FBM):
+        np.testing.assert_allclose(means["f_tilde"][covered],
+                                   expected[covered], rtol=1e-11)
