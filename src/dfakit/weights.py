@@ -17,6 +17,9 @@ spread by up to 1.5x).
 
 closed_form_g evaluates the closed form exactly; closed_form_g_values
 and weight_function evaluate it in float64 in O(s) time and memory,
+the latter through an LRU of whole G arrays that serves direct callers
+only (`dfakit weights`): the expectation path calls closed_form_g_values
+and keeps E F^2 values, not G (expectation.expected_curve). Both are
 within 3.3e-16 of max|G| of the exact value for m = 0..6 (measured at
 every lag of each s <= 64 and of s = 100, 300 and 1000, and at 100
 random lags of s = 8000 and 2^16), and for m = 7, 8 within 2.4e-16
@@ -56,7 +59,8 @@ MAX_FLOAT_ORDER = 8
 @lru_cache(maxsize=256)
 def weight_function(m: int, s: int) -> np.ndarray:
     """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix,
-    j = 0..s-1, as a cached array that raises on write.
+    j = 0..s-1, as a cached array that raises on write. The cache serves
+    direct callers; expected_curve does not read or fill it.
 
     Every order up to MAX_FLOAT_ORDER takes the one closed form
     (closed_form_g_values): O(s) time and memory per scale; see the

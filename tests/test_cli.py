@@ -243,6 +243,7 @@ def _count_lag_calls(monkeypatch):
 ], ids=["expected-fgn", "expected-fbm", "bias-fgn", "bias-fbm"])
 def test_lag_function_evaluated_once_per_command(tmp_path, monkeypatch, argv,
                                                  s_max):
+    expectation._memo.clear()
     calls = _count_lag_calls(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == [s_max]

@@ -1,11 +1,17 @@
 """Tests for the expectation engines, scaling constants, and bias."""
 
+import sys
+import threading
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dfakit import expectation
+from dfakit.cli import main
+from dfakit.estimators import default_scale_grid
 from dfakit.exceptions import DFAError, NonpositiveCorrectionError
 from dfakit.expectation import (
     asymptotic_lambda,
@@ -16,7 +22,11 @@ from dfakit.expectation import (
     scaling_model,
 )
 from dfakit.models import FBM, FGN, WhiteNoise, fbm_covariance
-from dfakit.weights import asymptotic_coefficients
+from dfakit.weights import (
+    asymptotic_coefficients,
+    closed_form_g_values,
+    weight_function,
+)
 
 
 class TestStationaryEngine:
@@ -208,6 +218,7 @@ class TestExpectedCurve:
         (FGN(0.7), "acvf", 4096), (FBM(1.3), "variogram", 4095)])
     def test_lag_function_evaluated_once(self, monkeypatch, model, name,
                                          s_max):
+        expectation._memo.clear()
         calls = []
         lag_function = getattr(type(model), name)
 
@@ -218,6 +229,7 @@ class TestExpectedCurve:
         monkeypatch.setattr(type(model), name, counted)
         ef2 = expected_curve(model, 2, [4, 16, 100, 4096])
         assert calls == [s_max]
+        expectation._memo.clear()
         assert ef2[2] == expected_curve(model, 2, [100])[0]
 
     def test_empty_grid(self):
@@ -246,3 +258,131 @@ class TestExpectedCurve:
             expected_curve(FGN(0.7), 2, [8])[0], rel=1e-12)
         assert c2[0] == pytest.approx(
             expected_curve(FBM(1.1), 2, [8])[0], rel=1e-12)
+
+
+class TestMemo:
+    def test_mutated_foreign_model_is_evaluated_afresh(self):
+        class Scaled:  # not a package model, so never memoized
+            def __init__(self, c):
+                self.c = c
+
+            def acvf(self, lags):
+                return self.c * FGN(0.7).acvf(lags)
+
+        model = Scaled(1.0)
+        before = expected_curve(model, 2, [16, 64])
+        model.c = 2.0
+        after = expected_curve(model, 2, [16, 64])
+        np.testing.assert_allclose(after, 2.0 * before, rtol=1e-14)
+
+    def test_value_types_keep_separate_entries(self, monkeypatch):
+        # FGN(0.5) == FGN(Fraction(1, 2)), with equal hashes
+        expectation._memo.clear()
+        calls = []
+        acvf = FGN.acvf
+        monkeypatch.setattr(FGN, "acvf", lambda self, lags: (
+            calls.append(self.hurst), acvf(self, lags))[1])
+        expected_curve(FGN(0.5), 1, [10])
+        expected_curve(FGN(Fraction(1, 2)), 1, [10])
+        assert calls == [0.5, Fraction(1, 2)]
+        assert len(expectation._memo) == 2
+        expected_curve(FGN(0.5), 1, [10])
+        assert len(calls) == 2
+
+    def test_unhashable_field_is_evaluated_uncached(self):
+        expectation._memo.clear()
+        ef2 = expected_curve(FGN(np.array(0.7)), 2, [16, 64])
+        assert len(expectation._memo) == 0
+        want = expected_curve(FGN(0.7), 2, [16, 64])
+        assert ef2.tobytes() == want.tobytes()
+
+    def test_lags_out_to_the_largest_scale_not_found(self, monkeypatch):
+        expectation._memo.clear()
+        expected_curve(FGN(0.7), 2, [4096])
+        calls = []
+        acvf = FGN.acvf
+        monkeypatch.setattr(FGN, "acvf", lambda self, lags: (
+            calls.append(np.asarray(lags).size), acvf(self, lags))[1])
+        expected_curve(FGN(0.7), 2, [16, 100, 4096])
+        assert calls == [100]
+        expected_curve(FGN(0.7), 2, [16, 4096])
+        assert calls == [100]
+
+    def test_bound_and_footprint(self):
+        expectation._memo.clear()
+        bound = expectation.EF2_MEMO_SIZE
+        scales = np.arange(3000, 3100 + bound)
+        tracemalloc.start()
+        try:
+            expected_curve(WhiteNoise(), 1, scales)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(expectation._memo) == bound
+        assert kept < 0.2 * 2 ** 20  # the docstring's 0.17 MiB, and ef2
+        for h in (0.3, 0.7):
+            expected_curve(FGN(h), 1, scales[:600])
+            assert len(expectation._memo) == bound
+        # the oldest went first: all of white noise, then part of FGN(0.3)
+        assert Counter(key[0] for key in expectation._memo) == {
+            expectation._memo_key(FGN(0.3)): bound - 600,
+            expectation._memo_key(FGN(0.7)): 600}
+
+    def test_threads_evicting_each_others_entries(self):
+        # four clients over 2 x 397 scales each overflow the 1024-entry
+        # memo, so entries are evicted while others read them
+        scales = np.arange(3, 400)
+        models = [FGN(h) for h in (0.2, 0.4, 0.6, 0.8)]
+        want = {(mdl, m): expected_curve(mdl, m, scales).tobytes()
+                for mdl in models for m in (1, 2)}
+        errors, mismatches = [], []
+
+        def client(mdl):
+            try:
+                for _ in range(3):
+                    for m in (1, 2):
+                        got = expected_curve(mdl, m, scales).tobytes()
+                        if got != want[mdl, m]:
+                            mismatches.append((mdl, m))
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(mdl,))
+                       for mdl in models]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and mismatches == []
+        assert len(expectation._memo) <= expectation.EF2_MEMO_SIZE
+
+
+class TestRetention:
+    def test_no_g_array_kept(self, tmp_path):
+        # nor read: the LRU of G arrays serves direct callers only
+        info = weight_function.cache_info()
+        expected_curve(FGN(0.7), 2, [8, 1000])
+        assert main(["expected", "--model", '{"kind": "fbm", "hurst": 1.3}',
+                     "--out", str(tmp_path / "e.csv")]) == 0
+        assert main(["bias", "--hurst", "0.3", "-m", "3",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert weight_function.cache_info() == info
+
+    def test_under_1_mib_kept_after_a_curve(self):
+        scales = default_scale_grid(2 ** 18, 3)
+        expectation._memo.clear()
+        weight_function.cache_clear()
+        closed_form_g_values(3, 5)  # derives the closed form of m = 3
+        tracemalloc.start()
+        try:
+            expected_curve(FGN(0.7), 3, scales)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 ** 20

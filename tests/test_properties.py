@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracle import exact_estimator_means
 
 from dfakit.core import weight_matrix
+from dfakit import expectation
 from dfakit.estimators import (
     GappedSeries,
     dfa,
@@ -20,7 +21,16 @@ from dfakit.expectation import (
 )
 from dfakit.exceptions import AllPairsMissingError
 from dfakit.generators import add_polynomial_trend, block_gap_mask
-from dfakit.models import AR1, FBM, FGN, OU, AcvfTable, WhiteNoise
+from dfakit.models import (
+    AR1,
+    FBM,
+    FGN,
+    OU,
+    AcvfTable,
+    DerivedVariogram,
+    VariogramTable,
+    WhiteNoise,
+)
 from dfakit.weights import weight_function
 
 
@@ -245,6 +255,51 @@ def test_expected_curve_matches_per_scale_engine(case):
     assert np.array_equal(expected_curve(model, m, scales),
                           [expected_curve(model, m, [s])[0]
                            for s in scales])
+
+
+@st.composite
+def memo_cases(draw):
+    """A model of each memoized type, m = 1..3, a grid in m + 1..600 in
+    any order, repeats allowed, and a part of it."""
+    kind = draw(st.sampled_from(["white", "fgn", "ou", "ar1", "acvf-table",
+                                 "fbm", "variogram-table", "derived"]))
+    h = draw(st.floats(0.05, 0.95))
+    acvf_model = {
+        "white": lambda: WhiteNoise(draw(st.floats(0.1, 10.0))),
+        "fgn": lambda: FGN(h, draw(st.floats(0.1, 10.0))),
+        "ou": lambda: OU(draw(st.floats(0.5, 100.0)),
+                         draw(st.floats(0.1, 10.0))),
+        "ar1": lambda: AR1(draw(st.floats(-0.99, 0.99))),
+        "acvf-table": lambda: AcvfTable(tuple(FGN(h).acvf(np.arange(600)))),
+    }
+    model = {
+        "fbm": lambda: FBM(1 + h, draw(st.floats(0.1, 10.0))),
+        "variogram-table": lambda: VariogramTable(
+            tuple(FBM(1 + h).variogram(np.arange(600)))),
+        "derived": lambda: DerivedVariogram(
+            acvf_model[draw(st.sampled_from(sorted(acvf_model)))]()),
+    }.get(kind, acvf_model.get(kind))()
+    m = draw(st.integers(1, 3))
+    scales = draw(st.lists(st.integers(m + 1, 600), min_size=1, max_size=8))
+    part = draw(st.lists(st.sampled_from(scales), max_size=len(scales)))
+    return model, m, scales, part
+
+
+@settings(max_examples=15, deadline=None)
+@given(memo_cases())
+def test_memo_gives_the_bits_of_a_fresh_evaluation(case):
+    """expected_curve gives the same bits from a cold memo, a warm one, a
+    partly warm one and one scale at a time."""
+    model, m, scales, part = case
+    expectation._memo.clear()
+    cold = expected_curve(model, m, scales).tobytes()
+    assert expected_curve(model, m, scales).tobytes() == cold
+    expectation._memo.clear()
+    expected_curve(model, m, part)
+    assert expected_curve(model, m, scales).tobytes() == cold
+    expectation._memo.clear()
+    single = [expected_curve(model, m, [s]) for s in scales]
+    assert np.concatenate(single).tobytes() == cold
 
 
 @st.composite
