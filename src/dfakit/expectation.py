@@ -122,7 +122,10 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     0.17 MiB (tracemalloc, fGn keys, scales from 3,000): about 125 bytes
     per key and value, and 36 KiB of table. Between calls it holds no G
     array and no lag array. A value from the memo has the bits of a
-    fresh evaluation.
+    fresh evaluation. The traffic measured so far is `bias` reading the
+    curve `expected` made in the same `expected-sweep` op; tables,
+    DerivedVariogram and reuse across ops are not exercised by any
+    benchmark workload yet, so the bound is unmeasured against them.
     """
     scales = np.asarray(scales, dtype=int)
     stationary = hasattr(model, "acvf")
