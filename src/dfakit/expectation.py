@@ -24,7 +24,6 @@ finite-size bias.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import threading
 from functools import lru_cache
@@ -33,17 +32,7 @@ import numpy as np
 
 from .core import _check_scale, weight_matrix
 from .exceptions import NonpositiveCorrectionError, OrderZeroUnsupportedError
-from .models import (
-    AR1,
-    FBM,
-    FGN,
-    OU,
-    AcvfTable,
-    DerivedVariogram,
-    VariogramTable,
-    WhiteNoise,
-    check_hurst,
-)
+from .models import AR1, FBM, FGN, OU, WhiteNoise, check_hurst
 from .weights import asymptotic_coefficients, closed_form_g_values
 
 
@@ -66,21 +55,14 @@ EF2_MEMO_SIZE = 1024
 _memo: dict[tuple, float] = {}
 _memo_lock = threading.Lock()
 _SCALAR_MODELS = (WhiteNoise, FGN, OU, AR1, FBM)
-_TABLES = (AcvfTable, VariogramTable)
 
 
 def _memo_key(model) -> tuple | None:
-    """The memo's key of a package model, or None: its type and each
-    field's value with the value's type (FGN(0.5) and FGN(Fraction(1, 2))
-    hash equal), a table's values by the SHA-256 of their float64 bits,
-    so that the memo holds no copy of the table."""
+    """The memo's key of a scalar package model, or None: its type and
+    each field's value with the value's type (FGN(0.5) and
+    FGN(Fraction(1, 2)) hash equal). Tables, DerivedVariogram and foreign
+    models have no key."""
     cls = type(model)
-    if cls is DerivedVariogram:
-        inner = _memo_key(model.model)
-        return None if inner is None else (cls, inner)
-    if cls in _TABLES:
-        values = np.asarray(model.values, dtype=float)
-        return cls, hashlib.sha256(values.tobytes()).digest()
     if cls not in _SCALAR_MODELS:
         return None
     key = (cls, *((type(v), v) for v in
@@ -112,20 +94,13 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     scale s_max not found in the memo, and each such scale's sum reads a
     prefix of it.
 
-    The memo keeps E F^2 values, one float per (model, m, s), not G
-    arrays, so that `bias` reads the curve `expected` has just made.
-    It covers the package's frozen models (WhiteNoise, FGN, OU, AR1,
-    AcvfTable, FBM, VariogramTable and DerivedVariogram of those), keyed
-    by type and field values with their types (see _memo_key); any other
-    model is evaluated afresh on every call. It holds at most
-    EF2_MEMO_SIZE = 1024 values, the oldest dropped first. Full, it took
-    0.17 MiB (tracemalloc, fGn keys, scales from 3,000): about 125 bytes
-    per key and value, and 36 KiB of table. Between calls it holds no G
-    array and no lag array. A value from the memo has the bits of a
-    fresh evaluation. The traffic measured so far is `bias` reading the
-    curve `expected` made in the same `expected-sweep` op; tables,
-    DerivedVariogram and reuse across ops are not exercised by any
-    benchmark workload yet, so the bound is unmeasured against them.
+    The memo keeps E F^2 values, one float per (model, m, s), so that
+    `bias` reads the curve `expected` has just made. Only the scalar
+    models have a key (see _memo_key); any other model is evaluated
+    afresh on every call. It holds at most EF2_MEMO_SIZE = 1024 values
+    (0.17 MiB full), the oldest dropped first, under a lock (see
+    _remember), and no G or lag array between calls. A value from the
+    memo has the bits of a fresh evaluation.
     """
     scales = np.asarray(scales, dtype=int)
     stationary = hasattr(model, "acvf")

@@ -16,16 +16,14 @@ takes 0.1, 0.7, 2.3, 6.4, 12, 23 and 37 ms for m = 0..6, and roughly
 spread by up to 1.5x).
 
 closed_form_g evaluates the closed form exactly; closed_form_g_values
-and weight_function evaluate it in float64 in O(s) time and memory,
-the latter through an LRU of whole G arrays that serves direct callers
-only (`dfakit weights`): the expectation path calls closed_form_g_values
-and keeps E F^2 values, not G (expectation.expected_curve). Both are
-within 3.3e-16 of max|G| of the exact value for m = 0..6 (measured at
-every lag of each s <= 64 and of s = 100, 300 and 1000, and at 100
-random lags of s = 8000 and 2^16), and for m = 7, 8 within 2.4e-16
-at 24 lags of s = 1000, 8000 and 2^16 and 1.4e-15 at s = 10. Above
-m = 8 the Bernstein terms cancel at small scales: at s = m + 2 the
-error was 8.2e-15, 1.8e-14 and 6.0e-14 of max|G| for m = 9, 10 and 12.
+and weight_function evaluate it in float64 in O(s) time and memory, the
+latter as a read-only array. Both are within 3.3e-16 of max|G| of the
+exact value for m = 0..6 (measured at every lag of each s <= 64 and of
+s = 100, 300 and 1000, and at 100 random lags of s = 8000 and 2^16),
+and for m = 7, 8 within 2.4e-16 at 24 lags of s = 1000, 8000 and 2^16
+and 1.4e-15 at s = 10. Above m = 8 the Bernstein terms cancel at small
+scales: at s = m + 2 the error was 8.2e-15, 1.8e-14 and 6.0e-14 of
+max|G| for m = 9, 10 and 12.
 So the float evaluation takes orders up to MAX_FLOAT_ORDER = 8 and
 raises DFAError above, before the closed form of the order is derived;
 closed_form_g and the d_q below, which are exact, take every order.
@@ -56,11 +54,9 @@ from .exceptions import DFAError
 MAX_FLOAT_ORDER = 8
 
 
-@lru_cache(maxsize=256)
 def weight_function(m: int, s: int) -> np.ndarray:
     """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix,
-    j = 0..s-1, as a cached array that raises on write. The cache serves
-    direct callers; expected_curve does not read or fill it.
+    j = 0..s-1, as a fresh array that raises on write.
 
     Every order up to MAX_FLOAT_ORDER takes the one closed form
     (closed_form_g_values): O(s) time and memory per scale; see the

@@ -937,6 +937,26 @@ print("numpy.ma" in sys.modules)
     assert proc.stdout.split()[-1] == "False"
 
 
+def test_expected_and_bias_leave_hashlib_unloaded(tmp_path):
+    """The E F^2 memo keys scalar models by their fields, so a fresh
+    interpreter that runs expected and bias never loads hashlib."""
+    script = f"""
+import sys
+from dfakit.cli import main
+d = {str(tmp_path)!r}
+assert main(["expected", "--model", '{{"kind": "fgn", "hurst": 0.7}}',
+             "--out", d + "/e.csv"]) == 0
+assert main(["bias", "--hurst", "1.3", "-m", "2", "--out", d + "/b.csv"]) == 0
+print("hashlib" in sys.modules or "_hashlib" in sys.modules)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dfakit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+
+
 class TestOutputs:
     @pytest.mark.parametrize("argv, header, key", [
         (["analyze", "-i", "x.csv"], "scale,F,F_squared,n_windows,defined",

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dfakit import expectation
+import dfakit
+from dfakit import expectation, weights
 from dfakit.cli import main
 from dfakit.estimators import default_scale_grid
 from dfakit.exceptions import DFAError, NonpositiveCorrectionError
@@ -21,12 +22,16 @@ from dfakit.expectation import (
     modified_f2,
     scaling_model,
 )
-from dfakit.models import FBM, FGN, WhiteNoise, fbm_covariance
-from dfakit.weights import (
-    asymptotic_coefficients,
-    closed_form_g_values,
-    weight_function,
+from dfakit.models import (
+    FBM,
+    FGN,
+    AcvfTable,
+    DerivedVariogram,
+    VariogramTable,
+    WhiteNoise,
+    fbm_covariance,
 )
+from dfakit.weights import asymptotic_coefficients, closed_form_g_values
 
 
 class TestStationaryEngine:
@@ -296,6 +301,17 @@ class TestMemo:
         want = expected_curve(FGN(0.7), 2, [16, 64])
         assert ef2.tobytes() == want.tobytes()
 
+    def test_tables_and_derived_models_are_not_memoized(self):
+        expectation._memo.clear()
+        h = FGN(0.7).acvf(np.arange(600))
+        for model, m in [(AcvfTable(tuple(h)), 1),
+                         (VariogramTable(tuple(FBM(1.3).variogram(
+                             np.arange(600)))), 2),
+                         (DerivedVariogram(FGN(0.7)), 3)]:
+            first = expected_curve(model, m, [8, 100, 600]).tobytes()
+            assert len(expectation._memo) == 0
+            assert expected_curve(model, m, [8, 100, 600]).tobytes() == first
+
     def test_lags_out_to_the_largest_scale_not_found(self, monkeypatch):
         expectation._memo.clear()
         expected_curve(FGN(0.7), 2, [4096])
@@ -364,20 +380,28 @@ class TestMemo:
 
 
 class TestRetention:
-    def test_no_g_array_kept(self, tmp_path):
-        # nor read: the LRU of G arrays serves direct callers only
-        info = weight_function.cache_info()
+    def test_no_g_array_kept(self, monkeypatch, tmp_path):
+        # the expectation path takes G from closed_form_g_values, one
+        # scale at a time; weight_function is not called, under any name
+        def refuse(m, s):
+            raise AssertionError(f"weight_function({m}, {s}) called")
+
+        original = weights.weight_function
+        modules = [mod for name, mod in list(sys.modules.items())
+                   if name.split(".")[0] == "dfakit"]
+        for mod in modules:
+            if getattr(mod, "weight_function", None) is original:
+                monkeypatch.setattr(mod, "weight_function", refuse)
+        assert dfakit.weight_function is refuse
         expected_curve(FGN(0.7), 2, [8, 1000])
         assert main(["expected", "--model", '{"kind": "fbm", "hurst": 1.3}',
                      "--out", str(tmp_path / "e.csv")]) == 0
         assert main(["bias", "--hurst", "0.3", "-m", "3",
                      "--out", str(tmp_path / "b.csv")]) == 0
-        assert weight_function.cache_info() == info
 
     def test_under_1_mib_kept_after_a_curve(self):
         scales = default_scale_grid(2 ** 18, 3)
         expectation._memo.clear()
-        weight_function.cache_clear()
         closed_form_g_values(3, 5)  # derives the closed form of m = 3
         tracemalloc.start()
         try:

@@ -97,6 +97,15 @@ class TestFgnAcvf:
         err = np.abs(FGN(h).acvf(lags) - ref) / np.abs(ref)
         assert err.max() <= 1e-14
 
+    def test_lag1_does_without_long_double(self, monkeypatch):
+        # where long double is plain double, expm1 in it was 1 ulp off at
+        # about a third of these H, 0.7 among them
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        hs = np.concatenate([[0.7], np.linspace(0.0005, 0.9995, 300),
+                             0.5 + np.array([-1e-9, 1e-12, 3e-15])])
+        got = [float(FGN(h).acvf(1)) for h in hs]
+        assert got == [self._reference(h, 1) for h in hs]
+
     def test_lag_shapes(self):
         fgn = FGN(0.7, 2.0)
         lags = np.array([[0, -3, 70], [-100, 5, 1]])

@@ -264,8 +264,8 @@ def test_expected_curve_matches_per_scale_engine(case):
 
 @st.composite
 def memo_cases(draw):
-    """A model of each memoized type, m = 1..3, a grid in m + 1..600 in
-    any order, repeats allowed, and a part of it."""
+    """A model of each package type, memoized or not, m = 1..3, a grid in
+    m + 1..600 in any order, repeats allowed, and a part of it."""
     kind = draw(st.sampled_from(["white", "fgn", "ou", "ar1", "acvf-table",
                                  "fbm", "variogram-table", "derived"]))
     h = draw(st.floats(0.05, 0.95))

@@ -1,5 +1,6 @@
 """Tests for the weight function and its asymptotic expansion."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb, lcm
 
@@ -100,11 +101,25 @@ class TestWeightFunction:
     def test_g1_m1_s10(self):
         assert weight_function(1, 10)[1] == pytest.approx(2.4, rel=1e-12)
 
-    def test_cached_array_is_read_only(self):
+    def test_array_is_read_only_and_fresh(self):
         g = weight_function(2, 12)
-        assert g is weight_function(2, 12)
-        with pytest.raises(ValueError):
-            g[0] = 0.0
+        again = weight_function(2, 12)
+        assert g is not again and np.array_equal(g, again)
+        for array in (g, again):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_keeps_no_array(self):
+        # 20 scales near 2^16 are 10 MiB of G; none of it outlives its call
+        closed_form_g_values(3, 5)  # derives the closed form of m = 3
+        tracemalloc.start()
+        try:
+            for s in range(2 ** 16 - 20, 2 ** 16):
+                weight_function(3, s)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 ** 20
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_last_lag_vanishes(self, m):
