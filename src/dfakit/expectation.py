@@ -11,9 +11,10 @@ models.DerivedVariogram(model) asks for the second form on a stationary
 model. Over a scale grid the lag function is evaluated once, at lags up
 to the largest scale s_max, and each scale's sum reads a prefix of it:
 one lag evaluation of length s_max plus O(sum s) for G and the dot
-products, not O(sum s) lag evaluations. expected_f2_general is the
-window-offset reference engine for a general kernel gamma(t1, t2):
-E F^2(s) = (1/s) sum_{k,j} A_{k,j} gamma(t+k, t+j).
+products, not O(sum s) lag evaluations. The last curve of a scalar
+model is kept, so `bias` after `expected` evaluates nothing.
+expected_f2_general is the window-offset reference engine for a general
+kernel gamma(t1, t2): E F^2(s) = (1/s) sum_{k,j} A_{k,j} gamma(t+k, t+j).
 
 For scaling inputs E F^2(s) ~ lambda_{m,H} s^{2H}; the prefactor is a
 rational-coefficient sum over the asymptotic weights, and the squared
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -50,18 +50,15 @@ def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
     return float((a * gam).sum()) / s
 
 
-#: the most E F^2 values expected_curve keeps across calls (see there)
-EF2_MEMO_SIZE = 1024
-_memo: dict[tuple, float] = {}
-_memo_lock = threading.Lock()
 _SCALAR_MODELS = (WhiteNoise, FGN, OU, AR1, FBM)
+#: (key, E F^2 bytes) of the last curve of a keyed model; see expected_curve
+_last_curve: tuple = (None, b"")
 
 
 def _memo_key(model) -> tuple | None:
-    """The memo's key of a scalar package model, or None: its type and
-    each field's value with the value's type (FGN(0.5) and
-    FGN(Fraction(1, 2)) hash equal). Tables, DerivedVariogram and foreign
-    models have no key."""
+    """The cache key of a scalar package model, or None: its type and each
+    field's value with the value's type (FGN(0.5) and FGN(Fraction(1, 2))
+    hash equal). Tables, DerivedVariogram and foreign models have none."""
     cls = type(model)
     if cls not in _SCALAR_MODELS:
         return None
@@ -74,62 +71,45 @@ def _memo_key(model) -> tuple | None:
     return key
 
 
-def _remember(entries: dict[tuple, float]) -> None:
-    """Add entries to the memo, dropping the oldest past EF2_MEMO_SIZE.
-
-    The lock keeps two writers from evicting the same key; readers take
-    dict.get, so an entry evicted under them is a miss, not an error.
-    """
-    with _memo_lock:
-        _memo.update(entries)
-        while len(_memo) > EF2_MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-
-
 def expected_curve(model, m: int, scales) -> np.ndarray:
     """E F^2 at each scale of a grid, as a read-only array of the grid's
     shape (S,), by the engine the model picks: its acvf at lags
     0..s_max-1 if it has one, else its variogram at lags 1..s_max-1
-    (m >= 1). The lag function is evaluated once, out to the largest
-    scale s_max not found in the memo, and each such scale's sum reads a
-    prefix of it.
+    (m >= 1), evaluated once out to the largest scale s_max.
 
-    The memo keeps E F^2 values, one float per (model, m, s), so that
-    `bias` reads the curve `expected` has just made. Only the scalar
-    models have a key (see _memo_key); any other model is evaluated
-    afresh on every call. It holds at most EF2_MEMO_SIZE = 1024 values
-    (0.17 MiB full), the oldest dropped first, under a lock (see
-    _remember), and no G or lag array between calls. A value from the
-    memo has the bits of a fresh evaluation.
+    The last curve of a scalar model (see _memo_key) is kept as bytes, so
+    `bias` reads the curve `expected` has just made. A call with its
+    model, m and grid returns it as an array that cannot be made
+    writable; any other call evaluates its grid and replaces it in one
+    assignment, so threads need no lock. No G or lag array is kept.
     """
+    global _last_curve
     scales = np.asarray(scales, dtype=int)
     stationary = hasattr(model, "acvf")
     if not stationary and m < 1 and scales.size:
         raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
-    ef2 = np.zeros(scales.size)  # s = m + 1 leaves no residual
     key = _memo_key(model)
-    missing = []
-    for i in np.flatnonzero(scales != m + 1):
-        value = None if key is None else _memo.get((key, m, int(scales[i])))
-        if value is None:
-            missing.append(i)
-        else:
-            ef2[i] = value
-    if missing:
-        s_max = int(scales[missing].max())
+    if key is not None:
+        key = (key, m, scales.tobytes())
+        last_key, values = _last_curve
+        if key == last_key:
+            return np.frombuffer(values)
+    ef2 = np.zeros(scales.size)  # s = m + 1 leaves no residual
+    fitted = np.flatnonzero(scales != m + 1)
+    if fitted.size:
+        s_max = int(scales[fitted].max())
         lags = np.asarray(model.acvf(np.arange(s_max)) if stationary
                           else model.variogram(np.arange(1, s_max)),
                           dtype=float)
-        for i in missing:
+        for i in fitted:
             s = int(scales[i])
             g = closed_form_g_values(m, s)
             if stationary:
                 ef2[i] = float(g[0] * lags[0] + 2.0 * (g[1:] @ lags[1:s])) / s
             else:
                 ef2[i] = -float(g[1:] @ lags[:s - 1]) / s
-        if key is not None:
-            _remember({(key, m, int(scales[i])): float(ef2[i])
-                       for i in missing})
+    if key is not None:
+        _last_curve = (key, ef2.tobytes())
     ef2.setflags(write=False)
     return ef2
 
@@ -198,6 +178,6 @@ def correction_function(m: int, hurst: float, s: int) -> float:
 
 def modified_f2(f2: float, k2: float) -> float:
     """Bias-corrected squared fluctuation F^2 / K^2."""
-    if k2 <= 0:
-        raise NonpositiveCorrectionError(f"K^2 must be > 0, got {k2}")
+    if not (math.isfinite(k2) and k2 > 0):
+        raise NonpositiveCorrectionError(f"need a finite K^2 > 0, got {k2}")
     return f2 / k2

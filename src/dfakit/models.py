@@ -257,7 +257,7 @@ class FBM:
 
 @dataclass(frozen=True)
 class VariogramTable:
-    """Explicit S(0..L) with S(0) = 0."""
+    """Explicit S(0..L) with S(0) = 0; S(t) = E(X_t - X_0)^2 >= 0."""
 
     values: tuple[float, ...]
 
@@ -265,6 +265,8 @@ class VariogramTable:
         v = np.asarray(self.values, dtype=float)
         if v.size == 0 or not np.isfinite(v).all() or v[0] != 0:
             raise ValueError("table needs finite values and S(0) = 0")
+        if np.any(v < 0):
+            raise ValueError("a variogram table must not be negative")
         object.__setattr__(self, "values", tuple(float(x) for x in v))
 
     def variogram(self, lags) -> np.ndarray:

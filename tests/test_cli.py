@@ -243,10 +243,33 @@ def _count_lag_calls(monkeypatch):
 ], ids=["expected-fgn", "expected-fbm", "bias-fgn", "bias-fbm"])
 def test_lag_function_evaluated_once_per_command(tmp_path, monkeypatch, argv,
                                                  s_max):
-    expectation._memo.clear()
+    expectation._last_curve = (None, b"")
     calls = _count_lag_calls(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == [s_max]
+
+
+@pytest.mark.parametrize("kind,hurst,scales,lags", [
+    ("fgn", "0.7", ["8", "100", "1000"], 5000),
+    ("fbm", "1.3", ["5", "17", "4096"], 4999),
+], ids=["fgn", "fbm"])
+def test_bias_reads_the_curve_expected_made(tmp_path, monkeypatch, kind,
+                                            hurst, scales, lags):
+    """bias after expected on the same model, -m and --scales evaluates
+    no lag; expected on another grid then evaluates the lags once."""
+    expectation._last_curve = (None, b"")
+    calls = _count_lag_calls(monkeypatch)
+    model = json.dumps({"kind": kind, "hurst": float(hurst)})
+    out = ["--out", str(tmp_path / "out.csv")]
+    assert main(["expected", "--model", model, "-m", "2", "--scales",
+                 *scales, *out]) == 0
+    del calls[:]
+    assert main(["bias", "--hurst", hurst, "-m", "2", "--scales", *scales,
+                 *out]) == 0
+    assert calls == []
+    assert main(["expected", "--model", model, "-m", "2", "--scales",
+                 *scales, "5000", *out]) == 0
+    assert calls == [lags]
 
 
 @pytest.mark.parametrize("argv", [
@@ -772,6 +795,14 @@ class TestModelSpec:
     def test_variogram_table_cannot_be_sampled(self, tmp_path, command):
         spec = '{"kind": "table", "variogram": [0, 1, 2]}'
         assert main(_model_argv(command, spec, tmp_path)) == 4
+
+    def test_negative_variogram_table_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        spec = '{"kind": "table", "variogram": [0,-1,-2,-3,-4,-5,-6,-7]}'
+        assert main(["expected", "--model", spec, "-m", "1", "--scales",
+                     "4", "8", "--out", str(out)]) == 4
+        assert "must not be negative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorsAndConfig:

@@ -3,7 +3,6 @@
 import sys
 import threading
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +31,20 @@ from dfakit.models import (
     fbm_covariance,
 )
 from dfakit.weights import asymptotic_coefficients, closed_form_g_values
+
+
+def _forget_last_curve():
+    """Empty the slot of the last curve, so that the next call evaluates."""
+    expectation._last_curve = (None, b"")
+
+
+def _count_acvf_calls(monkeypatch):
+    """The Hurst exponents of the FGN.acvf calls made."""
+    calls = []
+    acvf = FGN.acvf
+    monkeypatch.setattr(FGN, "acvf", lambda self, lags: (
+        calls.append(self.hurst), acvf(self, lags))[1])
+    return calls
 
 
 class TestStationaryEngine:
@@ -217,13 +230,19 @@ class TestModifiedF2:
         with pytest.raises(NonpositiveCorrectionError):
             modified_f2(1.0, 0.0)
 
+    @pytest.mark.parametrize("k2", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, k2):
+        # NaN would pass through as a NaN, and inf as a plausible 0
+        with pytest.raises(NonpositiveCorrectionError, match="finite"):
+            modified_f2(1.0, k2)
+
 
 class TestExpectedCurve:
     @pytest.mark.parametrize("model,name,s_max", [
         (FGN(0.7), "acvf", 4096), (FBM(1.3), "variogram", 4095)])
     def test_lag_function_evaluated_once(self, monkeypatch, model, name,
                                          s_max):
-        expectation._memo.clear()
+        _forget_last_curve()
         calls = []
         lag_function = getattr(type(model), name)
 
@@ -234,7 +253,7 @@ class TestExpectedCurve:
         monkeypatch.setattr(type(model), name, counted)
         ef2 = expected_curve(model, 2, [4, 16, 100, 4096])
         assert calls == [s_max]
-        expectation._memo.clear()
+        _forget_last_curve()
         assert ef2[2] == expected_curve(model, 2, [100])[0]
 
     def test_empty_grid(self):
@@ -282,71 +301,65 @@ class TestMemo:
 
     def test_value_types_keep_separate_entries(self, monkeypatch):
         # FGN(0.5) == FGN(Fraction(1, 2)), with equal hashes
-        expectation._memo.clear()
-        calls = []
-        acvf = FGN.acvf
-        monkeypatch.setattr(FGN, "acvf", lambda self, lags: (
-            calls.append(self.hurst), acvf(self, lags))[1])
+        _forget_last_curve()
+        calls = _count_acvf_calls(monkeypatch)
         expected_curve(FGN(0.5), 1, [10])
         expected_curve(FGN(Fraction(1, 2)), 1, [10])
         assert calls == [0.5, Fraction(1, 2)]
-        assert len(expectation._memo) == 2
-        expected_curve(FGN(0.5), 1, [10])
+        expected_curve(FGN(Fraction(1, 2)), 1, [10])
         assert len(calls) == 2
 
-    def test_unhashable_field_is_evaluated_uncached(self):
-        expectation._memo.clear()
-        ef2 = expected_curve(FGN(np.array(0.7)), 2, [16, 64])
-        assert len(expectation._memo) == 0
+    def test_same_curve_is_read_back(self, monkeypatch):
+        _forget_last_curve()
+        calls = _count_acvf_calls(monkeypatch)
+        cold = expected_curve(FGN(0.7), 2, [8, 100]).tobytes()
+        assert expected_curve(FGN(0.7), 2, [8, 100]).tobytes() == cold
+        assert len(calls) == 1
+        for other in ([8, 101], [8]):  # another grid, the same model
+            expected_curve(FGN(0.7), 2, other)
+        expected_curve(FGN(0.7), 3, [8, 100])
+        assert len(calls) == 4
+
+    def test_unhashable_field_is_evaluated_uncached(self, monkeypatch):
+        _forget_last_curve()
+        calls = _count_acvf_calls(monkeypatch)
+        for _ in range(2):
+            ef2 = expected_curve(FGN(np.array(0.7)), 2, [16, 64])
+        assert len(calls) == 2 and expectation._last_curve[0] is None
         want = expected_curve(FGN(0.7), 2, [16, 64])
         assert ef2.tobytes() == want.tobytes()
 
     def test_tables_and_derived_models_are_not_memoized(self):
-        expectation._memo.clear()
+        kept = expected_curve(FGN(0.3), 1, [8, 100])
+        last = expectation._last_curve
         h = FGN(0.7).acvf(np.arange(600))
         for model, m in [(AcvfTable(tuple(h)), 1),
                          (VariogramTable(tuple(FBM(1.3).variogram(
                              np.arange(600)))), 2),
                          (DerivedVariogram(FGN(0.7)), 3)]:
             first = expected_curve(model, m, [8, 100, 600]).tobytes()
-            assert len(expectation._memo) == 0
+            assert expectation._last_curve is last
             assert expected_curve(model, m, [8, 100, 600]).tobytes() == first
+        assert expected_curve(FGN(0.3), 1, [8, 100]).tobytes() == \
+            kept.tobytes()
 
-    def test_lags_out_to_the_largest_scale_not_found(self, monkeypatch):
-        expectation._memo.clear()
-        expected_curve(FGN(0.7), 2, [4096])
-        calls = []
-        acvf = FGN.acvf
-        monkeypatch.setattr(FGN, "acvf", lambda self, lags: (
-            calls.append(np.asarray(lags).size), acvf(self, lags))[1])
-        expected_curve(FGN(0.7), 2, [16, 100, 4096])
-        assert calls == [100]
-        expected_curve(FGN(0.7), 2, [16, 4096])
-        assert calls == [100]
-
-    def test_bound_and_footprint(self):
-        expectation._memo.clear()
-        bound = expectation.EF2_MEMO_SIZE
-        scales = np.arange(3000, 3100 + bound)
-        tracemalloc.start()
-        try:
-            expected_curve(WhiteNoise(), 1, scales)
-            kept, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(expectation._memo) == bound
-        assert kept < 0.2 * 2 ** 20  # the docstring's 0.17 MiB, and ef2
-        for h in (0.3, 0.7):
-            expected_curve(FGN(h), 1, scales[:600])
-            assert len(expectation._memo) == bound
-        # the oldest went first: all of white noise, then part of FGN(0.3)
-        assert Counter(key[0] for key in expectation._memo) == {
-            expectation._memo_key(FGN(0.3)): bound - 600,
-            expectation._memo_key(FGN(0.7)): 600}
+    def test_caller_cannot_change_the_kept_curve(self):
+        _forget_last_curve()
+        # the evaluated curve, then the kept one
+        curves = [expected_curve(FGN(0.7), 2, [8, 100]) for _ in range(2)]
+        want = curves[0].tobytes()
+        for ef2 in curves:
+            assert not ef2.flags.writeable
+            try:
+                ef2.setflags(write=True)
+            except ValueError:
+                continue  # cannot be made writable
+            ef2[:] = -1.0
+        assert expected_curve(FGN(0.7), 2, [8, 100]).tobytes() == want
 
     def test_threads_evicting_each_others_entries(self):
-        # four clients over 2 x 397 scales each overflow the 1024-entry
-        # memo, so entries are evicted while others read them
+        # four clients take turns in the one slot, so a curve is
+        # replaced while others read it
         scales = np.arange(3, 400)
         models = [FGN(h) for h in (0.2, 0.4, 0.6, 0.8)]
         want = {(mdl, m): expected_curve(mdl, m, scales).tobytes()
@@ -376,7 +389,6 @@ class TestMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and mismatches == []
-        assert len(expectation._memo) <= expectation.EF2_MEMO_SIZE
 
 
 class TestRetention:
@@ -401,7 +413,7 @@ class TestRetention:
 
     def test_under_1_mib_kept_after_a_curve(self):
         scales = default_scale_grid(2 ** 18, 3)
-        expectation._memo.clear()
+        _forget_last_curve()
         closed_form_g_values(3, 5)  # derives the closed form of m = 3
         tracemalloc.start()
         try:

@@ -238,6 +238,12 @@ class TestModelObjects:
         with pytest.raises(ValueError):
             VariogramTable(values=(1.0, 2.0))
 
+    def test_negative_variogram_table_rejected(self):
+        # S(t) = E(X_t - X_0)^2 >= 0
+        with pytest.raises(ValueError, match="must not be negative"):
+            VariogramTable(values=(0.0, 1.0, -1e-300))
+        VariogramTable(values=(0.0, 0.0, 1.0))
+
     def test_table_insufficient_lags(self):
         from dfakit.exceptions import InsufficientLagsError
         tab = AcvfTable(values=(1.0, 0.5, 0.2))
