@@ -39,12 +39,13 @@ the tiles of the kernel B.
   held whole: it is built and applied in tiles of
   b = max(1, _BLOCK_VALUES // s) rows, which, B being symmetric, are
   its columns J transposed. Each tile B[J, :] =
-  A[J, :] W / max(counts[J, :], 1) is formed once per scale, from the
-  suffix sums V of U and the pair counts (Delta^T Delta)[J, :], and
-  applied to every block of replicates, whose centred windows are
-  formed there; the tiles add up the quadratic form, Delta B^T and
-  f_tilde's offset terms. Below s = 1024 a tile is the whole of B;
-  above, no scale holds an s x s array.
+  A[J, :] W / max(counts[J, :], 1) is formed once per scale, in one
+  loop over the row tiles A[J, :] of core._weight_rows, from the pair
+  counts (Delta^T Delta)[J, :], and applied to every block of
+  replicates, whose centred windows are formed there; the tiles add up
+  the quadratic form, Delta B^T and f_tilde's offset terms. Below
+  s = 1024 a tile is the whole of B; above, no scale holds an s x s
+  array.
 
 Replicates go through in blocks of about _BLOCK_VALUES = 2^20 values (at
 least one replicate), so memory per scale is O(_BLOCK_VALUES + block n):
@@ -205,29 +206,6 @@ def dfa(series, m: int, scales) -> FluctuationCurve:
     return _curve(x, None, m, scales, ("standard",))["standard"]
 
 
-def _availability(mask: np.ndarray, s: int) -> np.ndarray:
-    """Delta (W x s), the availability of each window as 0.0 or 1.0."""
-    dw = _windows(mask, s).astype(float)
-    if dw.shape[0] == 0:
-        raise ScaleExceedsLengthError(f"scale {s} exceeds mask length")
-    if not dw.any():
-        raise AllPairsMissingError(
-            f"no pair is present in any window at scale {s}"
-        )
-    return dw
-
-
-def _kernel_tiles(u: np.ndarray, dw: np.ndarray):
-    """The one walk over A and the pair counts of a scale: yields
-    (J, A[J, :], (Delta^T Delta)[J, :]) in tiles of
-    max(1, _BLOCK_VALUES // s) rows, fresh arrays each, so that no tile
-    holds more than about _BLOCK_VALUES values once s^2 exceeds it. Both
-    matrices are symmetric: a tile, transposed, is the columns J."""
-    s = u.shape[0]
-    for rows, a in _weight_rows(u, max(1, _BLOCK_VALUES // s)):
-        yield rows, a, dw[:, rows].T @ dw
-
-
 def gap_weights(mask, s: int) -> np.ndarray:
     """Per-scale pair weights from the availability mask, as a read-only
     (s, s) array p.
@@ -238,7 +216,13 @@ def gap_weights(mask, s: int) -> np.ndarray:
     pairs present together somewhere) — the availability factors already
     remove them from every sum.
     """
-    dw = _availability(np.asarray(mask, dtype=bool), s)
+    dw = _windows(np.asarray(mask, dtype=bool), s).astype(float)
+    if dw.shape[0] == 0:
+        raise ScaleExceedsLengthError(f"scale {s} exceeds mask length")
+    if not dw.any():
+        raise AllPairsMissingError(
+            f"no pair is present in any window at scale {s}"
+        )
     counts = dw.T @ dw
     p = np.divide(dw.shape[0], counts, out=np.zeros((s, s)),
                   where=counts > 0)
@@ -320,14 +304,14 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray, u: np.ndarray,
     of f_hat and f_tilde at the scale of u (F^2 times s W), or None when
     no window holds a present pair.
 
-    B is walked in the tiles of _kernel_tiles, each built once and
-    applied to every block of replicates, whose centred windows are
-    formed there.
+    B is walked in row tiles of A from core._weight_rows, of
+    max(1, _BLOCK_VALUES // s) rows, each built once with its pair
+    counts (Delta^T Delta)[cols, :] and applied to every block of
+    replicates, whose centred windows are formed there.
     """
     reps, s = xz.shape[0], u.shape[0]
-    try:
-        dw = _availability(mask, s)
-    except AllPairsMissingError:
+    dw = _windows(mask, s).astype(float)  # Delta (W x s)
+    if not dw.any():
         return None
     nw = dw.shape[0]
     shift = _windows(xz, s)[:, np.arange(nw), dw.argmax(axis=1)]
@@ -337,10 +321,11 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray, u: np.ndarray,
     # tile: a fresh array per tile made the heap shrink and refault on
     # every tile (5x the page faults of f_hat at n = 10^5)
     buf = np.empty((min(reps, block), nw, s))
-    for cols, b, counts in _kernel_tiles(u, dw):
+    for cols, b in _weight_rows(u, max(1, _BLOCK_VALUES // s)):
         # B[cols, :] = A[cols, :] W / max(counts, 1), in place. A pair
         # with count 0 is never present together: B gives the sums of
         # p * A. B is symmetric, so b.T is the columns B[:, cols].
+        counts = dw[:, cols].T @ dw
         np.maximum(counts, 1.0, out=counts)
         b *= np.divide(nw, counts, out=counts)
         del counts

@@ -31,9 +31,13 @@ from functools import lru_cache
 import numpy as np
 
 from .core import _check_scale, weight_matrix
-from .exceptions import NonpositiveCorrectionError, OrderZeroUnsupportedError
+from .exceptions import (
+    NonFiniteValueError,
+    NonpositiveCorrectionError,
+    OrderZeroUnsupportedError,
+)
 from .models import AR1, FBM, FGN, OU, WhiteNoise, check_hurst
-from .weights import asymptotic_coefficients, closed_form_g_values
+from .weights import asymptotic_coefficients, weight_function
 
 
 def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
@@ -71,6 +75,8 @@ def _memo_key(model) -> tuple | None:
     return key
 
 
+# an overflow raises NonFiniteValueError below; its warnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def expected_curve(model, m: int, scales) -> np.ndarray:
     """E F^2 at each scale of a grid, as a read-only array of the grid's
     shape (S,), by the engine the model picks: its acvf at lags
@@ -81,7 +87,8 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     `bias` reads the curve `expected` has just made. A call with its
     model, m and grid returns it as an array that cannot be made
     writable; any other call evaluates its grid and replaces it in one
-    assignment, so threads need no lock. No G or lag array is kept.
+    assignment, so threads need no lock. No G or lag array is kept; an
+    E F^2 that is not finite raises NonFiniteValueError and keeps nothing.
     """
     global _last_curve
     scales = np.asarray(scales, dtype=int)
@@ -103,11 +110,14 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
                           dtype=float)
         for i in fitted:
             s = int(scales[i])
-            g = closed_form_g_values(m, s)
+            g = weight_function(m, s)  # G(0..s-1, s), one scale at a time
             if stationary:
                 ef2[i] = float(g[0] * lags[0] + 2.0 * (g[1:] @ lags[1:s])) / s
             else:
                 ef2[i] = -float(g[1:] @ lags[:s - 1]) / s
+            if not math.isfinite(ef2[i]):
+                raise NonFiniteValueError(
+                    f"E F^2 at scale {s} is not finite; rescale the model")
     if key is not None:
         _last_curve = (key, ef2.tobytes())
     ef2.setflags(write=False)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import estimators
-from .exceptions import DFAError, EmbeddingError
+from .exceptions import DFAError, EmbeddingError, NonFiniteValueError
 from .models import FBM, FGN
 
 _CHOLESKY_MAX_N = 8192
@@ -54,6 +54,8 @@ def sample(model, n: int, seed: int, replicate: int = 0) -> np.ndarray:
     return sample_stack(model, n, seed, [replicate])[0]
 
 
+# an overflow raises NonFiniteValueError below; its warnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     """An (R, n) stack of exact Gaussian samples, row i keyed by
     (seed, replicates[i]).
@@ -64,12 +66,14 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     increments of each row are exactly that noise stream. The acvf and
     the embedding's eigenvalues (or the Cholesky factor) are computed
     once for the stack; each row is what sample(model, n, seed, replicate)
-    gives, bit for bit.
+    gives, bit for bit. A stack that is not finite (a variance too large
+    for float64) raises NonFiniteValueError.
     """
     if n < 2:
         raise ValueError("length must be >= 2")
     keys = [int(r) for r in replicates]
     if isinstance(model, FBM):
+        # n values of finite noise (checked below) cannot overflow a sum
         return np.cumsum(sample_stack(FGN(model.hurst - 1.0, model.variance),
                                       n, seed, keys), axis=1)
     if not hasattr(model, "acvf"):
@@ -97,17 +101,20 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
             z *= root
             out[lo:lo + len(rows)] = np.sqrt(m) * np.fft.irfft(
                 z, m, axis=1)[:, :n]
-        return out
-    if n > _CHOLESKY_MAX_N:
+    elif n > _CHOLESKY_MAX_N:
         raise EmbeddingError(
             f"circulant embedding not nonnegative and n={n} exceeds the "
             f"Cholesky fallback cap {_CHOLESKY_MAX_N}"
         )
-    idx = np.arange(n)
-    chol = np.linalg.cholesky(gamma[np.abs(np.subtract.outer(idx, idx))])
-    # one row at a time: a matrix-vector product, as for one sample
-    for row, r in zip(out, keys):
-        row[:] = chol @ _rng(seed, r).standard_normal(n)
+    else:
+        idx = np.arange(n)
+        chol = np.linalg.cholesky(gamma[np.abs(np.subtract.outer(idx, idx))])
+        # one row at a time: a matrix-vector product, as for one sample
+        for row, r in zip(out, keys):
+            row[:] = chol @ _rng(seed, r).standard_normal(n)
+    if not np.isfinite(out).all():
+        raise NonFiniteValueError("the samples are not finite; rescale "
+                                  "the model")
     return out
 
 
@@ -132,8 +139,12 @@ def block_gap_mask(n: int, missing_fraction: float, mean_block_length: float,
     if not 1.0 <= mean_block_length < np.inf:  # NaN fails too
         raise ValueError("mean_block_length must be finite and >= 1, "
                          f"got {mean_block_length}")
+    f = float(missing_fraction)  # Python floats overflow without a warning
+    mean_present = float(mean_block_length) * (1.0 - f) / f
+    if not np.isfinite(mean_present):
+        raise ValueError(f"mean_block_length {mean_block_length} makes the "
+                         f"mean present-run length overflow at fraction {f}")
     rng = _rng(seed, 0)
-    mean_present = mean_block_length * (1.0 - missing_fraction) / missing_fraction
     mask = np.empty(n, dtype=bool)
     pos = 0
     missing = rng.random() < missing_fraction

@@ -15,13 +15,13 @@ takes 0.1, 0.7, 2.3, 6.4, 12, 23 and 37 ms for m = 0..6, and roughly
 60 and 120 ms for m = 7 and 8 (one CPU; repeat runs on a shared host
 spread by up to 1.5x).
 
-closed_form_g evaluates the closed form exactly; closed_form_g_values
-and weight_function evaluate it in float64 in O(s) time and memory, the
-latter as a read-only array. Both are within 3.3e-16 of max|G| of the
-exact value for m = 0..6 (measured at every lag of each s <= 64 and of
-s = 100, 300 and 1000, and at 100 random lags of s = 8000 and 2^16),
-and for m = 7, 8 within 2.4e-16 at 24 lags of s = 1000, 8000 and 2^16
-and 1.4e-15 at s = 10. Above m = 8 the Bernstein terms cancel at small
+closed_form_g evaluates the closed form exactly; weight_function, the
+one float evaluator, evaluates it in float64 in O(s) time and memory as
+a read-only array. It is within 3.3e-16 of max|G| of the exact value
+for m = 0..6 (measured at every lag of each s <= 64 and of s = 100,
+300 and 1000, and at 100 random lags of s = 8000 and 2^16), and for
+m = 7, 8 within 2.4e-16 at 24 lags of s = 1000, 8000 and 2^16 and
+1.4e-15 at s = 10. Above m = 8 the Bernstein terms cancel at small
 scales: at s = m + 2 the error was 8.2e-15, 1.8e-14 and 6.0e-14 of
 max|G| for m = 9, 10 and 12.
 So the float evaluation takes orders up to MAX_FLOAT_ORDER = 8 and
@@ -50,21 +50,8 @@ import numpy as np
 from .core import _check_scale
 from .exceptions import DFAError
 
-#: the highest order whose G closed_form_g_values evaluates in float64
+#: the highest order whose G weight_function evaluates in float64
 MAX_FLOAT_ORDER = 8
-
-
-def weight_function(m: int, s: int) -> np.ndarray:
-    """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix,
-    j = 0..s-1, as a fresh array that raises on write.
-
-    Every order up to MAX_FLOAT_ORDER takes the one closed form
-    (closed_form_g_values): O(s) time and memory per scale; see the
-    module docstring for its derivation and precision.
-    """
-    g = closed_form_g_values(m, s)
-    g.setflags(write=False)
-    return g
 
 
 def _denominator(m: int, s: int) -> int:
@@ -202,8 +189,10 @@ def closed_form_g(m: int, j: int, s: int, exact: bool = False):
     return g if exact else float(g)
 
 
-def closed_form_g_values(m: int, s: int) -> np.ndarray:
-    """Float evaluation of the closed form for j = 0..s-1, O(s).
+def weight_function(m: int, s: int) -> np.ndarray:
+    """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix,
+    j = 0..s-1, as a fresh array that raises on write: the float
+    evaluation of the closed form, O(s).
 
     With w = s - j and u = j / w, G = -w (w^2 - 1) w^{2m} sum_k a_k u^k
     (the ratio form of _closed_form). The 2m+1 coefficients a_k /
@@ -243,6 +232,7 @@ def closed_form_g_values(m: int, s: int) -> np.ndarray:
         g *= u
     np.subtract(1.0, u, out=u)
     g *= u
+    g.setflags(write=False)
     return g
 
 

@@ -42,7 +42,7 @@ from dfakit.models import FBM, FGN, OU, fbm_covariance, fgn_acvf_asymptotic
 from dfakit.weights import (
     asymptotic_coefficients,
     closed_form_g,
-    closed_form_g_values,
+    weight_function,
 )
 
 # exact reference rows for the asymptotic weight coefficients, orders 1..6
@@ -121,7 +121,7 @@ def test_criterion_02_closed_form_weight_agreement():
     for m in (1, 2):
         for s in range(m + 2, 513):
             ref = matrix_diagonal_sums(m, s)
-            cf = closed_form_g_values(m, s)
+            cf = weight_function(m, s)
             scale = np.abs(ref).max()
             assert np.abs(cf - ref).max() < 1e-9 * scale, (m, s)
     report(2, "closed-form G(j,s) matches the matrix version to 1e-9 "

@@ -791,6 +791,24 @@ class TestModelSpec:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    # finite parameters whose E F^2 or draws overflow: the CLI names the
+    # cause, not a later symptom, and writes no inf
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, tail, cause", [
+        ("expected", ["-m", "1", "--scales", "4", "8"],
+         "E F^2 at scale 8 is not finite"),
+        ("simulate", ["-n", "5"], "the samples are not finite"),
+        ("mc", ["-n", "5", "--ensemble", "2", "-m", "1", "--scales", "3",
+                "4", "5"], "the samples are not finite")],
+        ids=["expected", "simulate", "mc"])
+    def test_overflow_exit_4(self, tmp_path, capsys, command, tail, cause):
+        out = tmp_path / "o.csv"
+        spec = '{"kind": "fgn", "hurst": 0.7, "variance": 1e308}'
+        assert main([command, "--model", spec, "--out", str(out),
+                     *tail]) == 4
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "mc"])
     def test_variogram_table_cannot_be_sampled(self, tmp_path, command):
         spec = '{"kind": "table", "variogram": [0, 1, 2]}'

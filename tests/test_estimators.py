@@ -346,19 +346,6 @@ class TestKernelTiles:
                 np.testing.assert_allclose(tiled[key].f2[:, 0],
                                            dense[key].f2[:, i], rtol=1e-12)
 
-    def test_walker_yields_dense_a_and_counts(self, monkeypatch):
-        _, mask = self._data(0.0)
-        s = 17
-        u = core._orthonormal_rowspace(self.M, s)
-        dw = estimators._availability(mask, s)
-        monkeypatch.setattr(estimators, "_BLOCK_VALUES", 4 * s)
-        tiles = list(estimators._kernel_tiles(u, dw))
-        assert [c.stop - c.start for c, _, _ in tiles] == [4] * 4 + [1]
-        a = np.vstack([t[1] for t in tiles])
-        counts = np.vstack([t[2] for t in tiles])
-        assert np.array_equal(a, weight_matrix(self.M, s).entries)
-        assert np.array_equal(counts, dw.T @ dw)
-
     def test_f_hat_memory_bounded(self):
         # two dense s x s arrays at s = 4096 took 257 MiB
         n, m = 16384, 2

@@ -3,16 +3,19 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import dfakit
 from dfakit import expectation, weights
-from dfakit.cli import main
 from dfakit.estimators import default_scale_grid
-from dfakit.exceptions import DFAError, NonpositiveCorrectionError
+from dfakit.exceptions import (
+    DFAError,
+    NonFiniteValueError,
+    NonpositiveCorrectionError,
+)
 from dfakit.expectation import (
     asymptotic_lambda,
     correction_function,
@@ -30,7 +33,7 @@ from dfakit.models import (
     WhiteNoise,
     fbm_covariance,
 )
-from dfakit.weights import asymptotic_coefficients, closed_form_g_values
+from dfakit.weights import asymptotic_coefficients, weight_function
 
 
 def _forget_last_curve():
@@ -266,6 +269,14 @@ class TestExpectedCurve:
         with pytest.raises(DFAError, match="order 9"):
             correction_function(9, 0.7, 20)
 
+    def test_overflow_raises_before_the_curve_is_kept(self):
+        _forget_last_curve()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning escapes
+            with pytest.raises(NonFiniteValueError, match="scale 8"):
+                expected_curve(FGN(0.7, variance=1e308), 1, [4, 8])
+        assert expectation._last_curve[0] is None
+
     def test_scales_left_writable(self):
         scales = np.array([8, 16])
         expected_curve(FGN(0.7), 2, scales)
@@ -392,29 +403,23 @@ class TestMemo:
 
 
 class TestRetention:
-    def test_no_g_array_kept(self, monkeypatch, tmp_path):
-        # the expectation path takes G from closed_form_g_values, one
-        # scale at a time; weight_function is not called, under any name
-        def refuse(m, s):
-            raise AssertionError(f"weight_function({m}, {s}) called")
-
-        original = weights.weight_function
-        modules = [mod for name, mod in list(sys.modules.items())
-                   if name.split(".")[0] == "dfakit"]
-        for mod in modules:
-            if getattr(mod, "weight_function", None) is original:
-                monkeypatch.setattr(mod, "weight_function", refuse)
-        assert dfakit.weight_function is refuse
-        expected_curve(FGN(0.7), 2, [8, 1000])
-        assert main(["expected", "--model", '{"kind": "fbm", "hurst": 1.3}',
-                     "--out", str(tmp_path / "e.csv")]) == 0
-        assert main(["bias", "--hurst", "0.3", "-m", "3",
-                     "--out", str(tmp_path / "b.csv")]) == 0
+    def test_g_once_per_fitted_scale_and_not_on_a_hit(self, monkeypatch):
+        # G comes from weight_function, one scale at a time; the kept
+        # curve is read back without it
+        calls = []
+        monkeypatch.setattr(expectation, "weight_function", lambda m, s: (
+            calls.append((m, s)), weights.weight_function(m, s))[1])
+        _forget_last_curve()
+        scales = [3, 8, 1000, 8]  # s = m + 1 = 3 is not fitted
+        cold = expected_curve(FGN(0.7), 2, scales).tobytes()
+        assert calls == [(2, 8), (2, 1000), (2, 8)]
+        assert expected_curve(FGN(0.7), 2, scales).tobytes() == cold
+        assert len(calls) == 3
 
     def test_under_1_mib_kept_after_a_curve(self):
         scales = default_scale_grid(2 ** 18, 3)
         _forget_last_curve()
-        closed_form_g_values(3, 5)  # derives the closed form of m = 3
+        weight_function(3, 5)  # derives the closed form of m = 3
         tracemalloc.start()
         try:
             expected_curve(FGN(0.7), 3, scales)

@@ -6,7 +6,12 @@ import pytest
 from dfakit import estimators
 from dfakit.cli import main
 from dfakit.estimators import GappedSeries
-from dfakit.exceptions import DFAError, EmbeddingError, InsufficientLagsError
+from dfakit.exceptions import (
+    DFAError,
+    EmbeddingError,
+    InsufficientLagsError,
+    NonFiniteValueError,
+)
 from dfakit.generators import (
     add_polynomial_trend,
     block_gap_mask,
@@ -187,6 +192,14 @@ class TestSampleStack:
         assert np.array_equal(sample_stack(model, n, 4, self.KEYS), whole)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", [FGN(0.7, 1e308), FBM(1.7, 1e308)],
+                             ids=["fgn", "fbm"])
+    def test_overflow_raises(self, model):
+        with pytest.raises(NonFiniteValueError, match="not finite"):
+            sample_stack(model, 5, 0, self.KEYS)
+
+
 class TestFbm:
     def test_duality_with_noise(self):
         h = 1.3
@@ -282,6 +295,17 @@ class TestBlockGapMask:
                    "--gap-fraction", "0.2", "--block-length", length,
                    "--out", str(out)])
         assert rc == 4 and not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_present_runs(self, tmp_path, capsys):
+        # mean present run = mean_block_length (1 - f) / f = 4e308
+        for length in (1e308, np.float64(1e308)):
+            with pytest.raises(ValueError, match="mean_block_length"):
+                block_gap_mask(100, 0.2, length, seed=0)
+        rc = main(["mc", "--model", '{"kind": "white"}', "-n", "100",
+                   "--ensemble", "2", "--gap-fraction", "0.2",
+                   "--block-length", "1e308", "--out", str(tmp_path / "o")])
+        assert rc == 4 and "mean_block_length" in capsys.readouterr().err
 
 
 class TestApplyGapMask:

@@ -16,7 +16,6 @@ from dfakit.weights import (
     asymptotic_inverse_gram,
     asymptotic_weight,
     closed_form_g,
-    closed_form_g_values,
     weight_function,
 )
 
@@ -111,7 +110,7 @@ class TestWeightFunction:
 
     def test_keeps_no_array(self):
         # 20 scales near 2^16 are 10 MiB of G; none of it outlives its call
-        closed_form_g_values(3, 5)  # derives the closed form of m = 3
+        weight_function(3, 5)  # derives the closed form of m = 3
         tracemalloc.start()
         try:
             for s in range(2 ** 16 - 20, 2 ** 16):
@@ -161,7 +160,7 @@ class TestClosedForm:
         if s < m + 2:
             pytest.skip("scale below minimum")
         g = matrix_diagonal_sums(m, s)
-        cf = closed_form_g_values(m, s)
+        cf = weight_function(m, s)
         assert np.abs(cf - g).max() < 1e-9 * np.abs(g).max()
 
     @pytest.mark.parametrize("m", range(9))
@@ -186,12 +185,10 @@ class TestClosedForm:
                 exact = closed_form_g(m, j, s, exact=True)
                 assert abs(Fraction(g[j]) - exact) <= tol, (s, j)
 
-    @pytest.mark.parametrize("evaluate", [closed_form_g_values,
-                                          weight_function])
-    def test_float_order_capped(self, evaluate):
+    def test_float_order_capped(self):
         misses = _closed_form.cache_info().misses
         with pytest.raises(DFAError, match="order 9"):
-            evaluate(MAX_FLOAT_ORDER + 1, 20)
+            weight_function(MAX_FLOAT_ORDER + 1, 20)
         # refused before the closed form of the order is derived
         assert _closed_form.cache_info().misses == misses
 
@@ -230,7 +227,7 @@ class TestClosedForm:
         assert tuple(lead) == asymptotic_coefficients(m)
 
     def test_vector_matches_scalar(self):
-        cf = closed_form_g_values(2, 40)
+        cf = weight_function(2, 40)
         for j in (0, 1, 17, 39):
             assert cf[j] == pytest.approx(closed_form_g(2, j, 40), rel=1e-12)
 
