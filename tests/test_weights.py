@@ -185,10 +185,11 @@ class TestClosedForm:
                 exact = closed_form_g(m, j, s, exact=True)
                 assert abs(Fraction(g[j]) - exact) <= tol, (s, j)
 
-    def test_float_order_capped(self):
+    @pytest.mark.parametrize("evaluate", [weight_function])
+    def test_float_order_capped(self, evaluate):
         misses = _closed_form.cache_info().misses
         with pytest.raises(DFAError, match="order 9"):
-            weight_function(MAX_FLOAT_ORDER + 1, 20)
+            evaluate(MAX_FLOAT_ORDER + 1, 20)
         # refused before the closed form of the order is derived
         assert _closed_form.cache_info().misses == misses
 
