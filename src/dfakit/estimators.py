@@ -5,15 +5,23 @@ n mod s is discarded. One engine evaluates all three estimators on a
 series, as ``dfa``, ``f_hat`` and ``f_tilde``, or on an (R, n) stack of
 replicates that share one availability mask, as ``ensemble``. A curve is
 its F^2 array, (S,) or (R, S): ``defined`` (F^2 >= 0) and ``reasons``
-(NaN, no valid pairs; negative) are read off it. Per scale, the pieces
-that depend only on (m, s, mask) are built once for the stack: the
-Gram-polynomial basis U of ``core``, the availability windows Delta and
-the tiles of the kernel B.
+(NaN, no valid pairs; negative) are read off it.
+
+The engine has one loop over replicates: it splits a stack into blocks
+of max(1, _BLOCK_VALUES // n) replicates (_BLOCK_VALUES = 2^20), zeroes
+a block's missing values and runs every scale on it, building once per
+block the pieces that depend only on (m, s, mask): the basis U of
+``core``, the availability windows Delta and the tiles of the kernel B.
+Memory per scale is O(_BLOCK_VALUES + block n): f_hat at n = 16384
+(s up to 4096) peaked at 25 MiB, where the dense B took 257 MiB.
+Compute is not bounded: it stays O(R n s) per scale, so O(R n sum s)
+over a grid, about 10^10 multiply-adds per pass at n = 10^5 on the
+default grid and 10^12 at 10^6 (minutes on 2 CPUs).
 
 * Gap-free input is detrended directly: F^2(s) is the mean over windows
   of |y - (y U) U^T|^2 / s, with y = cumsum(x_w) the window's profile
   and U an orthonormal basis of the order-m polynomials. The windows of
-  all replicates go through one (R W, s) buffer, turned in place into
+  a block go through one (R W, s) buffer, turned in place into
   profiles and then residuals by one projection. All three
   estimators take this path on gap-free input, so they agree bit for
   bit there.
@@ -39,20 +47,12 @@ the tiles of the kernel B.
   held whole: it is built and applied in tiles of
   b = max(1, _BLOCK_VALUES // s) rows, which, B being symmetric, are
   its columns J transposed. Each tile B[J, :] =
-  A[J, :] W / max(counts[J, :], 1) is formed once per scale, in one
-  loop over the row tiles A[J, :] of core._weight_rows, from the pair
-  counts (Delta^T Delta)[J, :], and applied to every block of
-  replicates, whose centred windows are formed there; the tiles add up
-  the quadratic form, Delta B^T and f_tilde's offset terms. Below
-  s = 1024 a tile is the whole of B; above, no scale holds an s x s
-  array.
-
-Replicates go through in blocks of about _BLOCK_VALUES = 2^20 values (at
-least one replicate), so memory per scale is O(_BLOCK_VALUES + block n):
-f_hat at n = 16384 (s up to 4096) peaked at 25 MiB, where the dense B
-took 257 MiB. Compute is not bounded: it stays O(R n s) per scale, so
-O(R n sum s) over a grid, about 10^10 multiply-adds per pass at
-n = 10^5 on the default grid and 10^12 at 10^6 (minutes on 2 CPUs).
+  A[J, :] W / max(counts[J, :], 1) is formed in one loop over the row
+  tiles A[J, :] of core._weight_rows, from the pair counts
+  (Delta^T Delta)[J, :], and applied to the block's centred windows,
+  formed once per scale; the tiles add up the quadratic form,
+  Delta B^T and f_tilde's offset terms. Below s = 1024 a tile is the
+  whole of B; above, no scale holds an s x s array.
 """
 
 from __future__ import annotations
@@ -240,87 +240,88 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
     x is a finite series (n,) or an (R, n) stack of finite replicates
     sharing one mask; mask None is gap-free. Returns, per estimator, one
     curve with f2 of shape (S,) or (R, S), NaN where no pair is present.
+    Only here is a stack split into blocks; the kernels see one block.
     """
     if "f_hat" in estimators and m < 1:
         raise OrderZeroUnsupportedError(
             "difference-kernel estimator needs order >= 1"
         )
-    scales = np.asarray(scales, dtype=int)
+    scales = np.array(scales, dtype=int)  # a copy: the curve freezes it
     stack = np.atleast_2d(x)
     reps, n = stack.shape
     _check_scales(n, scales)
     gap_free = mask is None or bool(mask.all())
-    xz = None if gap_free else np.where(mask, stack, 0.0)
     f2 = {e: np.full((reps, scales.size), np.nan) for e in estimators}
     block = max(1, _BLOCK_VALUES // n)
-    for i, s in enumerate(scales):
-        s = int(s)
-        u = _orthonormal_rowspace(m, s)
-        if gap_free:
-            sums = dict.fromkeys(estimators, _residual_sums(stack, u, block))
-        else:
-            sums = _gapped_sums(xz, mask, u, block) or {}
-            if "standard" in estimators:
-                sums["standard"] = _residual_sums(stack, u, block)
-        # only a value too large to square overflows; NaN is left to mean
-        # that no window holds a present pair
-        for e in estimators:
-            if e in sums:
-                f2[e][:, i] = sums[e] / ((n // s) * s)
-                if not np.isfinite(f2[e][:, i]).all():
-                    raise NonFiniteValueError(
-                        f"F^2 at scale {s} is not finite; rescale the series")
+    for lo in range(0, reps, block):
+        rows = slice(lo, lo + block)
+        xb = stack[rows]
+        xz = None if gap_free else np.where(mask, xb, 0.0)
+        for i, s in enumerate(scales):
+            s = int(s)
+            u = _orthonormal_rowspace(m, s)
+            if gap_free:
+                sums = dict.fromkeys(estimators, _residual_sums(xb, u))
+            else:
+                sums = _gapped_sums(xz, mask, u) or {}
+                if "standard" in estimators:
+                    sums["standard"] = _residual_sums(xb, u)
+            # only a value too large to square overflows; NaN is left to
+            # mean that no window holds a present pair
+            for e in estimators:
+                if e in sums:
+                    f2[e][rows, i] = sums[e] / ((n // s) * s)
+                    if not np.isfinite(f2[e][rows, i]).all():
+                        raise NonFiniteValueError(f"F^2 at scale {s} is not "
+                                                  "finite; rescale the series")
     nw = n // scales
     return {e: FluctuationCurve(scales=scales, f2=v if x.ndim == 2 else v[0],
                                 n_windows=nw, estimator=e)
             for e, v in f2.items()}
 
 
-def _residual_sums(stack: np.ndarray, u: np.ndarray,
-                   block: int) -> np.ndarray:
-    """Per replicate of the stack (R, n), the sum over windows of the
+def _residual_sums(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per replicate of the block (R, n), the sum over windows of the
     squared residuals of the detrended profiles, at the scale of the
     basis u."""
     s, m = u.shape[0], u.shape[1] - 1
-    out = np.empty(stack.shape[0])
-    for lo in range(0, stack.shape[0], block):
-        rows = slice(lo, lo + block)
-        xw = _windows(stack[rows], s)
-        # one buffer, detrended in place: the windows, their profiles and
-        # the residuals
-        # a constant shift adds a ramp to the profile, which the fit
-        # removes; shifting by a window value keeps the profile small and
-        # makes a constant window give exactly zero
-        y = (xw - xw[..., :1] if m >= 1 else xw.copy()).reshape(-1, s)
-        np.cumsum(y, axis=1, out=y)
-        y -= (y @ u) @ u.T
-        out[rows] = _row_dot(y, y, xw.shape[0])
-    return out
+    xw = _windows(stack, s)
+    # one buffer, detrended in place: the windows, their profiles and the
+    # residuals
+    # a constant shift adds a ramp to the profile, which the fit removes;
+    # shifting by a window value keeps the profile small and makes a
+    # constant window give exactly zero
+    y = (xw - xw[..., :1] if m >= 1 else xw.copy()).reshape(-1, s)
+    np.cumsum(y, axis=1, out=y)
+    y -= (y @ u) @ u.T
+    return _row_dot(y, y, xw.shape[0])
 
 
-def _gapped_sums(xz: np.ndarray, mask: np.ndarray, u: np.ndarray,
-                 block: int) -> dict | None:
-    """Per replicate of the zero-filled stack xz (R, n), the window sums
+def _gapped_sums(xz: np.ndarray, mask: np.ndarray,
+                 u: np.ndarray) -> dict | None:
+    """Per replicate of the zero-filled block xz (R, n), the window sums
     of f_hat and f_tilde at the scale of u (F^2 times s W), or None when
     no window holds a present pair.
 
     B is walked in row tiles of A from core._weight_rows, of
-    max(1, _BLOCK_VALUES // s) rows, each built once with its pair
-    counts (Delta^T Delta)[cols, :] and applied to every block of
-    replicates, whose centred windows are formed there.
+    max(1, _BLOCK_VALUES // s) rows, each built with its pair counts
+    (Delta^T Delta)[cols, :] and applied to the whole block.
     """
     reps, s = xz.shape[0], u.shape[0]
     dw = _windows(mask, s).astype(float)  # Delta (W x s)
     if not dw.any():
         return None
     nw = dw.shape[0]
-    shift = _windows(xz, s)[:, np.arange(nw), dw.argmax(axis=1)]
+    xw = _windows(xz, s)
+    shift = xw[:, np.arange(nw), dw.argmax(axis=1)]
+    # the pairwise form is invariant to a shift of each window; centring
+    # on a present value stops its two terms from cancelling in floating
+    # point. Formed once, never per tile: a fresh array per tile gave 5x
+    # the page faults of f_hat at n = 10^5
+    yc = xw - shift[..., None]
+    yc *= dw
     quad, corr, cross = np.zeros(reps), np.zeros(reps), np.zeros(reps)
     self_weights = np.zeros(nw)  # delta . B delta
-    # the centred windows of a replicate block, one buffer for every
-    # tile: a fresh array per tile made the heap shrink and refault on
-    # every tile (5x the page faults of f_hat at n = 10^5)
-    buf = np.empty((min(reps, block), nw, s))
     for cols, b in _weight_rows(u, max(1, _BLOCK_VALUES // s)):
         # B[cols, :] = A[cols, :] W / max(counts, 1), in place. A pair
         # with count 0 is never present together: B gives the sums of
@@ -333,21 +334,11 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray, u: np.ndarray,
         # row w of Delta B[:, cols] is (B delta_w)[cols]
         dbw = dw @ b
         self_weights += np.einsum("wk,wk->w", dw[:, cols], dbw)
-        for lo in range(0, reps, block):
-            rows = slice(lo, lo + block)
-            # the pairwise form is invariant to a shift of each window;
-            # centring on a present value stops its two terms from
-            # cancelling in floating point
-            xw = _windows(xz[rows], s)
-            r = len(xw)
-            yc = np.subtract(xw, shift[rows, :, None], out=buf[:r])
-            yc *= dw
-            part = yc[..., cols]
-            # the one (R W, s) x (s, b) product of the tile
-            quad[rows] += _row_dot(yc.reshape(-1, s) @ b, part, r)
-            corr[rows] += (part * part).reshape(r, -1) @ dbw.ravel()
-            cross[rows] += _row_dot(
-                shift[rows], np.einsum("rwk,wk->rw", part, dbw), r)
+        part = yc[..., cols]
+        # the one (R W, s) x (s, b) product of the tile
+        quad += _row_dot(yc.reshape(-1, s) @ b, part, reps)
+        corr += (part * part).reshape(reps, -1) @ dbw.ravel()
+        cross += _row_dot(shift, np.einsum("rwk,wk->rw", part, dbw), reps)
     # yw = yc + shift delta, so yw^T B yw = yc^T B yc
     # + 2 shift (yc . B delta) + shift^2 (delta . B delta)
     return {"f_hat": quad - corr,
@@ -403,8 +394,8 @@ def ensemble(samples, mask, m: int, scales) -> dict[str, FluctuationCurve]:
     Returns one curve with an (R, S) f2 under "standard" (``dfa`` of the
     full samples) and, when a mask is given, under "f_hat" and
     "f_tilde" (of the samples with the mask applied). Row r equals the
-    curve the per-replicate call gives; the per-scale pieces that depend
-    only on (m, s, mask) are built once for the whole stack.
+    curve the per-replicate call gives; the (m, s, mask) pieces of a
+    scale are built once per block: the whole stack up to 2^20 values.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or not len(x):

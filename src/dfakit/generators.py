@@ -81,6 +81,11 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
                        "it has no acvf")
     gamma = np.asarray(model.acvf(np.arange(n)), dtype=float)
     lam = _circulant_eigenvalues(gamma, float(model.acvf(n)))
+    # an overflowing eigenvalue is no sign that the embedding is negative
+    if not np.isfinite(lam).all():
+        raise NonFiniteValueError(f"the samples are not finite: the circulant "
+                                  f"eigenvalues of {model!r} overflow; "
+                                  "rescale the model")
     out = np.empty((len(keys), n))
     if lam.min() >= 0:
         m = 2 * n

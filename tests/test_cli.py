@@ -27,6 +27,7 @@ from dfakit.estimators import (
     ensemble,
     estimate_hurst,
     f_hat,
+    f_tilde,
 )
 from dfakit.exceptions import TooFewPointsError
 from dfakit.generators import block_gap_mask, sample, sample_stack
@@ -149,6 +150,32 @@ class TestAnalyze:
         rc = main(["analyze", "-i", str(inp), "--out", str(out),
                    "--hurst-out", str(tmp_path / "missing" / "h.json")])
         assert rc == 3
+        assert not out.exists()
+
+    def test_f_tilde_matches_library(self, tmp_path):
+        x = sample(FGNModel(0.7, 1.0), 400, seed=5)
+        mask = block_gap_mask(400, 0.2, 6.0, seed=6)
+        inp = tmp_path / "x.csv"
+        out = tmp_path / "curve.csv"
+        write_series(inp, x, mask)
+        rc = main(["analyze", "-i", str(inp), "--estimator", "f_tilde",
+                   "-m", "2", "--scales", "8", "16", "32",
+                   "--out", str(out),
+                   "--hurst-out", str(tmp_path / "h.json")])
+        assert rc == 0
+        got = np.array([float(r["F_squared"]) for r in read_curve_csv(out)])
+        ref = f_tilde(GappedSeries(np.where(mask, x, 0.0), mask), 2,
+                      [8, 16, 32])
+        assert np.array_equal(got, ref.f2)
+
+    def test_no_data_rows_exit_4(self, tmp_path, capsys):
+        inp = tmp_path / "x.csv"
+        inp.write_text("# a comment\n\n")
+        out = tmp_path / "o.csv"
+        rc = main(["analyze", "-i", str(inp), "--out", str(out),
+                   "--hurst-out", str(tmp_path / "h.json")])
+        assert rc == 4
+        assert "no data rows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_na_handling_with_f_hat(self, tmp_path):
@@ -450,6 +477,17 @@ class TestSimulate:
         rc = main(_with_gap_fraction(argv, 0, source, tmp_path))
         assert rc == 4
         assert "(0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_spectrum_exit_4(self, tmp_path, capsys):
+        # past the Cholesky cap this was refused as a negative embedding
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--model",
+                   '{"kind": "fgn", "hurst": 0.7, "variance": 1e308}',
+                   "-n", "9000", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "not finite" in err and "embedding" not in err
         assert not out.exists()
 
     def test_simulate_then_analyze(self, tmp_path):

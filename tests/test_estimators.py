@@ -80,6 +80,10 @@ class TestDfa:
         with pytest.raises(ScaleExceedsLengthError):
             dfa(np.ones(10), 1, [11])
 
+    def test_empty_scale_grid(self):
+        with pytest.raises(ValueError, match="empty scale grid"):
+            dfa(np.arange(10.0), 1, [])
+
 
 class TestGapWeights:
     def test_no_gaps(self):
@@ -106,6 +110,10 @@ class TestGapWeights:
     def test_all_pairs_missing(self):
         with pytest.raises(AllPairsMissingError):
             gap_weights(np.zeros(10, bool) | False, 5)
+
+    def test_scale_exceeds_mask_length(self):
+        with pytest.raises(ScaleExceedsLengthError, match="mask length"):
+            gap_weights(np.ones(10, bool), 11)
 
     def test_empty_window_numerator_flag(self):
         mask = np.ones(20, bool)
@@ -554,6 +562,26 @@ class TestScaleGrid:
         g = default_scale_grid(1368, 2)
         assert g.min() == 4 and g.max() == 342
         assert g.size <= 30
+
+    @pytest.mark.parametrize("entry", ["dfa", "f_hat", "f_tilde",
+                                       "ensemble"])
+    @pytest.mark.parametrize("grid", ["ints", "default"])
+    def test_caller_scales_stay_writable(self, entry, grid):
+        x = np.random.default_rng(80).normal(size=200)
+        mask = np.ones(200, bool)
+        mask[50:60] = False
+        scales = (np.array([8, 16, 32]) if grid == "ints"
+                  else default_scale_grid(200, 2))
+        given = scales.copy()
+        curve = {"dfa": lambda: dfa(x, 2, scales),
+                 "f_hat": lambda: f_hat(GappedSeries(x, mask), 2, scales),
+                 "f_tilde": lambda: f_tilde(GappedSeries(x, mask), 2, scales),
+                 "ensemble": lambda: ensemble(x[None], mask, 2,
+                                              scales)["f_hat"]}[entry]()
+        assert scales.flags.writeable
+        scales[0] = 5
+        assert np.array_equal(curve.scales, given)
+        assert not curve.scales.flags.writeable
 
     def test_short_series(self):
         with pytest.raises(ScaleExceedsLengthError):

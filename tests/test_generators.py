@@ -199,6 +199,21 @@ class TestSampleStack:
         with pytest.raises(NonFiniteValueError, match="not finite"):
             sample_stack(model, 5, 0, self.KEYS)
 
+    # an overflowing spectrum is not a negative embedding: below the
+    # Cholesky cap it took that fallback, above it it raised EmbeddingError
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [16, 9000])
+    def test_overflowing_eigenvalues_raise(self, n):
+        with pytest.raises(NonFiniteValueError,
+                           match=r"not finite.*FGN\(hurst=0\.7.*rescale the "
+                                 "model"):
+            sample_stack(FGN(0.7, 1e308), n, 0, [0])
+
+    def test_negative_embedding_past_cholesky_cap(self):
+        table = AcvfTable((1.0, 0.9, 0.9, 0.9) + (0.0,) * 8190)
+        with pytest.raises(EmbeddingError, match="Cholesky fallback cap"):
+            sample_stack(table, 8193, 0, [0])
+
 
 class TestFbm:
     def test_duality_with_noise(self):
