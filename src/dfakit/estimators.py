@@ -28,21 +28,19 @@ default grid and 10^12 at 10^6 (minutes on 2 CPUs).
 * Gapped input has its missing values zeroed. With y and delta a
   window's values and availability,
 
-      f_tilde = sum_w y^T B y / (sW),
       f_hat   = sum_w (y^T B y - (y*y) . (B delta)) / (sW),
+      f_tilde = sum_w y^T B y / (sW) = f_hat + sum_w (y*y) . (B delta) / (sW),
 
-  the window averages of the product kernel (1/s) sum B x_k x_j and of
-  the pairwise-difference kernel -(1/2s) sum B (x_k - x_j)^2 over
-  present pairs. f_hat is invariant to a shift of a window, so each
-  window is centred on its first present value c: y_c = (y - c) delta.
-  B is symmetric and y = y_c + c delta, so
-
-      y^T B y = y_c^T B y_c + 2 c (y_c . B delta) + c^2 (delta . B delta),
-
-  and one (R W, s) x (s, s) product Y_c B per scale serves both
-  estimators, whose sums are always formed together; the other terms
-  cost O(R W s). An all-missing window has y_c = 0 and delta = 0 and
-  adds exactly 0. B, the pair weights p * A of ``gap_weights``
+  the window averages of the pairwise-difference kernel
+  -(1/2s) sum B (x_k - x_j)^2 over present pairs and of the product
+  kernel (1/s) sum B x_k x_j: f_tilde is f_hat plus one diagonal term.
+  f_hat is invariant to a shift of a window, so it is formed on each
+  window centred on its first present value c, y_c = (y - c) delta;
+  the diagonal term is that of the uncentred y. One (R W, s) x (s, s)
+  product Y_c B per scale serves both estimators, whose sums are always
+  formed together; the two diagonal terms cost O(R W s). An all-missing
+  window has y = 0 and delta = 0 and adds exactly 0. B, the pair
+  weights p * A of ``gap_weights``
   (p = W / pair counts, W counting all-missing windows too), is never
   held whole: it is built and applied in tiles of
   b = max(1, _BLOCK_VALUES // s) rows, which, B being symmetric, are
@@ -50,8 +48,8 @@ default grid and 10^12 at 10^6 (minutes on 2 CPUs).
   A[J, :] W / max(counts[J, :], 1) is formed in one loop over the row
   tiles A[J, :] of core._weight_rows, from the pair counts
   (Delta^T Delta)[J, :], and applied to the block's centred windows,
-  formed once per scale; the tiles add up the quadratic form,
-  Delta B^T and f_tilde's offset terms. Below s = 1024 a tile is the
+  formed once per scale; the tiles add up the quadratic form and the
+  two diagonal terms, each read off Delta B. Below s = 1024 a tile is the
   whole of B; above, no scale holds an s x s array.
 """
 
@@ -303,6 +301,8 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray,
     of f_hat and f_tilde at the scale of u (F^2 times s W), or None when
     no window holds a present pair.
 
+    f_hat is the quadratic form of the centred windows less their
+    diagonal term; f_tilde adds the diagonal term of the uncentred ones.
     B is walked in row tiles of A from core._weight_rows, of
     max(1, _BLOCK_VALUES // s) rows, each built with its pair counts
     (Delta^T Delta)[cols, :] and applied to the whole block.
@@ -320,8 +320,7 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray,
     # the page faults of f_hat at n = 10^5
     yc = xw - shift[..., None]
     yc *= dw
-    quad, corr, cross = np.zeros(reps), np.zeros(reps), np.zeros(reps)
-    self_weights = np.zeros(nw)  # delta . B delta
+    quad, corr, raw = np.zeros(reps), np.zeros(reps), np.zeros(reps)
     for cols, b in _weight_rows(u, max(1, _BLOCK_VALUES // s)):
         # B[cols, :] = A[cols, :] W / max(counts, 1), in place. A pair
         # with count 0 is never present together: B gives the sums of
@@ -333,16 +332,13 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray,
         b = b.T
         # row w of Delta B[:, cols] is (B delta_w)[cols]
         dbw = dw @ b
-        self_weights += np.einsum("wk,wk->w", dw[:, cols], dbw)
         part = yc[..., cols]
         # the one (R W, s) x (s, b) product of the tile
         quad += _row_dot(yc.reshape(-1, s) @ b, part, reps)
         corr += (part * part).reshape(reps, -1) @ dbw.ravel()
-        cross += _row_dot(shift, np.einsum("rwk,wk->rw", part, dbw), reps)
-    # yw = yc + shift delta, so yw^T B yw = yc^T B yc
-    # + 2 shift (yc . B delta) + shift^2 (delta . B delta)
-    return {"f_hat": quad - corr,
-            "f_tilde": quad + 2.0 * cross + (shift * shift) @ self_weights}
+        part = xw[..., cols]
+        raw += (part * part).reshape(reps, -1) @ dbw.ravel()
+    return {"f_hat": quad - corr, "f_tilde": quad - corr + raw}
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray, reps: int) -> np.ndarray:
@@ -376,14 +372,18 @@ def f_tilde(gs: GappedSeries, m: int, scales) -> FluctuationCurve:
     Memory per scale is O(n) for gap-free input; with gaps it is
     O(n + _BLOCK_VALUES), as for f_hat, and time O(n s).
 
-    Precision: the window offsets c enter only through the scalar terms
-    2 c (y_c . B delta) + c^2 (delta . B delta) added to f_hat's centred
-    product, and an offset large against the spread makes those terms
-    cancel across windows. At offset 10^3 (unit noises and walks,
-    n = 300, m = 1..3, 100 seeds, 10-40% of points missing at random,
-    scales 5..50) the relative error against extended precision had
-    median 9.6e-14, 99th percentile 1.6e-11 and maximum 1.5e-9 (f_hat:
-    1.7e-16, 1.2e-15 and 1.7e-14).
+    Precision: the window offsets c enter only through the diagonal term
+    (y*y) . (B delta) of the uncentred windows added to f_hat, whose
+    entries grow as c^2 and, for an offset large against the spread,
+    cancel. Relative error against extended precision (unit noises and
+    walks, n = 300, m = 1..3, 300 seeds, 10-40% of points missing at
+    random, scales 5..50), median / 99th percentile / maximum:
+
+        offset 55.5   5.5e-15 / 7.8e-13 / 1.9e-10
+        offset 10^3   9.6e-14 / 1.6e-11 / 1.8e-9
+        offset 10^5   1.0e-11 / 1.5e-9  / 2.9e-7
+
+    (f_hat, at each offset: 1.8e-16 / 1e-15 / 3e-14).
     """
     return _curve(gs.values, gs.mask, m, scales, ("f_tilde",))["f_tilde"]
 

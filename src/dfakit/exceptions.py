@@ -31,7 +31,8 @@ class InsufficientLagsError(DFAError, ValueError):
 
 
 class NonFiniteValueError(DFAError, ValueError):
-    """A value marked present is NaN or infinite."""
+    """A value marked present is NaN or infinite, or a result (F^2, E F^2,
+    a sample) overflows or, for E F^2, is subnormal."""
 
 
 class AllPairsMissingError(DFAError, ValueError):

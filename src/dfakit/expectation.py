@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -88,7 +89,9 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     model, m and grid returns it as an array that cannot be made
     writable; any other call evaluates its grid and replaces it in one
     assignment, so threads need no lock. No G or lag array is kept; an
-    E F^2 that is not finite raises NonFiniteValueError and keeps nothing.
+    E F^2 that is not finite, or nonzero and subnormal (below the smallest
+    normal float, where digits are lost), raises NonFiniteValueError and
+    keeps nothing.
     """
     global _last_curve
     scales = np.asarray(scales, dtype=int)
@@ -118,6 +121,11 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
             if not math.isfinite(ef2[i]):
                 raise NonFiniteValueError(
                     f"E F^2 at scale {s} is not finite; rescale the model")
+            # a subnormal E F^2 has lost digits; an exact 0 has not
+            if 0 < abs(ef2[i]) < sys.float_info.min:
+                raise NonFiniteValueError(
+                    f"E F^2 at scale {s} is {ef2[i]:.4g}, below the smallest "
+                    "normal float; rescale the model")
     if key is not None:
         _last_curve = (key, ef2.tobytes())
     ef2.setflags(write=False)

@@ -61,26 +61,25 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     (seed, replicates[i]).
 
     A model with an acvf goes through the circulant embedding, which
-    reads gamma(0..n-1) and gamma(n); an FBM is the running sum of
-    sample_stack(FGN(H - 1, variance)) along each row, so X(0) = 0 and the
-    increments of each row are exactly that noise stream. The acvf and
-    the embedding's eigenvalues (or the Cholesky factor) are computed
-    once for the stack; each row is what sample(model, n, seed, replicate)
-    gives, bit for bit. A stack that is not finite (a variance too large
-    for float64) raises NonFiniteValueError.
+    reads gamma(0..n-1) and gamma(n); an FBM goes through it as the
+    FGN(H - 1, variance) of its increments, summed along each row last, so
+    X(0) = 0 and the increments of each row are exactly that noise
+    stream. The acvf and the embedding's eigenvalues (or the Cholesky
+    factor) are computed once for the stack; each row is what
+    sample(model, n, seed, replicate) gives, bit for bit. A stack that is
+    not finite (a variance too large for float64) raises
+    NonFiniteValueError, whose message names the model given.
     """
     if n < 2:
         raise ValueError("length must be >= 2")
     keys = [int(r) for r in replicates]
-    if isinstance(model, FBM):
-        # n values of finite noise (checked below) cannot overflow a sum
-        return np.cumsum(sample_stack(FGN(model.hurst - 1.0, model.variance),
-                                      n, seed, keys), axis=1)
-    if not hasattr(model, "acvf"):
+    noise = (FGN(model.hurst - 1.0, model.variance)
+             if isinstance(model, FBM) else model)
+    if not hasattr(noise, "acvf"):
         raise DFAError(f"cannot sample {type(model).__name__}: "
                        "it has no acvf")
-    gamma = np.asarray(model.acvf(np.arange(n)), dtype=float)
-    lam = _circulant_eigenvalues(gamma, float(model.acvf(n)))
+    gamma = np.asarray(noise.acvf(np.arange(n)), dtype=float)
+    lam = _circulant_eigenvalues(gamma, float(noise.acvf(n)))
     # an overflowing eigenvalue is no sign that the embedding is negative
     if not np.isfinite(lam).all():
         raise NonFiniteValueError(f"the samples are not finite: the circulant "
@@ -120,6 +119,10 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NonFiniteValueError("the samples are not finite; rescale "
                                   "the model")
+    if noise is not model:
+        # noise drawn from finite eigenvalues lies far inside the float
+        # range, so its running sum stays finite
+        np.cumsum(out, axis=1, out=out)
     return out
 
 

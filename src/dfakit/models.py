@@ -251,9 +251,6 @@ class FBM:
             raise ValueError("lag must be >= 0")
         return np.asarray(self.variance * t ** (2.0 * (self.hurst - 1.0)))
 
-    def covariance(self, t, s) -> np.ndarray | float:
-        return fbm_covariance(self.hurst - 1.0, self.variance, t, s)
-
 
 @dataclass(frozen=True)
 class VariogramTable:

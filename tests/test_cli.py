@@ -847,6 +847,15 @@ class TestModelSpec:
         assert cause in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_expected_exit_4(self, tmp_path, capsys):
+        # E F^2 = 1.49e-321 at s = 4 was written as if exact
+        out = tmp_path / "o.csv"
+        spec = '{"kind": "fgn", "hurst": 0.7, "variance": 1e-320}'
+        assert main(["expected", "--model", spec, "-m", "1", "--scales",
+                     "4", "8", "--hurst", "0.7", "--out", str(out)]) == 4
+        assert "E F^2 at scale 4" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "mc"])
     def test_variogram_table_cannot_be_sampled(self, tmp_path, command):
         spec = '{"kind": "table", "variogram": [0, 1, 2]}'

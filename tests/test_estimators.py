@@ -421,6 +421,19 @@ class TestFTilde:
         b = f_tilde(gs, 2, scales).f2
         assert not np.allclose(a, b, rtol=1e-6)
 
+    # at m = 0 the rows of A do not sum to zero, so the diagonal term
+    # added to f_hat's is nonzero even in fully present windows
+    @pytest.mark.parametrize("offset", [0.0, 55.5, 1e3])
+    def test_order_zero_matches_longdouble_reference(self, offset):
+        rng = np.random.default_rng(30)
+        scales = [5, 7, 12, 25, 50]
+        for x in (rng.normal(size=300), np.cumsum(rng.normal(size=300))):
+            mask = rng.random(300) > rng.uniform(0.1, 0.4)
+            tilde = f_tilde(GappedSeries(x + offset, mask), 0, scales).f2
+            for i, s in enumerate(scales):
+                ref = _longdouble_reference(x + offset, mask, 0, s)[1]
+                assert tilde[i] == pytest.approx(ref, rel=1e-12)
+
 
 class TestEstimateHurst:
     def test_exact_power_law(self):

@@ -277,6 +277,15 @@ class TestExpectedCurve:
                 expected_curve(FGN(0.7, variance=1e308), 1, [4, 8])
         assert expectation._last_curve[0] is None
 
+    def test_subnormal_raises_before_the_curve_is_kept(self):
+        # E F^2 of about 1e-321 has lost all but a few digits
+        _forget_last_curve()
+        with pytest.raises(NonFiniteValueError, match="scale 4.*rescale"):
+            expected_curve(FGN(0.7, variance=1e-320), 1, [2, 4, 8])
+        assert expectation._last_curve[0] is None
+        # s = m + 1 leaves no residual: an exact 0 is not subnormal
+        assert expected_curve(FGN(0.7, variance=1e-320), 1, [2])[0] == 0.0
+
     def test_scales_left_writable(self):
         scales = np.array([8, 16])
         expected_curve(FGN(0.7), 2, scales)

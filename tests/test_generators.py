@@ -209,6 +209,14 @@ class TestSampleStack:
                                  "model"):
             sample_stack(FGN(0.7, 1e308), n, 0, [0])
 
+    # an fBm is sampled through the fGn of its increments, which the
+    # message named in its place
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_fbm_is_named(self):
+        with pytest.raises(NonFiniteValueError,
+                           match=r"FBM\(hurst=1\.7.*rescale the model"):
+            sample_stack(FBM(1.7, 1e308), 16, 0, [0])
+
     def test_negative_embedding_past_cholesky_cap(self):
         table = AcvfTable((1.0, 0.9, 0.9, 0.9) + (0.0,) * 8190)
         with pytest.raises(EmbeddingError, match="Cholesky fallback cap"):

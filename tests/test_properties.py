@@ -30,6 +30,7 @@ from dfakit.models import (
     DerivedVariogram,
     VariogramTable,
     WhiteNoise,
+    fbm_covariance,
 )
 from dfakit.weights import weight_function
 
@@ -212,10 +213,13 @@ def test_general_engine_is_invariant_to_window_offset(case, t, h):
     a = weight_matrix(m, s).entries
     fbm = FBM(1 + h)
 
+    def motion(t1, t2):
+        return fbm_covariance(fbm.hurst - 1.0, fbm.variance, t1, t2)
+
     def noise(t1, t2):
         return FGN(h, 1.0).acvf(t1 - t2)
 
-    for kernel, ref in ((fbm.covariance, expected_curve(fbm, m, [s])[0]),
+    for kernel, ref in ((motion, expected_curve(fbm, m, [s])[0]),
                         (noise, expected_curve(FGN(h), m, [s])[0])):
         size = np.abs(a * kernel(idx[:, None], idx[None, :])).sum() / s
         got = expected_f2_general(kernel, m, s, t)
