@@ -195,6 +195,15 @@ def _expected_rows(scales, ef2, hurst, lam: float | None):
             yield s, e, None, None
 
 
+@functools.lru_cache(maxsize=1)
+def _last_curve(model, m: int, scales: tuple) -> np.ndarray:
+    """expected_curve, kept for the process: `bias` after `expected` on
+    the same model, m and grid evaluates nothing. A model built from JSON
+    is a hashable package dataclass, equal to one of the same values
+    whatever their number types, and no caller writes to the curve."""
+    return expected_curve(model, m, scales)
+
+
 def cmd_expected(args) -> int:
     model = _model(args)
     scales = _scales(args)
@@ -204,7 +213,7 @@ def cmd_expected(args) -> int:
     # the whole curve before the output is opened, so that a model that
     # fails at some scale leaves no partial file, and before lambda, so
     # that an order the curve refuses is refused before its d_q are derived
-    ef2 = expected_curve(model, args.order, scales)
+    ef2 = _last_curve(model, args.order, tuple(scales.tolist()))
     lam = asymptotic_lambda(args.order, hurst) if hurst is not None else None
     _write_csv(args.out, args, ["s", "EF2", "lambda_s2H", "K2"],
                _expected_rows(scales, ef2, hurst, lam))
@@ -217,7 +226,7 @@ def cmd_bias(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     m, scales = args.order, _scales(args)
-    ef2 = expected_curve(scaling_model(args.hurst), m, scales)
+    ef2 = _last_curve(scaling_model(args.hurst), m, tuple(scales.tolist()))
     lam = asymptotic_lambda(m, args.hurst)
     _write_csv(args.out, args, ["s", "K2", "K"],
                ((s, k2, np.sqrt(k2)) for s, _, _, k2

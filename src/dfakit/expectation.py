@@ -11,8 +11,9 @@ models.DerivedVariogram(model) asks for the second form on a stationary
 model. Over a scale grid the lag function is evaluated once, at lags up
 to the largest scale s_max, and each scale's sum reads a prefix of it:
 one lag evaluation of length s_max plus O(sum s) for G and the dot
-products, not O(sum s) lag evaluations. The last curve of a scalar
-model is kept, so `bias` after `expected` evaluates nothing.
+products, not O(sum s) lag evaluations. Nothing is kept between
+calls; the CLI keeps its last curve for the process, so `bias` after
+`expected` evaluates nothing.
 expected_f2_general is the window-offset reference engine for a general
 kernel gamma(t1, t2): E F^2(s) = (1/s) sum_{k,j} A_{k,j} gamma(t+k, t+j).
 
@@ -24,7 +25,6 @@ finite-size bias.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from functools import lru_cache
@@ -37,7 +37,7 @@ from .exceptions import (
     NonpositiveCorrectionError,
     OrderZeroUnsupportedError,
 )
-from .models import AR1, FBM, FGN, OU, WhiteNoise, check_hurst
+from .models import FBM, FGN, WhiteNoise, check_hurst
 from .weights import asymptotic_coefficients, weight_function
 
 
@@ -55,27 +55,6 @@ def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
     return float((a * gam).sum()) / s
 
 
-_SCALAR_MODELS = (WhiteNoise, FGN, OU, AR1, FBM)
-#: (key, E F^2 bytes) of the last curve of a keyed model; see expected_curve
-_last_curve: tuple = (None, b"")
-
-
-def _memo_key(model) -> tuple | None:
-    """The cache key of a scalar package model, or None: its type and each
-    field's value with the value's type (FGN(0.5) and FGN(Fraction(1, 2))
-    hash equal). Tables, DerivedVariogram and foreign models have none."""
-    cls = type(model)
-    if cls not in _SCALAR_MODELS:
-        return None
-    key = (cls, *((type(v), v) for v in
-                  (getattr(model, f.name) for f in dataclasses.fields(cls))))
-    try:
-        hash(key)
-    except TypeError:  # a field holds an unhashable value
-        return None
-    return key
-
-
 # an overflow raises NonFiniteValueError below; its warnings add nothing
 @np.errstate(over="ignore", invalid="ignore")
 def expected_curve(model, m: int, scales) -> np.ndarray:
@@ -84,26 +63,15 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     0..s_max-1 if it has one, else its variogram at lags 1..s_max-1
     (m >= 1), evaluated once out to the largest scale s_max.
 
-    The last curve of a scalar model (see _memo_key) is kept as bytes, so
-    `bias` reads the curve `expected` has just made. A call with its
-    model, m and grid returns it as an array that cannot be made
-    writable; any other call evaluates its grid and replaces it in one
-    assignment, so threads need no lock. No G or lag array is kept; an
-    E F^2 that is not finite, or nonzero and subnormal (below the smallest
-    normal float, where digits are lost), raises NonFiniteValueError and
-    keeps nothing.
+    Every call evaluates its grid and keeps nothing: no curve, G or lag
+    array (the CLI keeps its last curve for the process). An E F^2 that
+    is not finite, or nonzero and subnormal (below the smallest normal
+    float, where digits are lost), raises NonFiniteValueError.
     """
-    global _last_curve
     scales = np.asarray(scales, dtype=int)
     stationary = hasattr(model, "acvf")
     if not stationary and m < 1 and scales.size:
         raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
-    key = _memo_key(model)
-    if key is not None:
-        key = (key, m, scales.tobytes())
-        last_key, values = _last_curve
-        if key == last_key:
-            return np.frombuffer(values)
     ef2 = np.zeros(scales.size)  # s = m + 1 leaves no residual
     fitted = np.flatnonzero(scales != m + 1)
     if fitted.size:
@@ -126,8 +94,6 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
                 raise NonFiniteValueError(
                     f"E F^2 at scale {s} is {ef2[i]:.4g}, below the smallest "
                     "normal float; rescale the model")
-    if key is not None:
-        _last_curve = (key, ef2.tobytes())
     ef2.setflags(write=False)
     return ef2
 

@@ -220,6 +220,16 @@ class TestExpected:
         assert float(row["EF2"]) == pytest.approx(4096**3 / 420, rel=0.01)
         assert float(row["K2"]) == pytest.approx(1.0, abs=0.05)
 
+    def test_model_without_hurst_leaves_k2_empty(self, tmp_path):
+        out = tmp_path / "e.csv"
+        rc = main(["expected", "--model", '{"kind": "ou", "tau_c": 5}',
+                   "-m", "2", "--scales", "4", "8", "16", "--out", str(out)])
+        assert rc == 0
+        rows = read_curve_csv(out)
+        assert [int(r["s"]) for r in rows] == [4, 8, 16]
+        want = expectation.expected_curve(OU(5.0), 2, [4, 8, 16])
+        assert np.array_equal([float(r["EF2"]) for r in rows], want)
+        assert all(r["lambda_s2H"] == r["K2"] == "" for r in rows)
 
     def test_perfect_fit_scale_exits_before_output(self, tmp_path):
         # s = m + 1 would give E F^2 = 0 and K^2 = 0, a K^2 that
@@ -270,7 +280,6 @@ def _count_lag_calls(monkeypatch):
 ], ids=["expected-fgn", "expected-fbm", "bias-fgn", "bias-fbm"])
 def test_lag_function_evaluated_once_per_command(tmp_path, monkeypatch, argv,
                                                  s_max):
-    expectation._last_curve = (None, b"")
     calls = _count_lag_calls(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == [s_max]
@@ -284,7 +293,6 @@ def test_bias_reads_the_curve_expected_made(tmp_path, monkeypatch, kind,
                                             hurst, scales, lags):
     """bias after expected on the same model, -m and --scales evaluates
     no lag; expected on another grid then evaluates the lags once."""
-    expectation._last_curve = (None, b"")
     calls = _count_lag_calls(monkeypatch)
     model = json.dumps({"kind": kind, "hurst": float(hurst)})
     out = ["--out", str(tmp_path / "out.csv")]
@@ -297,6 +305,27 @@ def test_bias_reads_the_curve_expected_made(tmp_path, monkeypatch, kind,
     assert main(["expected", "--model", model, "-m", "2", "--scales",
                  *scales, "5000", *out]) == 0
     assert calls == [lags]
+
+
+def test_bias_reads_a_curve_of_equal_values_of_other_types(tmp_path,
+                                                           monkeypatch):
+    """A model spec with an int variance equals bias's reference model,
+    so bias after expected evaluates no lag and writes the body a cold
+    bias writes."""
+    calls = _count_lag_calls(monkeypatch)
+    grid = ["-m", "2", "--scales", "8", "100", "1000"]
+    bias = ["bias", "--hurst", "0.7", *grid, "--out"]
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    assert main([*bias, str(cold)]) == 0
+    cli._last_curve.cache_clear()
+    assert main(["expected", "--model", '{"kind": "fgn", "hurst": 0.7, '
+                 '"variance": 1}', *grid, "--out",
+                 str(tmp_path / "e.csv")]) == 0
+    del calls[:]
+    assert main([*bias, str(warm)]) == 0
+    assert calls == []
+    assert (warm.read_text().splitlines()[1:]
+            == cold.read_text().splitlines()[1:])
 
 
 @pytest.mark.parametrize("argv", [

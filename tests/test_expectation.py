@@ -1,7 +1,5 @@
 """Tests for the expectation engines, scaling constants, and bias."""
 
-import sys
-import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -27,27 +25,10 @@ from dfakit.expectation import (
 from dfakit.models import (
     FBM,
     FGN,
-    AcvfTable,
-    DerivedVariogram,
-    VariogramTable,
     WhiteNoise,
     fbm_covariance,
 )
 from dfakit.weights import asymptotic_coefficients, weight_function
-
-
-def _forget_last_curve():
-    """Empty the slot of the last curve, so that the next call evaluates."""
-    expectation._last_curve = (None, b"")
-
-
-def _count_acvf_calls(monkeypatch):
-    """The Hurst exponents of the FGN.acvf calls made."""
-    calls = []
-    acvf = FGN.acvf
-    monkeypatch.setattr(FGN, "acvf", lambda self, lags: (
-        calls.append(self.hurst), acvf(self, lags))[1])
-    return calls
 
 
 class TestStationaryEngine:
@@ -245,7 +226,6 @@ class TestExpectedCurve:
         (FGN(0.7), "acvf", 4096), (FBM(1.3), "variogram", 4095)])
     def test_lag_function_evaluated_once(self, monkeypatch, model, name,
                                          s_max):
-        _forget_last_curve()
         calls = []
         lag_function = getattr(type(model), name)
 
@@ -256,7 +236,6 @@ class TestExpectedCurve:
         monkeypatch.setattr(type(model), name, counted)
         ef2 = expected_curve(model, 2, [4, 16, 100, 4096])
         assert calls == [s_max]
-        _forget_last_curve()
         assert ef2[2] == expected_curve(model, 2, [100])[0]
 
     def test_empty_grid(self):
@@ -270,19 +249,15 @@ class TestExpectedCurve:
             correction_function(9, 0.7, 20)
 
     def test_overflow_raises_before_the_curve_is_kept(self):
-        _forget_last_curve()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no RuntimeWarning escapes
             with pytest.raises(NonFiniteValueError, match="scale 8"):
                 expected_curve(FGN(0.7, variance=1e308), 1, [4, 8])
-        assert expectation._last_curve[0] is None
 
     def test_subnormal_raises_before_the_curve_is_kept(self):
         # E F^2 of about 1e-321 has lost all but a few digits
-        _forget_last_curve()
         with pytest.raises(NonFiniteValueError, match="scale 4.*rescale"):
             expected_curve(FGN(0.7, variance=1e-320), 1, [2, 4, 8])
-        assert expectation._last_curve[0] is None
         # s = m + 1 leaves no residual: an exact 0 is not subnormal
         assert expected_curve(FGN(0.7, variance=1e-320), 1, [2])[0] == 0.0
 
@@ -306,7 +281,7 @@ class TestExpectedCurve:
 
 class TestMemo:
     def test_mutated_foreign_model_is_evaluated_afresh(self):
-        class Scaled:  # not a package model, so never memoized
+        class Scaled:  # a mutable model of the caller's own
             def __init__(self, c):
                 self.c = c
 
@@ -319,115 +294,19 @@ class TestMemo:
         after = expected_curve(model, 2, [16, 64])
         np.testing.assert_allclose(after, 2.0 * before, rtol=1e-14)
 
-    def test_value_types_keep_separate_entries(self, monkeypatch):
-        # FGN(0.5) == FGN(Fraction(1, 2)), with equal hashes
-        _forget_last_curve()
-        calls = _count_acvf_calls(monkeypatch)
-        expected_curve(FGN(0.5), 1, [10])
-        expected_curve(FGN(Fraction(1, 2)), 1, [10])
-        assert calls == [0.5, Fraction(1, 2)]
-        expected_curve(FGN(Fraction(1, 2)), 1, [10])
-        assert len(calls) == 2
-
-    def test_same_curve_is_read_back(self, monkeypatch):
-        _forget_last_curve()
-        calls = _count_acvf_calls(monkeypatch)
-        cold = expected_curve(FGN(0.7), 2, [8, 100]).tobytes()
-        assert expected_curve(FGN(0.7), 2, [8, 100]).tobytes() == cold
-        assert len(calls) == 1
-        for other in ([8, 101], [8]):  # another grid, the same model
-            expected_curve(FGN(0.7), 2, other)
-        expected_curve(FGN(0.7), 3, [8, 100])
-        assert len(calls) == 4
-
-    def test_unhashable_field_is_evaluated_uncached(self, monkeypatch):
-        _forget_last_curve()
-        calls = _count_acvf_calls(monkeypatch)
-        for _ in range(2):
-            ef2 = expected_curve(FGN(np.array(0.7)), 2, [16, 64])
-        assert len(calls) == 2 and expectation._last_curve[0] is None
-        want = expected_curve(FGN(0.7), 2, [16, 64])
-        assert ef2.tobytes() == want.tobytes()
-
-    def test_tables_and_derived_models_are_not_memoized(self):
-        kept = expected_curve(FGN(0.3), 1, [8, 100])
-        last = expectation._last_curve
-        h = FGN(0.7).acvf(np.arange(600))
-        for model, m in [(AcvfTable(tuple(h)), 1),
-                         (VariogramTable(tuple(FBM(1.3).variogram(
-                             np.arange(600)))), 2),
-                         (DerivedVariogram(FGN(0.7)), 3)]:
-            first = expected_curve(model, m, [8, 100, 600]).tobytes()
-            assert expectation._last_curve is last
-            assert expected_curve(model, m, [8, 100, 600]).tobytes() == first
-        assert expected_curve(FGN(0.3), 1, [8, 100]).tobytes() == \
-            kept.tobytes()
-
-    def test_caller_cannot_change_the_kept_curve(self):
-        _forget_last_curve()
-        # the evaluated curve, then the kept one
-        curves = [expected_curve(FGN(0.7), 2, [8, 100]) for _ in range(2)]
-        want = curves[0].tobytes()
-        for ef2 in curves:
-            assert not ef2.flags.writeable
-            try:
-                ef2.setflags(write=True)
-            except ValueError:
-                continue  # cannot be made writable
-            ef2[:] = -1.0
-        assert expected_curve(FGN(0.7), 2, [8, 100]).tobytes() == want
-
-    def test_threads_evicting_each_others_entries(self):
-        # four clients take turns in the one slot, so a curve is
-        # replaced while others read it
-        scales = np.arange(3, 400)
-        models = [FGN(h) for h in (0.2, 0.4, 0.6, 0.8)]
-        want = {(mdl, m): expected_curve(mdl, m, scales).tobytes()
-                for mdl in models for m in (1, 2)}
-        errors, mismatches = [], []
-
-        def client(mdl):
-            try:
-                for _ in range(3):
-                    for m in (1, 2):
-                        got = expected_curve(mdl, m, scales).tobytes()
-                        if got != want[mdl, m]:
-                            mismatches.append((mdl, m))
-            except Exception as exc:  # reported by the assert below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=client, args=(mdl,))
-                       for mdl in models]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == [] and mismatches == []
-
 
 class TestRetention:
     def test_g_once_per_fitted_scale_and_not_on_a_hit(self, monkeypatch):
-        # G comes from weight_function, one scale at a time; the kept
-        # curve is read back without it
+        # G comes from weight_function, one scale at a time
         calls = []
         monkeypatch.setattr(expectation, "weight_function", lambda m, s: (
             calls.append((m, s)), weights.weight_function(m, s))[1])
-        _forget_last_curve()
         scales = [3, 8, 1000, 8]  # s = m + 1 = 3 is not fitted
-        cold = expected_curve(FGN(0.7), 2, scales).tobytes()
+        expected_curve(FGN(0.7), 2, scales)
         assert calls == [(2, 8), (2, 1000), (2, 8)]
-        assert expected_curve(FGN(0.7), 2, scales).tobytes() == cold
-        assert len(calls) == 3
 
     def test_under_1_mib_kept_after_a_curve(self):
         scales = default_scale_grid(2 ** 18, 3)
-        _forget_last_curve()
         weight_function(3, 5)  # derives the closed form of m = 3
         tracemalloc.start()
         try:

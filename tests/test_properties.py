@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from oracle import exact_estimator_means
 
 from dfakit.core import weight_matrix
-from dfakit import expectation
 from dfakit.estimators import (
     GappedSeries,
     dfa,
@@ -254,21 +253,16 @@ def curve_cases(draw):
 @given(curve_cases())
 def test_expected_curve_matches_per_scale_engine(case):
     """Reading each scale's lags off one evaluation at the largest scale
-    gives the same bits as evaluating the model at that scale alone.
-    The last curve is forgotten before every call, so each one evaluates."""
+    gives the same bits as evaluating the model at that scale alone."""
     model, m, scales = case
-    expectation._last_curve = (None, b"")
     grid = expected_curve(model, m, scales)
-    alone = []
-    for s in scales:
-        expectation._last_curve = (None, b"")
-        alone.append(expected_curve(model, m, [s])[0])
+    alone = [expected_curve(model, m, [s])[0] for s in scales]
     assert np.array_equal(grid, alone)
 
 
 @st.composite
 def memo_cases(draw):
-    """A model of each package type, memoized or not, m = 1..3, a grid in
+    """A model of each package type, m = 1..3, a grid in
     m + 1..600 in any order, repeats allowed, and a part of it."""
     kind = draw(st.sampled_from(["white", "fgn", "ou", "ar1", "acvf-table",
                                  "fbm", "variogram-table", "derived"]))
@@ -297,16 +291,13 @@ def memo_cases(draw):
 @settings(max_examples=15, deadline=None)
 @given(memo_cases())
 def test_memo_gives_the_bits_of_a_fresh_evaluation(case):
-    """expected_curve gives the same bits when it evaluates, when it reads
-    the last curve back, after a call on part of the grid and one scale
-    at a time."""
+    """expected_curve gives the same bits on a second call, after a call
+    on part of the grid and one scale at a time."""
     model, m, scales, part = case
-    expectation._last_curve = (None, b"")
     cold = expected_curve(model, m, scales).tobytes()
     assert expected_curve(model, m, scales).tobytes() == cold
     expected_curve(model, m, part)
     assert expected_curve(model, m, scales).tobytes() == cold
-    expectation._last_curve = (None, b"")
     single = [expected_curve(model, m, [s]) for s in scales]
     assert np.concatenate(single).tobytes() == cold
 
