@@ -42,6 +42,19 @@ def _check_scale(m: int, s: int) -> None:
         )
 
 
+def _int_scales(scales) -> np.ndarray:
+    """The scales as a new int array; ValueError for one that is not an
+    integer of int64's range, which the cast would truncate (8.5 to 8)
+    or wrap (1e30 to -2^63)."""
+    a = np.array(scales)
+    if a.dtype.kind not in "iu":
+        f = a.astype(float)
+        bad = f[(f != np.trunc(f)) | ~(np.abs(f) < 2.0 ** 63)]
+        if bad.size:
+            raise ValueError(f"scale {bad[0]} is not an integer below 2^63")
+    return a.astype(int)
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """The kernel A = D^T (I - Q) D for one (order, scale) pair."""

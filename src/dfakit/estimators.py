@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _orthonormal_rowspace, _weight_rows
+from .core import _int_scales, _orthonormal_rowspace, _weight_rows
 from .exceptions import (
     AllPairsMissingError,
     NonFiniteValueError,
@@ -244,7 +244,7 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
         raise OrderZeroUnsupportedError(
             "difference-kernel estimator needs order >= 1"
         )
-    scales = np.array(scales, dtype=int)  # a copy: the curve freezes it
+    scales = _int_scales(scales)  # a copy: the curve freezes it
     stack = np.atleast_2d(x)
     reps, n = stack.shape
     _check_scales(n, scales)

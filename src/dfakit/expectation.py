@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _check_scale, weight_matrix
+from .core import _check_scale, _int_scales, weight_matrix
 from .exceptions import (
     NonFiniteValueError,
     NonpositiveCorrectionError,
@@ -68,7 +68,7 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     is not finite, or nonzero and subnormal (below the smallest normal
     float, where digits are lost), raises NonFiniteValueError.
     """
-    scales = np.asarray(scales, dtype=int)
+    scales = _int_scales(scales)
     stationary = hasattr(model, "acvf")
     if not stationary and m < 1 and scales.size:
         raise OrderZeroUnsupportedError("variogram engine needs order >= 1")

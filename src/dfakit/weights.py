@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _check_scale
+from .core import _check_scale, _int_scales
 from .exceptions import DFAError
 
 #: the highest order whose G weight_function evaluates in float64
@@ -209,7 +209,7 @@ def weight_function(m: int, s: int) -> np.ndarray:
     Horner sum runs in the result; u then holds w^2 and 1 - w^2, which
     are exact for s < 2^26, so G(s-1, s) is exactly 0.
     """
-    m, s = int(m), int(s)
+    m, s = int(m), int(_int_scales(s))
     if m > MAX_FLOAT_ORDER:
         raise DFAError(f"order {m}: G is evaluated in floating point for "
                        f"orders up to {MAX_FLOAT_ORDER} only, as above that "

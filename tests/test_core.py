@@ -19,11 +19,15 @@ from dfakit.core import (
     residual_variance_quadratic,
     weight_matrix,
 )
+from dfakit.estimators import GappedSeries, dfa, ensemble, f_hat, f_tilde
 from dfakit.exceptions import (
     DimensionMismatchError,
     OrderZeroUnsupportedError,
     ScaleTooSmallError,
 )
+from dfakit.expectation import expected_curve
+from dfakit.models import FGN
+from dfakit.weights import weight_function
 from test_weights import fraction_inverse
 
 
@@ -316,3 +320,28 @@ class TestResidualProjection:
         t = np.arange(1, 65, dtype=float)
         coef = np.polyfit(t, y, 3)
         assert np.allclose(r, y - np.polyval(coef, t), atol=1e-9)
+
+
+_X = np.random.default_rng(5).normal(size=64)
+_MASK = np.arange(64) % 5 != 0
+
+
+@pytest.mark.parametrize("scale", [8.5, 8.9, np.nan, np.inf, 1e30, 8.0])
+@pytest.mark.parametrize("call", [
+    lambda s: dfa(_X, 2, [16, s]).f2,
+    lambda s: f_hat(GappedSeries(_X, _MASK), 2, [s]).f2,
+    lambda s: f_tilde(GappedSeries(_X, _MASK), 2, [s]).f2,
+    lambda s: ensemble(_X[None], _MASK, 2, [s])["f_tilde"].f2,
+    lambda s: expected_curve(FGN(0.7), 2, [s]),
+    lambda s: weight_function(2, s),
+], ids=["dfa", "f_hat", "f_tilde", "ensemble", "expected_curve",
+        "weight_function"])
+def test_scale_must_be_a_finite_integer(call, scale):
+    """A scale that the cast to int would truncate, wrap or cannot take
+    is refused, not read as another integer; an integral float is that
+    integer."""
+    if scale == 8.0:
+        assert np.array_equal(call(scale), call(8))
+    else:
+        with pytest.raises(ValueError, match="not an integer"):
+            call(scale)

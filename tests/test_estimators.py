@@ -384,6 +384,17 @@ class TestBadInput:
         with pytest.raises(NonFiniteValueError):
             GappedSeries.from_values([1.0, np.inf, 3.0])
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: GappedSeries(np.ones((2, 3)), np.ones((2, 3), bool)),
+         "1-d and equally long"),
+        (lambda: GappedSeries(np.ones(3), np.ones(4, bool)),
+         "1-d and equally long"),
+        (lambda: dfa(np.ones((2, 50)), 1, [10]), "series must be 1-d"),
+    ], ids=["gapped-2d", "gapped-unequal", "dfa-2d"])
+    def test_wrong_shape_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_dfa_rejects_non_finite(self, bad):
         x = np.random.default_rng(40).normal(size=100)

@@ -42,6 +42,8 @@ class TestStationaryEngine:
 
     def test_perfect_fit_scale(self):
         assert expected_curve(FGN(0.7), 2, [3])[0] == 0.0
+        kern = lambda t1, t2: FGN(0.7).acvf(np.abs(t1 - t2))
+        assert expected_f2_general(kern, 2, 3) == 0.0
 
     def test_closed_form_engine_matches(self):
         # reference: the explicit weight matrix, not weight_function,

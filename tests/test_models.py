@@ -265,6 +265,17 @@ class TestModelObjects:
         with pytest.raises(ValueError, match="lag must be >= 0"):
             VariogramTable(values=(0.0, 1.0, 2.0)).variogram(-1)
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: fgn_acvf_asymptotic(0.7, 1.0, [0, 1]), "lag >= 1"),
+        (lambda: fbm_covariance(0.3, 1.0, -1, 1), "times must be >= 0"),
+        (lambda: fbm_covariance(0.3, 1.0, 1, [2, -1]), "times must be >= 0"),
+        (lambda: FBM(1.3).variogram([1, -2]), "lag must be >= 0"),
+    ], ids=["fgn-asymptotic-lag-0", "fbm-covariance-t", "fbm-covariance-s",
+            "fbm-variogram"])
+    def test_argument_outside_domain_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
     @pytest.mark.parametrize("h, lo, hi", [
         (0.0, 0.0, 2.0), (1.0, 0.0, 2.0), (2.0, 0.0, 2.0),
         (1.3, 0.0, 1.0), (0.7, 1.0, 2.0)])

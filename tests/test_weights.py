@@ -154,6 +154,17 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_g(-1, 0, 10)
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: closed_form_g(2, 10, 10), r"lag 10 outside 0\.\.9"),
+        (lambda: asymptotic_weight(2, 10, 10), r"lag 10 outside 0\.\.9"),
+        (lambda: asymptotic_weight(2, -1, 10), r"lag -1 outside 0\.\.9"),
+        (lambda: asymptotic_inverse_gram(-1), "order must be >= 0"),
+    ], ids=["closed-form-j-at-s", "asymptotic-j-at-s",
+            "asymptotic-negative-j", "inverse-gram-order"])
+    def test_argument_outside_domain_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("s", [7, 33, 100, 512])
     def test_agrees_with_matrix(self, m, s):
