@@ -42,7 +42,7 @@ from .estimators import (
     f_hat,
     f_tilde,
 )
-from .core import _check_scale
+from .core import _int_scales
 from .exceptions import DFAError
 from .expectation import asymptotic_lambda, expected_curve, scaling_model
 from .generators import block_gap_mask, sample, sample_stack
@@ -129,9 +129,7 @@ def _scales(args, n: int | None = None) -> np.ndarray:
         if n is None:
             return 2 ** np.arange(int(np.ceil(np.log2(m + 2))), 13)
         return default_scale_grid(n, m)
-    scales = np.array(sorted({int(s) for s in args.scales}), int)
-    _check_scale(m, int(scales[0]))
-    return scales
+    return _int_scales(m, sorted(set(args.scales)))
 
 
 def _model(args):

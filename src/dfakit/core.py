@@ -18,6 +18,7 @@ in O(m s); recentring leaves the span, so Q and A do not change. A is
 built as D^T D - V^T V, V = U^T D, a tile of b rows at a time (the
 dense A is the one tile of s rows), and V^T V a chunk of rows at a time,
 so a tile holds its own b x s array and one chunk's product.
+_check_scale is the one rule for an order and a scale, in every module.
 """
 
 from __future__ import annotations
@@ -33,26 +34,28 @@ from .exceptions import (
 )
 
 
-def _check_scale(m: int, s: int) -> None:
+def _check_scale(m: int, s: int, least: int = 2) -> tuple[int, int]:
+    """The order and the scale as ints: ValueError for one that is not an
+    integer below 2^53 (an integral float is that integer) or an order
+    below 0, ScaleTooSmallError for a scale below m + least."""
+    for name, v in (("order", m), ("scale", s)):
+        if not (abs(v) < 2 ** 53 and v == int(v)):  # NaN fails too
+            raise ValueError(f"{name} {v} is not an integer below 2^53")
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
-    if s < m + 2:
+    if s < m + least:
         raise ScaleTooSmallError(
-            f"scale {s} too small for order {m}: need s >= m + 2"
-        )
+            f"scale {s} too small for order {m}: need s >= m + {least}")
+    return int(m), int(s)
 
 
-def _int_scales(scales) -> np.ndarray:
-    """The scales as a new int array; ValueError for one that is not an
-    integer of int64's range, which the cast would truncate (8.5 to 8)
-    or wrap (1e30 to -2^63)."""
-    a = np.array(scales)
-    if a.dtype.kind not in "iu":
-        f = a.astype(float)
-        bad = f[(f != np.trunc(f)) | ~(np.abs(f) < 2.0 ** 63)]
-        if bad.size:
-            raise ValueError(f"scale {bad[0]} is not an integer below 2^63")
-    return a.astype(int)
+def _int_scales(m: int, scales, least: int = 2) -> np.ndarray:
+    """A 1-d scale grid as a new int array, each scale by _check_scale;
+    its items are read as given, not as numpy would convert them (it
+    makes [8, 2**63] float64)."""
+    if np.ndim(scales) != 1:
+        raise ValueError(f"scale grid must be 1-d, not {np.shape(scales)}")
+    return np.array([_check_scale(m, s, least)[1] for s in scales], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class WeightMatrix:
 
 def design_matrix(m: int, s: int) -> np.ndarray:
     """(m+1) x s matrix whose row k is (1^k, 2^k, ..., s^k), k = 0..m."""
-    _check_scale(m, s)
+    m, s = _check_scale(m, s)
     t = np.arange(1, s + 1, dtype=float)
     return t[None, :] ** np.arange(m + 1, dtype=float)[:, None]
 
@@ -81,7 +84,7 @@ def _orthonormal_rowspace(m: int, s: int) -> np.ndarray:
     (s+1)/2: u_0 = 1/sqrt(s), u_k = (x u_{k-1} - b_{k-1} u_{k-2}) / b_k
     with b_k = sqrt(k^2 (s^2 - k^2) / (4 (4k^2 - 1))).
     """
-    _check_scale(m, s)
+    m, s = _check_scale(m, s)
     x = np.arange(s, dtype=float) - (s - 1) / 2
     k2 = np.arange(m + 1.0) ** 2
     b = np.sqrt(k2 * (s * s - k2) / (4 * (4 * k2 - 1)))  # b_0 = 0
@@ -127,6 +130,7 @@ def _weight_rows(u: np.ndarray, width: int):
 
 def weight_matrix(m: int, s: int) -> WeightMatrix:
     """Construct A = D^T (I - Q) D, as one tile of _weight_rows."""
+    m, s = _check_scale(m, s)
     u = _orthonormal_rowspace(m, s)
     return WeightMatrix(m, s, next(_weight_rows(u, s))[1])
 

@@ -59,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _int_scales, _orthonormal_rowspace, _weight_rows
+from .core import (_check_scale, _int_scales, _orthonormal_rowspace,
+                   _weight_rows)
 from .exceptions import (
     AllPairsMissingError,
     NonFiniteValueError,
@@ -179,15 +180,6 @@ def default_scale_grid(n: int, m: int, count: int = 30) -> np.ndarray:
     return grid[np.diff(grid, prepend=lo - 1) > 0]
 
 
-def _check_scales(n: int, scales: np.ndarray) -> None:
-    if scales.size == 0:
-        raise ValueError("empty scale grid")
-    if int(scales.max()) > n:
-        raise ScaleExceedsLengthError(
-            f"scale {int(scales.max())} exceeds series length {n}"
-        )
-
-
 def _windows(x: np.ndarray, s: int) -> np.ndarray:
     """Left-anchored non-overlapping windows along the last axis,
     (..., n) to (..., W, s); the tail is discarded."""
@@ -214,6 +206,7 @@ def gap_weights(mask, s: int) -> np.ndarray:
     pairs present together somewhere) — the availability factors already
     remove them from every sum.
     """
+    s = _check_scale(0, s, least=1)[1]
     dw = _windows(np.asarray(mask, dtype=bool), s).astype(float)
     if dw.shape[0] == 0:
         raise ScaleExceedsLengthError(f"scale {s} exceeds mask length")
@@ -244,10 +237,14 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
         raise OrderZeroUnsupportedError(
             "difference-kernel estimator needs order >= 1"
         )
-    scales = _int_scales(scales)  # a copy: the curve freezes it
+    scales = _int_scales(m, scales)  # a copy: the curve freezes it
     stack = np.atleast_2d(x)
     reps, n = stack.shape
-    _check_scales(n, scales)
+    if scales.size == 0:
+        raise ValueError("empty scale grid")
+    if scales.max() > n:
+        raise ScaleExceedsLengthError(
+            f"scale {scales.max()} exceeds series length {n}")
     gap_free = mask is None or bool(mask.all())
     f2 = {e: np.full((reps, scales.size), np.nan) for e in estimators}
     block = max(1, _BLOCK_VALUES // n)
@@ -255,8 +252,7 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
         rows = slice(lo, lo + block)
         xb = stack[rows]
         xz = None if gap_free else np.where(mask, xb, 0.0)
-        for i, s in enumerate(scales):
-            s = int(s)
+        for i, s in enumerate(scales.tolist()):
             u = _orthonormal_rowspace(m, s)
             if gap_free:
                 sums = dict.fromkeys(estimators, _residual_sums(xb, u))

@@ -47,6 +47,7 @@ def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
     For stationary kernels this reduces to expected_curve's acvf sum;
     for stationary-increment kernels the value is independent of t.
     """
+    m, s = _check_scale(m, s, least=1)
     if s == m + 1:
         return 0.0
     a = weight_matrix(m, s).entries
@@ -68,7 +69,7 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     is not finite, or nonzero and subnormal (below the smallest normal
     float, where digits are lost), raises NonFiniteValueError.
     """
-    scales = _int_scales(scales)
+    scales = _int_scales(m, scales, least=1)
     stationary = hasattr(model, "acvf")
     if not stationary and m < 1 and scales.size:
         raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
@@ -154,7 +155,7 @@ def correction_function(m: int, hurst: float, s: int) -> float:
     """Squared finite-size correction K^2(s) = E F^2(s) / (lambda s^{2H}),
     with E F^2(s) the exact expectation of the unit-variance reference
     model of scaling_model(hurst)."""
-    _check_scale(m, s)
+    m, s = _check_scale(m, s)
     ef2 = expected_curve(scaling_model(hurst), m, [s])[0]
     lam = asymptotic_lambda(m, hurst)
     return float(ef2 / (lam * float(s) ** (2.0 * hurst)))

@@ -29,6 +29,8 @@ schedule.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import estimators
@@ -68,11 +70,16 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     factor) are computed once for the stack; each row is what
     sample(model, n, seed, replicate) gives, bit for bit. A stack that is
     not finite (a variance too large for float64) raises
-    NonFiniteValueError, whose message names the model given.
+    NonFiniteValueError, whose message names the model given; a seed or
+    key that is not an integer, ValueError.
     """
     if n < 2:
         raise ValueError("length must be >= 2")
-    keys = [int(r) for r in replicates]
+    keys = list(replicates)
+    bad = [k for k in [seed, *keys] if not isinstance(k, numbers.Integral)]
+    if bad:
+        raise ValueError(f"seed and replicate keys must be integers, "
+                         f"got {bad[0]!r}")
     noise = (FGN(model.hurst - 1.0, model.variance)
              if isinstance(model, FBM) else model)
     if not hasattr(noise, "acvf"):

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _check_scale, _int_scales
+from .core import _check_scale
 from .exceptions import DFAError
 
 #: the highest order whose G weight_function evaluates in float64
@@ -178,10 +178,10 @@ def closed_form_g(m: int, j: int, s: int, exact: bool = False):
     from _closed_form, evaluated in exact integer arithmetic; returns a
     float (correctly rounded) unless ``exact`` is set.
     """
-    m, j, s = int(m), int(j), int(s)
-    _check_scale(m, s)
-    if not 0 <= j <= s - 1:
+    m, s = _check_scale(m, s)
+    if not (0 <= j < s and j == int(j)):
         raise ValueError(f"lag {j} outside 0..{s - 1}")
+    j = int(j)
     cf = _closed_form(m)
     q = _poly_at(tuple(_poly_at(row, s) for row in cf.quotient), j)
     g = Fraction((j - s - 1) * (j - s) * (j - s + 1) * q,
@@ -209,12 +209,11 @@ def weight_function(m: int, s: int) -> np.ndarray:
     Horner sum runs in the result; u then holds w^2 and 1 - w^2, which
     are exact for s < 2^26, so G(s-1, s) is exactly 0.
     """
-    m, s = int(m), int(_int_scales(s))
+    m, s = _check_scale(m, s)
     if m > MAX_FLOAT_ORDER:
         raise DFAError(f"order {m}: G is evaluated in floating point for "
                        f"orders up to {MAX_FLOAT_ORDER} only, as above that "
                        "its terms cancel at small scales")
-    _check_scale(m, s)
     cf = _closed_form(m)
     den = cf.denominator * _denominator(m, s) * s ** (2 * m)
     a = [_poly_at(row, s) / den for row in cf.ratio]

@@ -919,6 +919,25 @@ class TestErrorsAndConfig:
                    "--hurst-out", str(tmp_path / "h.json")])
         assert rc == 4
 
+    @pytest.mark.parametrize("argv,scale", [
+        (["expected", "--model", '{"kind": "white"}', "--scales", "8",
+          "9223372036854775807"], "9223372036854775807"),
+        (["bias", "--hurst", "0.7", "--scales", "8", "9223372036854775807"],
+         "9223372036854775807"),
+        (["expected", "--model", '{"kind": "white"}', "--scales",
+          "9223372036854775808"], "9223372036854775808"),
+        (["weights", "-s", "9223372036854775808"], "9223372036854775808"),
+    ], ids=["expected-2^63-1", "bias-2^63-1", "expected-2^63", "weights-2^63"])
+    def test_scale_beyond_2_53_exit_4(self, tmp_path, argv, scale):
+        """A scale past 2^53 is refused and named as given, before any
+        output is opened; numpy once made 2^63 - 1 an empty lag array and
+        read 2^63 as a negative scale."""
+        proc = _run_module([*argv, "-m", "2", "--out", "o.csv"], tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"scale {scale} is not an integer" in proc.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"hurst": 0.5, "order": 1,

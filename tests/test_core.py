@@ -19,15 +19,22 @@ from dfakit.core import (
     residual_variance_quadratic,
     weight_matrix,
 )
-from dfakit.estimators import GappedSeries, dfa, ensemble, f_hat, f_tilde
+from dfakit.estimators import (
+    GappedSeries,
+    dfa,
+    ensemble,
+    f_hat,
+    f_tilde,
+    gap_weights,
+)
 from dfakit.exceptions import (
     DimensionMismatchError,
     OrderZeroUnsupportedError,
     ScaleTooSmallError,
 )
-from dfakit.expectation import expected_curve
+from dfakit.expectation import expected_curve, expected_f2_general
 from dfakit.models import FGN
-from dfakit.weights import weight_function
+from dfakit.weights import closed_form_g, weight_function
 from test_weights import fraction_inverse
 
 
@@ -326,7 +333,8 @@ _X = np.random.default_rng(5).normal(size=64)
 _MASK = np.arange(64) % 5 != 0
 
 
-@pytest.mark.parametrize("scale", [8.5, 8.9, np.nan, np.inf, 1e30, 8.0])
+@pytest.mark.parametrize("scale", [8.5, 8.9, np.nan, np.inf, 1e30, 8.0,
+                                   2**63, 2**64 - 1, 2**70])
 @pytest.mark.parametrize("call", [
     lambda s: dfa(_X, 2, [16, s]).f2,
     lambda s: f_hat(GappedSeries(_X, _MASK), 2, [s]).f2,
@@ -334,12 +342,20 @@ _MASK = np.arange(64) % 5 != 0
     lambda s: ensemble(_X[None], _MASK, 2, [s])["f_tilde"].f2,
     lambda s: expected_curve(FGN(0.7), 2, [s]),
     lambda s: weight_function(2, s),
+    lambda s: closed_form_g(2, 3, s),
+    lambda s: design_matrix(2, s),
+    lambda s: hat_matrix(2, s),
+    lambda s: weight_matrix(2, s).entries,
+    lambda s: expected_f2_general(lambda a, b: np.minimum(a, b), 2, s),
+    lambda s: gap_weights(_MASK, s),
 ], ids=["dfa", "f_hat", "f_tilde", "ensemble", "expected_curve",
-        "weight_function"])
+        "weight_function", "closed_form_g", "design_matrix", "hat_matrix",
+        "weight_matrix", "expected_f2_general", "gap_weights"])
 def test_scale_must_be_a_finite_integer(call, scale):
-    """A scale that the cast to int would truncate, wrap or cannot take
-    is refused, not read as another integer; an integral float is that
-    integer."""
+    """A scale that the cast to int would truncate, wrap or cannot take,
+    or past 2^53 (numpy turns 2^63..2^64-1 into uint64, which a cast to
+    int64 wraps to a negative scale), is refused, not read as another
+    integer; an integral float is that integer."""
     if scale == 8.0:
         assert np.array_equal(call(scale), call(8))
     else:

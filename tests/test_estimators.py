@@ -25,6 +25,7 @@ from dfakit.exceptions import (
     NonFiniteValueError,
     OrderZeroUnsupportedError,
     ScaleExceedsLengthError,
+    ScaleTooSmallError,
     TooFewPointsError,
 )
 from dfakit.expectation import expected_curve
@@ -114,6 +115,9 @@ class TestGapWeights:
     def test_scale_exceeds_mask_length(self):
         with pytest.raises(ScaleExceedsLengthError, match="mask length"):
             gap_weights(np.ones(10, bool), 11)
+        # nor does a window of no points fit in it
+        with pytest.raises(ScaleTooSmallError, match="scale 0 too small"):
+            gap_weights(np.ones(10, bool), 0)
 
     def test_empty_window_numerator_flag(self):
         mask = np.ones(20, bool)
@@ -390,7 +394,11 @@ class TestBadInput:
         (lambda: GappedSeries(np.ones(3), np.ones(4, bool)),
          "1-d and equally long"),
         (lambda: dfa(np.ones((2, 50)), 1, [10]), "series must be 1-d"),
-    ], ids=["gapped-2d", "gapped-unequal", "dfa-2d"])
+        (lambda: dfa(np.ones(50), 1, [[8, 16]]), "scale grid must be 1-d"),
+        (lambda: expected_curve(FGN(0.7), 2, [[8, 16]]),
+         "scale grid must be 1-d"),
+    ], ids=["gapped-2d", "gapped-unequal", "dfa-2d", "dfa-2d-grid",
+            "expected-curve-2d-grid"])
     def test_wrong_shape_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()

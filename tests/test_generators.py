@@ -1,5 +1,7 @@
 """Tests for the signal generators and gap-mask synthesis."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,20 @@ class TestSampleStack:
         assert stack.shape == (len(self.KEYS), n)
         for row, r in zip(stack, self.KEYS):
             assert np.array_equal(row, sample(model, n, 13, r))
+
+    @pytest.mark.parametrize("seed, keys, bad", [
+        (0.5, [0], "0.5"), (0, [1.5], "1.5"), (np.float64(0.0), [0], "np.float64(0.0)"),
+        (0, [0, 1.0], "1.0"), (0, ["1"], "'1'"),
+    ], ids=["seed-0.5", "key-1.5", "seed-float-0", "key-float-1", "key-str"])
+    def test_seed_and_keys_must_be_integers(self, seed, keys, bad):
+        """The Philox key is not read through a cast: 0.5 would be seed 0
+        and replicate 1.5 replicate 1, bit for bit; NumPy and Python
+        integers pass."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"must be integers, got {bad}")):
+            sample_stack(FGN(0.7), 10, seed, keys)
+        assert np.array_equal(sample_stack(FGN(0.7), 10, np.int64(3), [1]),
+                              sample_stack(FGN(0.7), 10, 3, [np.uint8(1)]))
 
     @pytest.mark.parametrize("model", [FGN(0.7), AR1(0.9)],
                              ids=["fgn", "ar1"])
