@@ -264,8 +264,9 @@ def _mask_for(args, n: int) -> np.ndarray | None:
                            f"{gs.values.size} values, not {n}")
         return gs.values == 1.0
     if args.gap_fraction is not None:
+        # the mask's own key, wrapped into the key range 0..2^64 - 1
         return block_gap_mask(n, args.gap_fraction, args.block_length,
-                              args.seed + 10_000)
+                              (args.seed + 10_000) % 2 ** 64)
     return None
 
 

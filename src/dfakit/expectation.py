@@ -11,7 +11,10 @@ models.DerivedVariogram(model) asks for the second form on a stationary
 model. Over a scale grid the lag function is evaluated once, at lags up
 to the largest scale s_max, and each scale's sum reads a prefix of it:
 one lag evaluation of length s_max plus O(sum s) for G and the dot
-products, not O(sum s) lag evaluations. Nothing is kept between
+products, not O(sum s) lag evaluations. G comes from one evaluation per
+grid (weights._grid_weight_functions), which forms the parts of G that
+depend on s - j alone once and writes each scale's G into the same
+buffer, to be contracted before the next. Nothing is kept between
 calls; the CLI keeps its last curve for the process, so `bias` after
 `expected` evaluates nothing.
 expected_f2_general is the window-offset reference engine for a general
@@ -38,7 +41,7 @@ from .exceptions import (
     OrderZeroUnsupportedError,
 )
 from .models import FBM, FGN, WhiteNoise, check_hurst
-from .weights import asymptotic_coefficients, weight_function
+from .weights import _grid_weight_functions, asymptotic_coefficients
 
 
 def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
@@ -62,7 +65,8 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     """E F^2 at each scale of a grid, as a read-only array of the grid's
     shape (S,), by the engine the model picks: its acvf at lags
     0..s_max-1 if it has one, else its variogram at lags 1..s_max-1
-    (m >= 1), evaluated once out to the largest scale s_max.
+    (m >= 1), evaluated once out to the largest scale s_max, and G of
+    every fitted scale from one grid evaluation.
 
     Every call evaluates its grid and keeps nothing: no curve, G or lag
     array (the CLI keeps its last curve for the process). An E F^2 that
@@ -80,9 +84,8 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
         lags = np.asarray(model.acvf(np.arange(s_max)) if stationary
                           else model.variogram(np.arange(1, s_max)),
                           dtype=float)
-        for i in fitted:
-            s = int(scales[i])
-            g = weight_function(m, s)  # G(0..s-1, s), one scale at a time
+        grid = scales[fitted].tolist()
+        for i, s, g in zip(fitted, grid, _grid_weight_functions(m, grid)):
             if stationary:
                 ef2[i] = float(g[0] * lags[0] + 2.0 * (g[1:] @ lags[1:s])) / s
             else:

@@ -40,8 +40,23 @@ from .models import FBM, FGN
 _CHOLESKY_MAX_N = 8192
 
 
+def _key_word(k) -> int:
+    """A seed or replicate key as a Philox key word: ValueError naming it
+    unless it is an integer in 0..2^64 - 1."""
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"seed and replicate keys must be integers, "
+                         f"got {k!r}")
+    if not 0 <= k < 2 ** 64:
+        raise ValueError(f"seed and replicate keys must lie in "
+                         f"0..2^64 - 1, got {k}")
+    return int(k)
+
+
 def _rng(seed: int, replicate: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, replicate]))
+    # exact uint64 words: numpy reads a list key with a word of 2^63 or
+    # more through float, which rounds it (and takes 2^64 - 1 to key 0)
+    key = np.array([_key_word(seed), _key_word(replicate)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _circulant_eigenvalues(gamma: np.ndarray, gamma_n: float) -> np.ndarray:
@@ -71,15 +86,12 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     sample(model, n, seed, replicate) gives, bit for bit. A stack that is
     not finite (a variance too large for float64) raises
     NonFiniteValueError, whose message names the model given; a seed or
-    key that is not an integer, ValueError.
+    key that is not an integer in 0..2^64 - 1, ValueError naming it.
     """
     if n < 2:
         raise ValueError("length must be >= 2")
-    keys = list(replicates)
-    bad = [k for k in [seed, *keys] if not isinstance(k, numbers.Integral)]
-    if bad:
-        raise ValueError(f"seed and replicate keys must be integers, "
-                         f"got {bad[0]!r}")
+    _key_word(seed)
+    keys = [_key_word(k) for k in replicates]
     noise = (FGN(model.hurst - 1.0, model.variance)
              if isinstance(model, FBM) else model)
     if not hasattr(noise, "acvf"):

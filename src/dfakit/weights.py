@@ -11,19 +11,25 @@ with coefficients of degree at most 2m in s (the paper gives it for
 m = 1, 2). Q is derived once per order by exact arithmetic and cached
 (_closed_form): G is computed exactly from A = D^T D - C^T M C at lags
 0..2m of 2m+1 small scales, then interpolated in j and in s. This
-takes 0.1, 0.7, 2.3, 6.4, 12, 23 and 37 ms for m = 0..6, and roughly
-60 and 120 ms for m = 7 and 8 (one CPU; repeat runs on a shared host
-spread by up to 1.5x).
+takes 0.1, 0.5, 1.4, 3.9, 8.7, 18 and 33 ms for m = 0..6, and about
+57 and 94 ms for m = 7 and 8 (CPU time, medians of 5 fresh processes
+on one CPU of a shared 2-CPU Xeon host; repeat runs spread by up to
+1.5x, and while other tenants loaded the host the medians were up to
+2.5 times as long).
 
-closed_form_g evaluates the closed form exactly; weight_function, the
-one float evaluator, evaluates it in float64 in O(s) time and memory as
-a read-only array. It is within 3.3e-16 of max|G| of the exact value
-for m = 0..6 (measured at every lag of each s <= 64 and of s = 100,
-300 and 1000, and at 100 random lags of s = 8000 and 2^16), and for
-m = 7, 8 within 2.4e-16 at 24 lags of s = 1000, 8000 and 2^16 and
-1.4e-15 at s = 10. Above m = 8 the Bernstein terms cancel at small
-scales: at s = m + 2 the error was 8.2e-15, 1.8e-14 and 6.0e-14 of
-max|G| for m = 9, 10 and 12.
+closed_form_g evaluates the closed form exactly. The one float
+evaluation, _grid_weight_functions, evaluates it in float64 for each
+scale of a grid, in O(s) time per scale and O(s_max) memory per grid:
+expected_curve reads G from it scale by scale, and weight_function is
+its one-scale case, a fresh read-only array. It is within 3.3e-16 of
+max|G| of the exact value for m = 0..6 (1.9e-16 to 3.3e-16 by order,
+measured at every lag of each s <= 64 and of s = 100, 300 and 1000,
+and at 100 random lags of s = 8000 and 2^16), and for m = 7, 8 within
+1.5e-16 at 24 lags of s = 1000, 8000 and 2^16 and within 1.2e-15 and
+1.4e-15 at every lag of s = m + 2..6m + 2 (at m = 8 the worst is at
+s = 10). Above m = 8 the Bernstein terms cancel at small scales: at
+s = m + 2 the error was 8.2e-15, 1.8e-14 and 6.0e-14 of max|G| for
+m = 9, 10 and 12.
 So the float evaluation takes orders up to MAX_FLOAT_ORDER = 8 and
 raises DFAError above, before the closed form of the order is derived;
 closed_form_g and the d_q below, which are exact, take every order.
@@ -189,48 +195,71 @@ def closed_form_g(m: int, j: int, s: int, exact: bool = False):
     return g if exact else float(g)
 
 
-def weight_function(m: int, s: int) -> np.ndarray:
-    """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix,
-    j = 0..s-1, as a fresh array that raises on write: the float
-    evaluation of the closed form, O(s).
+def _grid_weight_functions(m: int, scales):
+    """G(0..s-1, s) for each scale of a grid in turn, each as a view of
+    a buffer that the next scale overwrites: the one float evaluation of
+    the closed form. m and the scales must be checked ints
+    (_check_scale); raises DFAError for an order above MAX_FLOAT_ORDER.
 
-    With w = s - j and u = j / w, G = -w (w^2 - 1) w^{2m} sum_k a_k u^k
-    (the ratio form of _closed_form). The 2m+1 coefficients a_k /
-    (L s^{2m+1} prod(s^2 - k^2)) are formed in exact integer arithmetic
-    and rounded once per scale; the sum is a Horner scheme in u >= 0.
-    Its terms are the Bernstein terms of Q in x = j/s, scaled by
-    (1-x)^{-2m}, so they hardly cancel (see the module docstring for the
-    measured error); Horner in x itself was 3.5e-15 of max|G| off at
-    m = 6, s = 10. Lets the expectation engines reach scales where the
-    s x s weight matrix would be too large to build. Raises DFAError for
-    an order above MAX_FLOAT_ORDER.
+    With w = s - j and u = j / w, G = w^{2m+1} (1 - w^2) sum_k a_k u^k
+    (the ratio form of _closed_form). w = s_max..1 and the prefactor
+    w^{2m+1} (1 - w^2) are formed once per grid, and scale s reads the
+    last s of each: a scale's G does not depend on the grid it sits in.
+    Per scale, the 2m+1 coefficients a_k / (L s^{2m+1} prod(s^2 - k^2))
+    are formed in exact integer arithmetic and rounded once, u is formed
+    as (s - w) / w, whose numerator is j exactly, and the sum is a Horner
+    scheme in u >= 0, times the prefactor: 4m + 4 passes, in two buffers
+    that every scale reuses. The Horner terms are the Bernstein terms of
+    Q in x = j/s, scaled by (1-x)^{-2m}, so they hardly cancel (see the
+    module docstring for the measured error); Horner in x itself was
+    3.5e-15 of max|G| off at m = 6, s = 10, and u = j (1/w), two
+    roundings, 4.7e-16 at m = 6, s = 8. w^2 and 1 - w^2 are exact for
+    s < 2^26, so G(s-1, s) is exactly 0.
 
-    Memory: the result plus two s-length scratch arrays, w and u. The
-    Horner sum runs in the result; u then holds w^2 and 1 - w^2, which
-    are exact for s < 2^26, so G(s-1, s) is exactly 0.
+    Memory: four arrays of length s_max (w, the prefactor, u and G),
+    each allocated on its own. In a replay of `expected-sweep` with its
+    output checks between ops (n >= 2^17, m >= 2; 66 ops), expected_curve
+    took 14 minor page faults per call this way, 124 with an array of j
+    as a fifth, and 236 with the five as the rows of one block, for which
+    glibc's malloc had to grow its heap by 2.5 MB in one piece.
     """
-    m, s = _check_scale(m, s)
     if m > MAX_FLOAT_ORDER:
         raise DFAError(f"order {m}: G is evaluated in floating point for "
                        f"orders up to {MAX_FLOAT_ORDER} only, as above that "
                        "its terms cancel at small scales")
     cf = _closed_form(m)
-    den = cf.denominator * _denominator(m, s) * s ** (2 * m)
-    a = [_poly_at(row, s) / den for row in cf.ratio]
-    w = np.arange(s, 0, -1, dtype=float)  # w = s - j
-    u = np.arange(s, dtype=float)
-    u /= w
-    g = np.full(s, a[-1])
-    for ak in a[-2::-1]:
-        g *= u
-        g += ak
-    # the prefactor -w (w^2 - 1) w^{2m}, one factor at a time
-    g *= w
+    s_max = max(scales)
+    w = np.arange(s_max, 0, -1, dtype=float)
+    prefactor, u, g = np.empty(s_max), np.empty(s_max), np.empty(s_max)
     np.multiply(w, w, out=u)
+    np.subtract(1.0, u, out=prefactor)
+    prefactor *= w
     for _ in range(m):
-        g *= u
-    np.subtract(1.0, u, out=u)
-    g *= u
+        prefactor *= u
+    for s in scales:
+        den = cf.denominator * _denominator(m, s) * s ** (2 * m)
+        a = [_poly_at(row, s) / den for row in cf.ratio]
+        ws, us, gs = w[s_max - s:], u[:s], g[:s]
+        np.subtract(s, ws, out=us)
+        us /= ws
+        gs.fill(a[-1])
+        for ak in a[-2::-1]:
+            gs *= us
+            gs += ak
+        gs *= prefactor[s_max - s:]
+        yield gs
+
+
+def weight_function(m: int, s: int) -> np.ndarray:
+    """Diagonal sums G(j, s) = sum_k A_{k, k+j} of the weight matrix,
+    j = 0..s-1, as a fresh array that raises on write: the one-scale
+    case of the grid evaluation (_grid_weight_functions), O(s). Lets the
+    expectation engines reach scales where the s x s weight matrix would
+    be too large to build. Raises DFAError for an order above
+    MAX_FLOAT_ORDER.
+    """
+    m, s = _check_scale(m, s)
+    g = next(_grid_weight_functions(m, [s])).copy()
     g.setflags(write=False)
     return g
 
@@ -276,7 +305,7 @@ def asymptotic_coefficients(m: int) -> tuple[Fraction, ...]:
     d_p j^p s^{2m+3-p} give G ~ N / s^{2m+1}. The cubic's top part is
     (j-s)^3, so d_p = sum_i C(3, i) (-1)^{3-i} Q_{p-i, 2m-(p-i)} over the
     denominator of Q. The cost is that of _closed_form(m): a cold call
-    on its own takes about 5 ms at m = 3 and 45 ms at m = 6 (one CPU),
+    on its own takes about 4 ms at m = 3 and 33 ms at m = 6 (one CPU),
     but expected and bias derive _closed_form for G anyway, so there the
     d_q cost next to nothing.
     """

@@ -448,6 +448,30 @@ class TestSimulate:
         assert np.array_equal(np.array(vals),
                               sample(FGNModel(0.7, 1.0), 256, 11))
 
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    @pytest.mark.parametrize("seed", [2 ** 64, -3])
+    def test_seed_outside_key_range_exit_4(self, tmp_path, capsys, command,
+                                           seed):
+        out = tmp_path / "out.csv"
+        argv = [command, "--model", '{"kind": "white"}', "-n", "64",
+                "--seed", str(seed), "--gap-fraction", "0.2",
+                "--out", str(out)]
+        if command == "mc":
+            argv += ["--ensemble", "2", "--scales", "8"]
+        assert main(argv) == 4
+        assert f"0..2^64 - 1, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_near_2_64_is_not_seed_0(self, tmp_path):
+        series = []
+        for seed in (0, 2 ** 64 - 1):
+            out = tmp_path / f"{seed}.csv"
+            assert main(["simulate", "--model", '{"kind": "white"}',
+                         "-n", "64", "--seed", str(seed), "--gap-fraction",
+                         "0.2", "--out", str(out)]) == 0
+            series.append(out.read_text().splitlines()[1:])
+        assert series[0] != series[1]
+
     def test_ou_round_trip(self, tmp_path):
         out = tmp_path / "sim.csv"
         argv = ["simulate", "--model", '{"kind": "ou", "tau_c": 20}',

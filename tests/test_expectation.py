@@ -244,6 +244,12 @@ class TestExpectedCurve:
         # no model evaluation, and no order check for the variogram engine
         assert expected_curve(FBM(1.3), 0, []).size == 0
 
+    @pytest.mark.parametrize("m, match", [
+        (1.5, "order 1.5 is not an integer"), (-1, "order must be >= 0")])
+    def test_empty_grid_still_checks_the_order(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            expected_curve(FGN(0.7), m, [])
+
     def test_order_above_float_cap_raises(self):
         with pytest.raises(DFAError, match="order 9"):
             expected_curve(FGN(0.7), 9, [20])
@@ -299,10 +305,15 @@ class TestMemo:
 
 class TestRetention:
     def test_g_once_per_fitted_scale_and_not_on_a_hit(self, monkeypatch):
-        # G comes from weight_function, one scale at a time
+        # G comes from the grid evaluator, one yield per fitted scale
         calls = []
-        monkeypatch.setattr(expectation, "weight_function", lambda m, s: (
-            calls.append((m, s)), weights.weight_function(m, s))[1])
+
+        def counted(m, grid):
+            for g in weights._grid_weight_functions(m, grid):
+                calls.append((m, g.size))
+                yield g
+
+        monkeypatch.setattr(expectation, "_grid_weight_functions", counted)
         scales = [3, 8, 1000, 8]  # s = m + 1 = 3 is not fitted
         expected_curve(FGN(0.7), 2, scales)
         assert calls == [(2, 8), (2, 1000), (2, 8)]

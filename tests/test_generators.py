@@ -177,6 +177,29 @@ class TestSampleStack:
         assert np.array_equal(sample_stack(FGN(0.7), 10, np.int64(3), [1]),
                               sample_stack(FGN(0.7), 10, 3, [np.uint8(1)]))
 
+    @pytest.mark.parametrize("seed, keys, bad", [
+        (2 ** 64, [0], "18446744073709551616"), (-3, [0], "-3"),
+        (0, [1, 2 ** 64 + 5], "18446744073709551621"),
+        (0, [np.int64(-1)], "-1"),
+    ], ids=["seed-2^64", "seed-minus-3", "key-past-2^64", "key-np-minus-1"])
+    def test_seed_and_keys_must_be_key_words(self, seed, keys, bad):
+        """A Philox key word is a uint64: -3 is not read as 2^64 - 3, nor
+        2^64 left to NumPy's OverflowError, which names no seed."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"must lie in 0..2^64 - 1, got {bad}")):
+            sample_stack(FGN(0.7), 10, seed, keys)
+
+    def test_seeds_near_2_64_are_their_own_keys(self):
+        """NumPy reads a list key with a word of 2^63 or more through
+        float, so every seed in [2^64 - 1024, 2^64) became key 0; the key
+        words are exact."""
+        top = sample_stack(WhiteNoise(), 16, 2 ** 64 - 1, [0, 2 ** 64 - 1])
+        for row in top:
+            assert not np.array_equal(row, sample(WhiteNoise(), 16, 0))
+        assert not np.array_equal(top[0], top[1])
+        assert not np.array_equal(
+            top[0], sample(WhiteNoise(), 16, 2 ** 64 - 1024))
+
     @pytest.mark.parametrize("model", [FGN(0.7), AR1(0.9)],
                              ids=["fgn", "ar1"])
     @pytest.mark.parametrize("n", [1368, 2**16])

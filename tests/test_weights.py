@@ -15,6 +15,7 @@ from dfakit.models import FGN
 from dfakit.weights import (
     MAX_FLOAT_ORDER,
     _closed_form,
+    _grid_weight_functions,
     asymptotic_coefficients,
     asymptotic_inverse_gram,
     asymptotic_weight,
@@ -122,6 +123,13 @@ class TestWeightFunction:
         finally:
             tracemalloc.stop()
         assert kept < 2 ** 20
+
+    @pytest.mark.parametrize("m", range(MAX_FLOAT_ORDER + 1))
+    def test_grid_gives_the_bits_of_one_scale(self, m):
+        # a scale reads w and the prefactor as the last s of the grid's
+        grid = [m + 2, 37, 1000, 12, 4099, 37]
+        for s, g in zip(grid, _grid_weight_functions(m, grid)):
+            assert g.tobytes() == weight_function(m, s).tobytes(), s
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_last_lag_vanishes(self, m):
