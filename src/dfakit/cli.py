@@ -129,7 +129,7 @@ def _scales(args, n: int | None = None) -> np.ndarray:
         if n is None:
             return 2 ** np.arange(int(np.ceil(np.log2(m + 2))), 13)
         return default_scale_grid(n, m)
-    return _int_scales(m, sorted(set(args.scales)))
+    return _int_scales(m, sorted(set(args.scales)))[1]
 
 
 def _model(args):

@@ -49,17 +49,18 @@ def _check_scale(m: int, s: int, least: int = 2) -> tuple[int, int]:
     return int(m), int(s)
 
 
-def _int_scales(m: int, scales, least: int = 2) -> np.ndarray:
-    """A 1-d scale grid as a new int array, each scale by _check_scale,
-    and the order by it too when the grid is empty; its items are read
-    as given, not as numpy would convert them (it makes [8, 2**63]
-    float64)."""
+def _int_scales(m: int, scales,
+                least: int = 2) -> tuple[int, np.ndarray]:
+    """The order as an int and a 1-d scale grid as a new int array, each
+    scale by _check_scale, and the order by it too when the grid is
+    empty; the grid's items are read as given, not as numpy would
+    convert them (it makes [8, 2**63] float64)."""
     if np.ndim(scales) != 1:
         raise ValueError(f"scale grid must be 1-d, not {np.shape(scales)}")
     grid = [_check_scale(m, s, least)[1] for s in scales]
     if not grid:
         _check_scale(m, m + least, least)  # the order alone
-    return np.array(grid, dtype=int)
+    return int(m), np.array(grid, dtype=int)
 
 
 @dataclass(frozen=True)

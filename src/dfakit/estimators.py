@@ -237,7 +237,7 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
         raise OrderZeroUnsupportedError(
             "difference-kernel estimator needs order >= 1"
         )
-    scales = _int_scales(m, scales)  # a copy: the curve freezes it
+    m, scales = _int_scales(m, scales)  # a copy: the curve freezes it
     stack = np.atleast_2d(x)
     reps, n = stack.shape
     if scales.size == 0:

@@ -73,7 +73,7 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     is not finite, or nonzero and subnormal (below the smallest normal
     float, where digits are lost), raises NonFiniteValueError.
     """
-    scales = _int_scales(m, scales, least=1)
+    m, scales = _int_scales(m, scales, least=1)
     stationary = hasattr(model, "acvf")
     if not stationary and m < 1 and scales.size:
         raise OrderZeroUnsupportedError("variogram engine needs order >= 1")

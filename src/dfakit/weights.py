@@ -259,7 +259,7 @@ def weight_function(m: int, s: int) -> np.ndarray:
     MAX_FLOAT_ORDER.
     """
     m, s = _check_scale(m, s)
-    g = next(_grid_weight_functions(m, [s])).copy()
+    g = next(_grid_weight_functions(m, [s]))
     g.setflags(write=False)
     return g
 

@@ -250,6 +250,14 @@ class TestExpectedCurve:
         with pytest.raises(ValueError, match=match):
             expected_curve(FGN(0.7), m, [])
 
+    @pytest.mark.parametrize("m", [2.0, np.int64(2)])
+    def test_integral_order_gives_the_int_order_curve(self, m):
+        # the order reaches G's exact coefficients as an int: s^(2m) and
+        # the products after it overflow int64 at s = 50000
+        scales = [8, 1000, 50000]
+        want = expected_curve(FGN(0.7), 2, scales)
+        assert expected_curve(FGN(0.7), m, scales).tobytes() == want.tobytes()
+
     def test_order_above_float_cap_raises(self):
         with pytest.raises(DFAError, match="order 9"):
             expected_curve(FGN(0.7), 9, [20])
