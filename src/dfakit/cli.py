@@ -466,8 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, csv.Error) as exc:
         print(f"dfakit: i/o error: {exc}", file=sys.stderr)
         code = EXIT_IO
-    except (DFAError, ValueError, ArithmeticError, MemoryError,
-            json.JSONDecodeError) as exc:
+    except (DFAError, ValueError, ArithmeticError, MemoryError) as exc:
         # a bare MemoryError carries no text
         print(f"dfakit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         code = EXIT_NUMERIC

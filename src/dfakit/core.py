@@ -104,6 +104,10 @@ def _orthonormal_rowspace(m: int, s: int) -> np.ndarray:
 #: V^T V is formed in row chunks of about this many values
 _CHUNK_VALUES = 2 ** 18
 
+#: the estimator engine and the sampler take replicates, and the gapped
+#: kernel its tiles, in blocks of about this many values
+_BLOCK_VALUES = 2 ** 20
+
 
 def _weight_rows(u: np.ndarray, width: int):
     """The rows of A = D^T D - V^T V from the s x (m+1) basis U, in tiles
@@ -152,11 +156,6 @@ def apply_residual_projection(m: int, window: np.ndarray) -> np.ndarray:
     y = np.asarray(window, dtype=float)
     u = _orthonormal_rowspace(m, y.shape[0])
     return y - u @ (u.T @ y)
-
-
-def cumulative_sum_matrix(s: int) -> np.ndarray:
-    """Lower-triangular all-ones matrix D: (D x) is the running sum of x."""
-    return np.tril(np.ones((s, s)))
 
 
 def profile(series: np.ndarray) -> np.ndarray:

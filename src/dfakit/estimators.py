@@ -8,7 +8,7 @@ its F^2 array, (S,) or (R, S): ``defined`` (F^2 >= 0) and ``reasons``
 (NaN, no valid pairs; negative) are read off it.
 
 The engine has one loop over replicates: it splits a stack into blocks
-of max(1, _BLOCK_VALUES // n) replicates (_BLOCK_VALUES = 2^20), zeroes
+of max(1, _BLOCK_VALUES // n) replicates (core._BLOCK_VALUES = 2^20), zeroes
 a block's missing values and runs every scale on it, building once per
 block the pieces that depend only on (m, s, mask): the basis U of
 ``core``, the availability windows Delta and the tiles of the kernel B.
@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (_check_scale, _int_scales, _orthonormal_rowspace,
                    _weight_rows)
 from .exceptions import (
@@ -72,9 +73,6 @@ from .exceptions import (
 #: reasons a scale can be undefined in a FluctuationCurve
 NEGATIVE_SQUARED = "negative-squared-value"
 NO_VALID_PAIRS = "no-valid-pairs"
-
-#: replicates go through the engine in blocks of about this many values
-_BLOCK_VALUES = 2 ** 20
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -247,7 +245,7 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
             f"scale {scales.max()} exceeds series length {n}")
     gap_free = mask is None or bool(mask.all())
     f2 = {e: np.full((reps, scales.size), np.nan) for e in estimators}
-    block = max(1, _BLOCK_VALUES // n)
+    block = max(1, core._BLOCK_VALUES // n)
     for lo in range(0, reps, block):
         rows = slice(lo, lo + block)
         xb = stack[rows]
@@ -317,7 +315,7 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray,
     yc = xw - shift[..., None]
     yc *= dw
     quad, corr, raw = np.zeros(reps), np.zeros(reps), np.zeros(reps)
-    for cols, b in _weight_rows(u, max(1, _BLOCK_VALUES // s)):
+    for cols, b in _weight_rows(u, max(1, core._BLOCK_VALUES // s)):
         # B[cols, :] = A[cols, :] W / max(counts, 1), in place. A pair
         # with count 0 is never present together: B gives the sums of
         # p * A. B is symmetric, so b.T is the columns B[:, cols].

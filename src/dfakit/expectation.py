@@ -1,17 +1,24 @@
 """Exact expected squared fluctuation functions and finite-size bias.
 
-The model object picks the engine of expected_curve:
+expected_curve takes one of two sums at each scale:
 
-* a model with an acvf (stationary):
+* the acvf sum, for a model with an acvf (stationary):
       E F^2(s) = [gamma(0) G(0,s) + 2 sum_{j>=1} G(j,s) gamma(j)] / s
-* a model with only a variogram (stationary increments, m >= 1):
+* the variogram sum, for a model with only a variogram (stationary
+  increments, m >= 1):
       E F^2(s) = -(1/s) sum_{j>=1} G(j,s) S(j)
 
-models.DerivedVariogram(model) asks for the second form on a stationary
-model. Over a scale grid the lag function is evaluated once, at lags up
-to the largest scale s_max, and each scale's sum reads a prefix of it:
-one lag evaluation of length s_max plus O(sum s) for G and the dot
-products, not O(sum s) lag evaluations. G comes from one evaluation per
+For m >= 1, G(0,s) + 2 sum_{j>=1} G(j,s) = 0, so the acvf sum is the
+variogram sum of S(j) = 2 (gamma(0) - gamma(j)). Where gamma(s - 1) >
+gamma(0) / 2 the acvf terms cancel, while gamma(j) - gamma(0) is exact
+(Sterbenz, at every lag of a decreasing gamma): a stationary model takes
+the variogram sum at those scales. The rule is per scale, not per grid,
+so that a scale's value does not depend on its grid.
+
+Over a scale grid the lag function is evaluated once, at lags up to the
+largest scale s_max, and each scale's sum reads a prefix of it: one lag
+evaluation of length s_max plus O(sum s) for G and the dot products,
+not O(sum s) lag evaluations. G comes from one evaluation per
 grid (weights._grid_weight_functions), which forms the parts of G that
 depend on s - j alone once and writes each scale's G into the same
 buffer, to be contracted before the next. Nothing is kept between
@@ -63,10 +70,12 @@ def expected_f2_general(acvf2, m: int, s: int, t: int = 0) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def expected_curve(model, m: int, scales) -> np.ndarray:
     """E F^2 at each scale of a grid, as a read-only array of the grid's
-    shape (S,), by the engine the model picks: its acvf at lags
-    0..s_max-1 if it has one, else its variogram at lags 1..s_max-1
-    (m >= 1), evaluated once out to the largest scale s_max, and G of
-    every fitted scale from one grid evaluation.
+    shape (S,), from the model's acvf at lags 0..s_max-1 if it has one,
+    else its variogram at lags 1..s_max-1 (m >= 1), evaluated once out
+    to the largest scale s_max, and G of every fitted scale from one
+    grid evaluation. With an acvf and m >= 1, a scale where
+    gamma(s - 1) > gamma(0) / 2 takes the variogram sum of
+    S = 2 (gamma(0) - gamma), exact there: a constant acvf gives zeros.
 
     Every call evaluates its grid and keeps nothing: no curve, G or lag
     array (the CLI keeps its last curve for the process). An E F^2 that
@@ -86,10 +95,13 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
                           dtype=float)
         grid = scales[fitted].tolist()
         for i, s, g in zip(fitted, grid, _grid_weight_functions(m, grid)):
-            if stationary:
-                ef2[i] = float(g[0] * lags[0] + 2.0 * (g[1:] @ lags[1:s])) / s
-            else:
+            if not stationary:
                 ef2[i] = -float(g[1:] @ lags[:s - 1]) / s
+            elif m >= 1 and lags[s - 1] > lags[0] / 2:
+                # the acvf terms cancel here, and gamma - gamma(0) is exact
+                ef2[i] = 2.0 * float(g[1:] @ (lags[1:s] - lags[0])) / s
+            else:
+                ef2[i] = float(g[0] * lags[0] + 2.0 * (g[1:] @ lags[1:s])) / s
             if not math.isfinite(ef2[i]):
                 raise NonFiniteValueError(
                     f"E F^2 at scale {s} is not finite; rescale the model")

@@ -33,7 +33,7 @@ import numbers
 
 import numpy as np
 
-from . import estimators
+from . import core
 from .exceptions import DFAError, EmbeddingError, NonFiniteValueError
 from .models import FBM, FGN
 
@@ -110,7 +110,7 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
         root = np.sqrt(lam[:n + 1])
         # rows go through in blocks, so the complex temporaries take
         # O(block n) memory
-        block = max(1, estimators._BLOCK_VALUES // n)
+        block = max(1, core._BLOCK_VALUES // n)
         for lo in range(0, len(keys), block):
             rows = keys[lo:lo + block]
             # per row, the normals of z(0), z(n) and the pairs of z(1..n-1)

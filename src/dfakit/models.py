@@ -273,22 +273,6 @@ class VariogramTable:
         return _lookup(self.values, t)
 
 
-AcvfModel = WhiteNoise | FGN | OU | AR1 | AcvfTable
-
-
-@dataclass(frozen=True)
-class DerivedVariogram:
-    """Variogram S(t) = 2 (gamma(0) - gamma(t)) of a stationary model.
-    It has no acvf, so expected_curve takes its variogram sum for it."""
-
-    model: AcvfModel
-
-    def variogram(self, lags) -> np.ndarray:
-        t = np.asarray(lags)
-        g0 = float(self.model.acvf(np.asarray(0)))
-        return 2.0 * (g0 - self.model.acvf(t))
-
-
 def _table(acvf=None, variogram=None) -> AcvfTable | VariogramTable:
     if (acvf is None) == (variogram is None):
         raise ModelSpecError(

@@ -420,6 +420,13 @@ class TestWeights:
         assert payload["d"] == ["1/15", "-1/2", "1", "-2/3", "0", "1/10"]
         assert payload["inverse_gram"] == [["4", "-6"], ["-6", "12"]]
 
+    def test_asymptotic_order_0_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        rc = main(["weights", "-m", "0", "--asymptotic", "--out", str(out)])
+        assert rc == 4
+        assert "order >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_scale(self, tmp_path):
         rc = main(["weights", "-m", "1", "--out", str(tmp_path / "w.csv")])
         assert rc == 4
@@ -847,9 +854,10 @@ class TestModelSpec:
         '{"kind": "ar1", "phi": false}', '{"kind": "ou", "tau_c": true}',
         # long enough for every command, so only the boolean is at fault
         json.dumps({"kind": "table", "acvf": [1.0] + [False] * 64}),
+        "not json",
     ], ids=["array", "string", "no-kind", "unknown-kind", "missing-param",
             "unknown-param", "non-numeric-param", "table-not-list",
-            "ar1-bool", "ou-bool", "table-bool"])
+            "ar1-bool", "ou-bool", "table-bool", "not-json"])
     def test_bad_spec_exit_4(self, tmp_path, capsys, command, spec):
         assert main(_model_argv(command, spec, tmp_path)) == 4
         err = capsys.readouterr().err

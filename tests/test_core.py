@@ -10,7 +10,6 @@ from dfakit.core import (
     _orthonormal_rowspace,
     _weight_rows,
     apply_residual_projection,
-    cumulative_sum_matrix,
     design_matrix,
     hat_matrix,
     profile,
@@ -191,10 +190,6 @@ class TestWeightMatrix:
                     assert a.shape == (rows.stop - rows.start, s)
                     tiled[rows] = a
                 assert np.array_equal(tiled, dense), (s, width)
-
-    def test_cumsum_matrix(self):
-        d = cumulative_sum_matrix(4)
-        assert np.array_equal(d @ [1, 1, 1, 1], [1, 2, 3, 4])
 
 
 class TestProfile:

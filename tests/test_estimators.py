@@ -328,7 +328,7 @@ class TestKernelTiles:
     def _tile_width(monkeypatch, width, s):
         # _BLOCK_VALUES sets the replicate blocks too: narrow tiles also
         # split a stack into blocks of few replicates
-        monkeypatch.setattr(estimators, "_BLOCK_VALUES", width * s)
+        monkeypatch.setattr(core, "_BLOCK_VALUES", width * s)
 
     @pytest.mark.parametrize("width", [1, 3, "s"])
     @pytest.mark.parametrize("offset", [5.0, 1e3])
@@ -670,7 +670,7 @@ class TestEnsemble:
         scales = [5, 16, 40]
         whole = ensemble(x, mask, self.M, scales)
         # blocks of 3, 3 and 1 replicates
-        monkeypatch.setattr(estimators, "_BLOCK_VALUES", 3 * self.N + 1)
+        monkeypatch.setattr(core, "_BLOCK_VALUES", 3 * self.N + 1)
         split = ensemble(x, mask, self.M, scales)
         for key in whole:
             for a, b in zip(whole[key].f2, split[key].f2):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +24,20 @@ from dfakit.expectation import (
     scaling_model,
 )
 from dfakit.models import (
+    AR1,
     FBM,
     FGN,
+    OU,
+    AcvfTable,
+    VariogramTable,
     WhiteNoise,
     fbm_covariance,
 )
-from dfakit.weights import asymptotic_coefficients, weight_function
+from dfakit.weights import (
+    asymptotic_coefficients,
+    closed_form_g,
+    weight_function,
+)
 
 
 class TestStationaryEngine:
@@ -58,6 +67,69 @@ class TestStationaryEngine:
         for m in (1, 2, 3):
             for s in (m + 2, 37, 256):
                 assert expected_curve(FGN(0.3), m, [s])[0] > 0
+
+
+class TestFlatAcvf:
+    """Where gamma(s - 1) > gamma(0) / 2 the acvf terms cancel, and the
+    stationary engine takes the variogram sum of S = 2 (gamma(0) - gamma)
+    instead, whose differences are exact there."""
+
+    K = np.arange(300)
+
+    @staticmethod
+    def exact_g(m, s):
+        return [closed_form_g(m, j, s, exact=True) for j in range(s)]
+
+    def test_ar1_near_unit_root_against_an_exact_sum(self):
+        phi = Fraction(0.999)
+        for m in (1, 2, 3):
+            for s in (8, 64):
+                g = self.exact_g(m, s)
+                want = (g[0] + 2 * sum(gj * phi ** j
+                                       for j, gj in enumerate(g) if j)) / s
+                got = Fraction(expected_curve(AR1(0.999), m, [s])[0])
+                assert abs(got / want - 1) < 5e-14, (m, s)
+
+    def test_slow_ou_against_a_50_digit_sum(self):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for m in (1, 2, 3):
+                for s in (8, 64):
+                    g = [Decimal(v.numerator) / v.denominator
+                         for v in self.exact_g(m, s)]
+                    want = (g[0] + 2 * sum(
+                        gj * (Decimal(-j) / 10000).exp()
+                        for j, gj in enumerate(g) if j)) / s
+                    got = Decimal(expected_curve(OU(1e4), m, [s])[0])
+                    assert abs(got / want - 1) < Decimal(2e-13), (m, s)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_constant_acvf_gives_exact_zeros(self, m):
+        scales = np.geomspace(5, 4096, 60).round().astype(int)
+        ef2 = expected_curve(AcvfTable((1.0,) * 4100), m, scales)
+        assert not np.signbit(ef2).any() and not ef2.any()
+
+    @pytest.mark.parametrize("model", [
+        FGN(0.9), FGN(0.999), AR1(0.99), AR1(-0.5), OU(50.0),
+        AcvfTable(tuple(0.9 ** K * np.cos(0.3 * K)))
+    ], ids=["fgn-0.9", "fgn-0.999", "ar1-0.99", "ar1--0.5", "ou-50",
+            "oscillating-table"])
+    def test_each_scale_takes_one_sum_to_the_bit(self, model):
+        scales = [5, 6, 7, 8, 20, 64, 100, 300]
+        gam = model.acvf(np.arange(300))
+        variogram = VariogramTable(tuple(2.0 * (gam[0] - gam)))
+        for m in (1, 2, 3):
+            ef2 = expected_curve(model, m, scales)
+            via_variogram = expected_curve(variogram, m, scales)
+            for s, got, alt in zip(scales, ef2, via_variogram):
+                if gam[s - 1] > gam[0] / 2:
+                    assert got.tobytes() == alt.tobytes(), (m, s)
+                else:
+                    g = weight_function(m, s)
+                    acvf_sum = float(g[0] * gam[0]
+                                     + 2.0 * (g[1:] @ gam[1:s])) / s
+                    assert got.tobytes() == np.float64(acvf_sum).tobytes(), (
+                        m, s)
 
 
 class TestIncrementEngine:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dfakit import estimators
+from dfakit import core
 from dfakit.cli import main
 from dfakit.estimators import GappedSeries
 from dfakit.exceptions import (
@@ -227,7 +227,7 @@ class TestSampleStack:
         n = 100
         whole = sample_stack(model, n, 4, self.KEYS)
         # blocks of 3, 3 and 1 rows
-        monkeypatch.setattr(estimators, "_BLOCK_VALUES", 3 * n + 1)
+        monkeypatch.setattr(core, "_BLOCK_VALUES", 3 * n + 1)
         assert np.array_equal(sample_stack(model, n, 4, self.KEYS), whole)
 
 

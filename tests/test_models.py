@@ -17,7 +17,6 @@ from dfakit.models import (
     FGN,
     OU,
     AcvfTable,
-    DerivedVariogram,
     VariogramTable,
     WhiteNoise,
     check_hurst,
@@ -206,17 +205,10 @@ class TestOuAr1:
 
 
 class TestStationaryToVariogram:
-    def test_lag_zero(self):
-        assert DerivedVariogram(WhiteNoise(2.0)).variogram(0) == 0.0
-
-    def test_white_noise(self):
-        assert (DerivedVariogram(WhiteNoise(2.0)).variogram(5)
-                == pytest.approx(4.0))
-
     @pytest.mark.parametrize("s", [8, 64, 256, 4096])
     def test_cross_engine_equality(self, s):
-        # the acvf sum against the variogram sum of DerivedVariogram, on
-        # every stationary kind
+        # each stationary kind against the variogram sum of its
+        # S(t) = 2 (gamma(0) - gamma(t)) as a table
         models = {"fgn 0.7": FGN(hurst=0.7), "white": WhiteNoise(),
                   "fgn 0.1": FGN(0.1), "fgn 0.95": FGN(0.95),
                   "ou 5": OU(5.0), "ou 300": OU(300.0),
@@ -226,8 +218,9 @@ class TestStationaryToVariogram:
         for name, model in models.items():
             for m in range(1, 5):
                 direct = expected_curve(model, m, [s])[0]
-                via_var = expected_curve(DerivedVariogram(model), m,
-                                         [s])[0]
+                g = model.acvf(np.arange(s))
+                table = VariogramTable(tuple(2.0 * (g[0] - g)))
+                via_var = expected_curve(table, m, [s])[0]
                 assert via_var == pytest.approx(direct, rel=1e-9), (name, m)
 
 

@@ -26,7 +26,6 @@ from dfakit.models import (
     FGN,
     OU,
     AcvfTable,
-    DerivedVariogram,
     VariogramTable,
     WhiteNoise,
     fbm_covariance,
@@ -260,6 +259,12 @@ def test_expected_curve_matches_per_scale_engine(case):
     assert np.array_equal(grid, alone)
 
 
+def _variogram_table(model) -> VariogramTable:
+    """S(0..599) = 2 (gamma(0) - gamma(0..599)) of a stationary model."""
+    g = model.acvf(np.arange(600))
+    return VariogramTable(tuple(2.0 * (g[0] - g)))
+
+
 @st.composite
 def memo_cases(draw):
     """A model of each package type, m = 1..3, a grid in
@@ -279,7 +284,7 @@ def memo_cases(draw):
         "fbm": lambda: FBM(1 + h, draw(st.floats(0.1, 10.0))),
         "variogram-table": lambda: VariogramTable(
             tuple(FBM(1 + h).variogram(np.arange(600)))),
-        "derived": lambda: DerivedVariogram(
+        "derived": lambda: _variogram_table(
             acvf_model[draw(st.sampled_from(sorted(acvf_model)))]()),
     }.get(kind, acvf_model.get(kind))()
     m = draw(st.integers(1, 3))

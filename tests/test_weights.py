@@ -10,7 +10,7 @@ import pytest
 from dfakit.core import weight_matrix
 from dfakit.estimators import dfa
 from dfakit.exceptions import DFAError
-from dfakit.expectation import expected_curve
+from dfakit.expectation import asymptotic_lambda, expected_curve
 from dfakit.models import FGN
 from dfakit.weights import (
     MAX_FLOAT_ORDER,
@@ -170,6 +170,8 @@ class TestClosedForm:
         (lambda: asymptotic_weight(2, 10, 10), r"lag 10 outside 0\.\.9"),
         (lambda: asymptotic_weight(2, -1, 10), r"lag -1 outside 0\.\.9"),
         (lambda: asymptotic_inverse_gram(-1), "order must be >= 0"),
+        (lambda: asymptotic_coefficients(0), "need order >= 1"),
+        (lambda: asymptotic_lambda(0, 0.7), "needs order >= 1"),
         (lambda: closed_form_g(1, 0.5, 8), r"lag 0\.5 outside 0\.\.7"),
         (lambda: weight_function(1.5, 8), "order 1.5 is not an integer"),
         (lambda: expected_curve(FGN(0.7), 1.5, [8]),
@@ -177,6 +179,7 @@ class TestClosedForm:
         (lambda: dfa(np.ones(32), 1.5, [8]), "order 1.5 is not an integer"),
     ], ids=["closed-form-j-at-s", "asymptotic-j-at-s",
             "asymptotic-negative-j", "inverse-gram-order",
+            "asymptotic-coefficients-order-0", "asymptotic-lambda-order-0",
             "closed-form-fractional-j", "weight-function-fractional-order",
             "expected-curve-fractional-order", "dfa-fractional-order"])
     def test_argument_outside_domain_rejected(self, call, match):
