@@ -42,8 +42,8 @@ from .estimators import (
     f_hat,
     f_tilde,
 )
-from .core import _int_scales
-from .exceptions import DFAError
+from .core import _check_order, _int_scales
+from .exceptions import DFAError, OrderZeroUnsupportedError
 from .expectation import asymptotic_lambda, expected_curve, scaling_model
 from .generators import block_gap_mask, sample, sample_stack
 from .models import model_from_spec
@@ -124,7 +124,7 @@ def _scales(args, n: int | None = None) -> np.ndarray:
     m + 2 (so that K^2 > 0); checked before any output is opened. By
     default, given a series length n, default_scale_grid(n, m); else the
     powers of two from the smallest one at or above m + 2 to 2^12."""
-    m = args.order
+    m = _check_order(args.order)
     if not args.scales:
         if n is None:
             return 2 ** np.arange(int(np.ceil(np.log2(m + 2))), 13)
@@ -205,14 +205,19 @@ def _last_curve(model, m: int, scales: tuple) -> np.ndarray:
 def cmd_expected(args) -> int:
     model = _model(args)
     scales = _scales(args)
-    hurst = args.hurst
-    if hurst is None:
-        hurst = getattr(model, "hurst", None)
     # the whole curve before the output is opened, so that a model that
     # fails at some scale leaves no partial file, and before lambda, so
     # that an order the curve refuses is refused before its d_q are derived
     ef2 = _last_curve(model, args.order, tuple(scales.tolist()))
-    lam = asymptotic_lambda(args.order, hurst) if hurst is not None else None
+    hurst, lam = args.hurst, None
+    if hurst is not None:
+        lam = asymptotic_lambda(args.order, hurst)
+    elif hasattr(model, "hurst"):
+        hurst = model.hurst
+        # lambda needs m >= 1: at m = 0 the model's own H leaves the
+        # lambda s^2H and K^2 cells empty, as a model without an H does
+        with contextlib.suppress(OrderZeroUnsupportedError):
+            lam = asymptotic_lambda(args.order, hurst)
     _write_csv(args.out, args, ["s", "EF2", "lambda_s2H", "K2"],
                _expected_rows(scales, ef2, hurst, lam))
     return 0

@@ -18,7 +18,7 @@ in O(m s); recentring leaves the span, so Q and A do not change. A is
 built as D^T D - V^T V, V = U^T D, a tile of b rows at a time (the
 dense A is the one tile of s rows), and V^T V a chunk of rows at a time,
 so a tile holds its own b x s array and one chunk's product.
-_check_scale is the one rule for an order and a scale, in every module.
+The one rule for an order and a scale is _check_order and _check_scale.
 """
 
 from __future__ import annotations
@@ -34,33 +34,42 @@ from .exceptions import (
 )
 
 
-def _check_scale(m: int, s: int, least: int = 2) -> tuple[int, int]:
-    """The order and the scale as ints: ValueError for one that is not an
-    integer below 2^53 (an integral float is that integer) or an order
-    below 0, ScaleTooSmallError for a scale below m + least."""
-    for name, v in (("order", m), ("scale", s)):
-        if not (abs(v) < 2 ** 53 and v == int(v)):  # NaN fails too
-            raise ValueError(f"{name} {v} is not an integer below 2^53")
+def _check_order(m: int, least: int = 0, need: str = "") -> int:
+    """The order as an int: ValueError unless an integer in 0..2^53-1 (an
+    integral float is that integer), OrderZeroUnsupportedError for order
+    0 when ``least`` is 1, saying that ``need`` needs order >= 1."""
+    if not (abs(m) < 2 ** 53 and m == int(m)):  # NaN fails too
+        raise ValueError(f"order {m} is not an integer below 2^53")
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
+    if m < least:
+        raise OrderZeroUnsupportedError(f"{need} needs order >= {least}")
+    return int(m)
+
+
+def _check_scale(m: int, s: int, least: int = 2) -> tuple[int, int]:
+    """The order (by _check_order) and the scale as ints: ValueError unless
+    s is an integer below 2^53, ScaleTooSmallError if s < m + least."""
+    m = _check_order(m)
+    if not (abs(s) < 2 ** 53 and s == int(s)):
+        raise ValueError(f"scale {s} is not an integer below 2^53")
     if s < m + least:
         raise ScaleTooSmallError(
             f"scale {s} too small for order {m}: need s >= m + {least}")
-    return int(m), int(s)
+    return m, int(s)
 
 
 def _int_scales(m: int, scales,
                 least: int = 2) -> tuple[int, np.ndarray]:
     """The order as an int and a 1-d scale grid as a new int array, each
-    scale by _check_scale, and the order by it too when the grid is
-    empty; the grid's items are read as given, not as numpy would
+    scale by _check_scale, the order by _check_order even when the grid
+    is empty; the grid's items are read as given, not as numpy would
     convert them (it makes [8, 2**63] float64)."""
     if np.ndim(scales) != 1:
         raise ValueError(f"scale grid must be 1-d, not {np.shape(scales)}")
-    grid = [_check_scale(m, s, least)[1] for s in scales]
-    if not grid:
-        _check_scale(m, m + least, least)  # the order alone
-    return int(m), np.array(grid, dtype=int)
+    m = _check_order(m)
+    return m, np.array([_check_scale(m, s, least)[1] for s in scales],
+                       dtype=int)
 
 
 @dataclass(frozen=True)
@@ -194,11 +203,7 @@ def residual_variance_quadratic(window: np.ndarray, a: WeightMatrix) -> float:
 
 def residual_variance_increment(window: np.ndarray, a: WeightMatrix) -> float:
     """Pairwise-difference form; requires m >= 1 (rows of A sum to zero)."""
-    if a.order < 1:
-        raise OrderZeroUnsupportedError(
-            "increment form needs order >= 1; rows of A do not sum to 0 "
-            "for plain mean detrending"
-        )
+    _check_order(a.order, 1, "the increment form")
     x = np.asarray(window, dtype=float)
     if x.shape[0] != a.scale:
         raise DimensionMismatchError(

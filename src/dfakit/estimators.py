@@ -60,12 +60,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import (_check_scale, _int_scales, _orthonormal_rowspace,
-                   _weight_rows)
+from .core import (_check_order, _check_scale, _int_scales,
+                   _orthonormal_rowspace, _weight_rows)
 from .exceptions import (
     AllPairsMissingError,
     NonFiniteValueError,
-    OrderZeroUnsupportedError,
     ScaleExceedsLengthError,
     TooFewPointsError,
 )
@@ -167,7 +166,7 @@ class HurstFit:
 
 def default_scale_grid(n: int, m: int, count: int = 30) -> np.ndarray:
     """About ``count`` log-spaced integer scales in [m+2, n//4]."""
-    lo = m + 2
+    lo = _check_order(m) + 2
     if lo > n:
         raise ScaleExceedsLengthError(
             f"series of length {n} cannot hold the minimum scale {lo}"
@@ -231,10 +230,8 @@ def _curve(x: np.ndarray, mask: np.ndarray | None, m: int, scales,
     curve with f2 of shape (S,) or (R, S), NaN where no pair is present.
     Only here is a stack split into blocks; the kernels see one block.
     """
-    if "f_hat" in estimators and m < 1:
-        raise OrderZeroUnsupportedError(
-            "difference-kernel estimator needs order >= 1"
-        )
+    if "f_hat" in estimators:
+        _check_order(m, 1, "the difference-kernel estimator")
     m, scales = _int_scales(m, scales)  # a copy: the curve freezes it
     stack = np.atleast_2d(x)
     reps, n = stack.shape

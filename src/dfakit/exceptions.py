@@ -23,7 +23,7 @@ class DimensionMismatchError(DFAError, ValueError):
 
 
 class OrderZeroUnsupportedError(DFAError, ValueError):
-    """The increment form requires detrending order m >= 1."""
+    """What is asked for (f_hat, the d_q, lambda, ...) needs order m >= 1."""
 
 
 class InsufficientLagsError(DFAError, ValueError):

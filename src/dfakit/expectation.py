@@ -41,12 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _check_scale, _int_scales, weight_matrix
-from .exceptions import (
-    NonFiniteValueError,
-    NonpositiveCorrectionError,
-    OrderZeroUnsupportedError,
-)
+from .core import _check_order, _check_scale, _int_scales, weight_matrix
+from .exceptions import NonFiniteValueError, NonpositiveCorrectionError
 from .models import FBM, FGN, WhiteNoise, check_hurst
 from .weights import _grid_weight_functions, asymptotic_coefficients
 
@@ -84,8 +80,8 @@ def expected_curve(model, m: int, scales) -> np.ndarray:
     """
     m, scales = _int_scales(m, scales, least=1)
     stationary = hasattr(model, "acvf")
-    if not stationary and m < 1 and scales.size:
-        raise OrderZeroUnsupportedError("variogram engine needs order >= 1")
+    if not stationary and scales.size:
+        _check_order(m, 1, "the variogram engine")
     ef2 = np.zeros(scales.size)  # s = m + 1 leaves no residual
     fitted = np.flatnonzero(scales != m + 1)
     if fitted.size:
@@ -131,8 +127,7 @@ def asymptotic_lambda(m: int, hurst) -> float:
     (m, H); typed, so that Fraction(1, 2) and 0.5, which hash equal,
     keep their own entries.
     """
-    if m < 1:
-        raise ValueError("scaling constant needs order >= 1")
+    m = _check_order(m, 1, "the scaling constant")
     hf = float(hurst)
     check_hurst(hf)
     d = asymptotic_coefficients(m)

@@ -38,10 +38,10 @@ For large s,
     G(j, s) ~ sum_q d_q s^{2-q} j^q     (j > 0),   G(0, s) ~ d_0 s^2,
 
 and the coefficients d_q are read off the same closed form, exactly:
-they are the terms of total degree 2m+3 of N = G s prod(s^2 - k^2)
-(asymptotic_coefficients). _closed_form is thus the one exact derivation
-per order; the other exact quantity, the Hilbert inverse of
-asymptotic_inverse_gram, is reported next to the d_q.
+they are the terms of total degree 2m+3 of N = G s prod(s^2 - k^2), a
+field of _closed_form (asymptotic_coefficients). _closed_form is thus the
+one exact derivation, and the one cache, per order; the Hilbert inverse
+of asymptotic_inverse_gram, reported next to the d_q, has a closed form.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _check_scale
+from .core import _check_order, _check_scale
 from .exceptions import DFAError
 
 #: the highest order whose G weight_function evaluates in float64
@@ -125,17 +125,19 @@ def _newton_fit(values: list[Fraction], start: int) -> list[Fraction]:
 
 
 class _ClosedForm(NamedTuple):
-    """Integer coefficients of the closed form of one order m, n = 2m.
+    """The closed form of one order m, n = 2m, and its d_q.
 
     quotient[p][q]: Q(j, s) = sum_{p,q} quotient[p][q] j^p s^q / denominator.
     ratio[k][t]: the same Q in the basis j^k (s-j)^{n-k},
         Q(j, s) = sum_k a_k(s) j^k (s-j)^{n-k} / (denominator s^n),
         a_k(s) = sum_t ratio[k][t] s^t.
+    d[q]: d_q of G(j, s) ~ sum_q d_q s^{2-q} j^q, q = 0..2m+3.
     """
 
     quotient: tuple[tuple[int, ...], ...]
     ratio: tuple[tuple[int, ...], ...]
     denominator: int
+    d: tuple[Fraction, ...]
 
 
 @lru_cache(maxsize=None)
@@ -146,6 +148,9 @@ def _closed_form(m: int) -> _ClosedForm:
     Q has degree 2m in j and each coefficient of j^p has degree at most 2m
     in s, so it is fitted exactly from G at lags 0..2m of the scales
     2m+3..4m+3 (the cubic is nonzero there): first in j, then in s.
+    N has total degree 2m+3, and its top terms d_p j^p s^{2m+3-p} give
+    G ~ N / s^{2m+1}; as the cubic's top part is (j-s)^3, d_p is
+    sum_i C(3, i) (-1)^{3-i} Q_{p-i, 2m-(p-i)} over the denominator of Q.
     """
     n, s0 = 2 * m, 2 * m + 3
     lags = range(n + 1)
@@ -165,9 +170,13 @@ def _closed_form(m: int) -> _ClosedForm:
         for k in range(p, n + 1):
             for q, epq in enumerate(row):
                 ratio[k][p + q] += comb(n - p, k - p) * epq
+    top = [quotient[p][n - p] for p in lags]
+    d = (Fraction(sum(comb(3, i) * (-1) ** (3 - i) * top[p - i]
+                      for i in range(4) if 0 <= p - i <= n), denominator)
+         for p in range(n + 4))
     return _ClosedForm(quotient=tuple(map(tuple, quotient)),
                        ratio=tuple(map(tuple, ratio)),
-                       denominator=denominator)
+                       denominator=denominator, d=tuple(d))
 
 
 def _poly_at(coeffs: tuple[int, ...], x: int) -> int:
@@ -175,6 +184,13 @@ def _poly_at(coeffs: tuple[int, ...], x: int) -> int:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _check_lag(j: int, s: int) -> int:
+    """The lag as an int in 0..s-1, else ValueError."""
+    if not (0 <= j < s and j == int(j)):
+        raise ValueError(f"lag {j} outside 0..{s - 1}")
+    return int(j)
 
 
 def closed_form_g(m: int, j: int, s: int, exact: bool = False):
@@ -185,9 +201,7 @@ def closed_form_g(m: int, j: int, s: int, exact: bool = False):
     float (correctly rounded) unless ``exact`` is set.
     """
     m, s = _check_scale(m, s)
-    if not (0 <= j < s and j == int(j)):
-        raise ValueError(f"lag {j} outside 0..{s - 1}")
-    j = int(j)
+    j = _check_lag(j, s)
     cf = _closed_form(m)
     q = _poly_at(tuple(_poly_at(row, s) for row in cf.quotient), j)
     g = Fraction((j - s - 1) * (j - s) * (j - s + 1) * q,
@@ -281,48 +295,30 @@ def _invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-@lru_cache(maxsize=None)
 def asymptotic_inverse_gram(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the stripped Gram matrix with entries 1/(i+j-1).
+    """Exact inverse of the stripped Gram matrix with entries 1/(i+j-1),
+    the s-independent part of (B B^T)^{-1}: the inverse Hilbert matrix of
+    order n = m+1, whose entries are the integers (-1)^{i+j} (i+j-1)
+    C(n+i-1, n-j) C(n+j-1, n-i) C(i+j-2, i-1)^2 (Choi, Amer. Math.
+    Monthly 90, 301, 1983)."""
+    n = _check_order(m) + 1
+    return tuple(tuple(Fraction((-1) ** (i + j) * (i + j - 1)
+                                * comb(n + i - 1, n - j)
+                                * comb(n + j - 1, n - i)
+                                * comb(i + j - 2, i - 1) ** 2)
+                       for j in range(1, n + 1))
+                 for i in range(1, n + 1))
 
-    This is the s-independent part of (B B^T)^{-1}; its entries are
-    integers (Hilbert-matrix inverse).
-    """
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    n = m + 1
-    gram = [[Fraction(1, i + j - 1) for j in range(1, n + 1)]
-            for i in range(1, n + 1)]
-    return tuple(tuple(row) for row in _invert_rational(gram))
 
-
-@lru_cache(maxsize=None)
 def asymptotic_coefficients(m: int) -> tuple[Fraction, ...]:
-    """The exact d_0..d_{2m+3}, read off the closed form of G (order
-    m >= 1).
-
-    N = (j-s-1)(j-s)(j-s+1) Q has total degree 2m+3, and its top terms
-    d_p j^p s^{2m+3-p} give G ~ N / s^{2m+1}. The cubic's top part is
-    (j-s)^3, so d_p = sum_i C(3, i) (-1)^{3-i} Q_{p-i, 2m-(p-i)} over the
-    denominator of Q. The cost is that of _closed_form(m): a cold call
-    on its own takes about 4 ms at m = 3 and 33 ms at m = 6 (one CPU),
-    but expected and bias derive _closed_form for G anyway, so there the
-    d_q cost next to nothing.
-    """
-    if m < 1:
-        raise ValueError("asymptotic coefficients need order >= 1")
-    cf, n = _closed_form(m), 2 * m
-    top = [cf.quotient[p][n - p] for p in range(n + 1)]
-    return tuple(Fraction(sum(comb(3, i) * (-1) ** (3 - i) * top[p - i]
-                              for i in range(4) if 0 <= p - i <= n),
-                          cf.denominator)
-                 for p in range(n + 4))
+    """The exact d_0..d_{2m+3} of G (order m >= 1), _closed_form(m).d."""
+    return _closed_form(_check_order(m, 1, "the asymptotic expansion")).d
 
 
 def asymptotic_weight(m: int, j: int, s: int) -> float:
     """Large-s approximation of G(j, s)."""
-    if not 0 <= j <= s - 1:
-        raise ValueError(f"lag {j} outside 0..{s - 1}")
+    m, s = _check_scale(m, s)
+    j = _check_lag(j, s)
     d = asymptotic_coefficients(m)
     if j == 0:
         return float(d[0]) * s**2

@@ -231,6 +231,36 @@ class TestExpected:
         assert np.array_equal([float(r["EF2"]) for r in rows], want)
         assert all(r["lambda_s2H"] == r["K2"] == "" for r in rows)
 
+    def test_order_0_leaves_the_models_k2_empty(self, tmp_path):
+        # E F^2 is defined at m = 0, lambda is not
+        out = tmp_path / "e.csv"
+        rc = main(["expected", "--model", '{"kind": "fgn", "hurst": 0.7}',
+                   "-m", "0", "--scales", "4", "8", "--out", str(out)])
+        assert rc == 0
+        rows = read_curve_csv(out)
+        want = expectation.expected_curve(FGNModel(0.7), 0, [4, 8])
+        assert np.array_equal([float(r["EF2"]) for r in rows], want)
+        assert all(r["lambda_s2H"] == r["K2"] == "" for r in rows)
+
+    def test_order_0_with_hurst_exits_before_output(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        rc = main(["expected", "--model", '{"kind": "fgn", "hurst": 0.7}',
+                   "-m", "0", "--hurst", "0.7", "--scales", "4", "8",
+                   "--out", str(out)])
+        assert rc == 4
+        assert "order >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_order_on_the_default_grid_exit_4(self, tmp_path,
+                                                       capsys):
+        # the default grid starts at the power of two at or above m + 2
+        out = tmp_path / "e.csv"
+        rc = main(["expected", "--model", '{"kind": "fgn", "hurst": 0.7}',
+                   "-m", "-2", "--out", str(out)])
+        assert rc == 4
+        assert "order must be >= 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_perfect_fit_scale_exits_before_output(self, tmp_path):
         # s = m + 1 would give E F^2 = 0 and K^2 = 0, a K^2 that
         # modified_f2 rejects; bias refuses it as well

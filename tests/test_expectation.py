@@ -249,13 +249,11 @@ class TestCorrection:
         monkeypatch.setattr(expectation, "asymptotic_coefficients",
                             lambda m: (Fraction(-1),))
         asymptotic_lambda.cache_clear()
-        asymptotic_coefficients.cache_clear()
         try:
             with pytest.raises(NonpositiveCorrectionError):
                 asymptotic_lambda(1, 0.5)
         finally:
             asymptotic_lambda.cache_clear()
-            asymptotic_coefficients.cache_clear()
         assert issubclass(NonpositiveCorrectionError, DFAError)
 
 

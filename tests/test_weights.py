@@ -170,7 +170,7 @@ class TestClosedForm:
         (lambda: asymptotic_weight(2, 10, 10), r"lag 10 outside 0\.\.9"),
         (lambda: asymptotic_weight(2, -1, 10), r"lag -1 outside 0\.\.9"),
         (lambda: asymptotic_inverse_gram(-1), "order must be >= 0"),
-        (lambda: asymptotic_coefficients(0), "need order >= 1"),
+        (lambda: asymptotic_coefficients(0), "needs order >= 1"),
         (lambda: asymptotic_lambda(0, 0.7), "needs order >= 1"),
         (lambda: closed_form_g(1, 0.5, 8), r"lag 0\.5 outside 0\.\.7"),
         (lambda: weight_function(1.5, 8), "order 1.5 is not an integer"),
@@ -275,7 +275,7 @@ class TestInverseGram:
             (Fraction(-6), Fraction(12)),
         )
 
-    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 14])
     def test_exact_inverse_and_integer(self, m):
         ct = asymptotic_inverse_gram(m)
         n = m + 1
