@@ -18,7 +18,8 @@ in O(m s); recentring leaves the span, so Q and A do not change. A is
 built as D^T D - V^T V, V = U^T D, a tile of b rows at a time (the
 dense A is the one tile of s rows), and V^T V a chunk of rows at a time,
 so a tile holds its own b x s array and one chunk's product.
-The one rule for an order and a scale is _check_order and _check_scale.
+The one rule for an order and a scale is _check_order and _check_scale,
+and _check_int their integer test, which lengths and counts share.
 """
 
 from __future__ import annotations
@@ -34,13 +35,20 @@ from .exceptions import (
 )
 
 
+def _check_int(x, what: str) -> int:
+    """x as an int: ValueError naming ``what`` unless x is an integer of
+    magnitude below 2^53 (an integral float or NumPy integer is that
+    integer)."""
+    if not (abs(x) < 2 ** 53 and x == int(x)):  # NaN fails too
+        raise ValueError(f"{what} {x} is not an integer below 2^53")
+    return int(x)
+
+
 def _check_order(m: int, least: int = 0, need: str = "") -> int:
     """The order as an int: ValueError unless an integer in 0..2^53-1 (an
     integral float is that integer), OrderZeroUnsupportedError for order
     0 when ``least`` is 1, saying that ``need`` needs order >= 1."""
-    if not (abs(m) < 2 ** 53 and m == int(m)):  # NaN fails too
-        raise ValueError(f"order {m} is not an integer below 2^53")
-    if m < 0:
+    if _check_int(m, "order") < 0:
         raise ValueError(f"order must be >= 0, got {m}")
     if m < least:
         raise OrderZeroUnsupportedError(f"{need} needs order >= {least}")
@@ -51,9 +59,7 @@ def _check_scale(m: int, s: int, least: int = 2) -> tuple[int, int]:
     """The order (by _check_order) and the scale as ints: ValueError unless
     s is an integer below 2^53, ScaleTooSmallError if s < m + least."""
     m = _check_order(m)
-    if not (abs(s) < 2 ** 53 and s == int(s)):
-        raise ValueError(f"scale {s} is not an integer below 2^53")
-    if s < m + least:
+    if _check_int(s, "scale") < m + least:
         raise ScaleTooSmallError(
             f"scale {s} too small for order {m}: need s >= m + {least}")
     return m, int(s)

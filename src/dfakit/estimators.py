@@ -39,18 +39,17 @@ default grid and 10^12 at 10^6 (minutes on 2 CPUs).
   the diagonal term is that of the uncentred y. One (R W, s) x (s, s)
   product Y_c B per scale serves both estimators, whose sums are always
   formed together; the two diagonal terms cost O(R W s). An all-missing
-  window has y = 0 and delta = 0 and adds exactly 0. B, the pair
-  weights p * A of ``gap_weights``
-  (p = W / pair counts, W counting all-missing windows too), is never
-  held whole: it is built and applied in tiles of
-  b = max(1, _BLOCK_VALUES // s) rows, which, B being symmetric, are
-  its columns J transposed. Each tile B[J, :] =
-  A[J, :] W / max(counts[J, :], 1) is formed in one loop over the row
-  tiles A[J, :] of core._weight_rows, from the pair counts
-  (Delta^T Delta)[J, :], and applied to the block's centred windows,
-  formed once per scale; the tiles add up the quadratic form and the
-  two diagonal terms, each read off Delta B. Below s = 1024 a tile is the
-  whole of B; above, no scale holds an s x s array.
+  window has y = 0 and delta = 0 and adds exactly 0. B is p * A, with
+  p the pair weights of ``gap_weights``, both from _pair_weights:
+  p = W / pair counts (W counting all-missing windows too), 0 at a pair
+  present together in no window. B is never held whole: it is built and
+  applied in tiles of b = max(1, _BLOCK_VALUES // s) rows, which, B
+  being symmetric, are its columns J transposed. Each tile
+  B[J, :] = p[J, :] * A[J, :] is formed in one loop over the row tiles
+  A[J, :] of core._weight_rows and applied to the block's centred
+  windows, formed once per scale; the tiles add up the quadratic form
+  and the two diagonal terms, each read off Delta B. Below s = 1024 a
+  tile is the whole of B; above, no scale holds an s x s array.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import (_check_order, _check_scale, _int_scales,
+from .core import (_check_int, _check_order, _check_scale, _int_scales,
                    _orthonormal_rowspace, _weight_rows)
 from .exceptions import (
     AllPairsMissingError,
@@ -165,8 +164,12 @@ class HurstFit:
 
 
 def default_scale_grid(n: int, m: int, count: int = 30) -> np.ndarray:
-    """About ``count`` log-spaced integer scales in [m+2, n//4]."""
+    """About ``count`` log-spaced integer scales in [m+2, n//4]; n and
+    count must be integers, count >= 1, or a ValueError names them."""
     lo = _check_order(m) + 2
+    n, count = _check_int(n, "length"), _check_int(count, "count")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if lo > n:
         raise ScaleExceedsLengthError(
             f"series of length {n} cannot hold the minimum scale {lo}"
@@ -201,7 +204,8 @@ def gap_weights(mask, s: int) -> np.ndarray:
     W = len(mask) // s counts all-missing windows too, as the estimators'
     1/(sW) does. Pairs present in no window get weight 0 (p > 0 marks the
     pairs present together somewhere) — the availability factors already
-    remove them from every sum.
+    remove them from every sum. It is the p of the estimators' kernel
+    B = p * A, from the same function.
     """
     s = _check_scale(0, s, least=1)[1]
     dw = _windows(np.asarray(mask, dtype=bool), s).astype(float)
@@ -211,11 +215,16 @@ def gap_weights(mask, s: int) -> np.ndarray:
         raise AllPairsMissingError(
             f"no pair is present in any window at scale {s}"
         )
-    counts = dw.T @ dw
-    p = np.divide(dw.shape[0], counts, out=np.zeros((s, s)),
-                  where=counts > 0)
+    p = _pair_weights(dw)
     p.setflags(write=False)
     return p
+
+
+def _pair_weights(dw: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of p = W / (Delta^T Delta), dw = Delta (W, s), as a
+    fresh array: 0 where the pair count is 0."""
+    counts = dw[:, rows].T @ dw
+    return np.divide(dw.shape[0], counts, out=counts, where=counts > 0)
 
 
 # an F^2 that overflows raises NonFiniteValueError, so its warnings say
@@ -294,9 +303,9 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray,
 
     f_hat is the quadratic form of the centred windows less their
     diagonal term; f_tilde adds the diagonal term of the uncentred ones.
-    B is walked in row tiles of A from core._weight_rows, of
-    max(1, _BLOCK_VALUES // s) rows, each built with its pair counts
-    (Delta^T Delta)[cols, :] and applied to the whole block.
+    B = p * A is walked in row tiles of A from core._weight_rows, of
+    max(1, _BLOCK_VALUES // s) rows, each weighted by its rows of p
+    (_pair_weights, as gap_weights) and applied to the whole block.
     """
     reps, s = xz.shape[0], u.shape[0]
     dw = _windows(mask, s).astype(float)  # Delta (W x s)
@@ -313,13 +322,9 @@ def _gapped_sums(xz: np.ndarray, mask: np.ndarray,
     yc *= dw
     quad, corr, raw = np.zeros(reps), np.zeros(reps), np.zeros(reps)
     for cols, b in _weight_rows(u, max(1, core._BLOCK_VALUES // s)):
-        # B[cols, :] = A[cols, :] W / max(counts, 1), in place. A pair
-        # with count 0 is never present together: B gives the sums of
-        # p * A. B is symmetric, so b.T is the columns B[:, cols].
-        counts = dw[:, cols].T @ dw
-        np.maximum(counts, 1.0, out=counts)
-        b *= np.divide(nw, counts, out=counts)
-        del counts
+        # B[cols, :] = p[cols, :] * A[cols, :], in place; B is symmetric,
+        # so b.T is the columns B[:, cols]
+        b *= _pair_weights(dw, cols)
         b = b.T
         # row w of Delta B[:, cols] is (B delta_w)[cols]
         dbw = dw @ b

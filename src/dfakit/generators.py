@@ -78,16 +78,18 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     (seed, replicates[i]).
 
     A model with an acvf goes through the circulant embedding, which
-    reads gamma(0..n-1) and gamma(n); an FBM goes through it as the
+    reads gamma(0..n), in one acvf call; an FBM goes through it as the
     FGN(H - 1, variance) of its increments, summed along each row last, so
     X(0) = 0 and the increments of each row are exactly that noise
     stream. The acvf and the embedding's eigenvalues (or the Cholesky
     factor) are computed once for the stack; each row is what
     sample(model, n, seed, replicate) gives, bit for bit. A stack that is
     not finite (a variance too large for float64) raises
-    NonFiniteValueError, whose message names the model given; a seed or
-    key that is not an integer in 0..2^64 - 1, ValueError naming it.
+    NonFiniteValueError, whose message names the model given; a length
+    that is not an integer >= 2, or a seed or key that is not an integer
+    in 0..2^64 - 1, ValueError naming it.
     """
+    n = core._check_int(n, "length")
     if n < 2:
         raise ValueError("length must be >= 2")
     _key_word(seed)
@@ -97,8 +99,8 @@ def sample_stack(model, n: int, seed: int, replicates) -> np.ndarray:
     if not hasattr(noise, "acvf"):
         raise DFAError(f"cannot sample {type(model).__name__}: "
                        "it has no acvf")
-    gamma = np.asarray(noise.acvf(np.arange(n)), dtype=float)
-    lam = _circulant_eigenvalues(gamma, float(noise.acvf(n)))
+    gamma = np.asarray(noise.acvf(np.arange(n + 1)), dtype=float)
+    lam = _circulant_eigenvalues(gamma[:n], gamma[n])
     # an overflowing eigenvalue is no sign that the embedding is negative
     if not np.isfinite(lam).all():
         raise NonFiniteValueError(f"the samples are not finite: the circulant "
@@ -159,8 +161,12 @@ def block_gap_mask(n: int, missing_fraction: float, mean_block_length: float,
     """Availability mask with geometrically distributed gap blocks.
 
     Missing runs have the given mean length; present runs are sized so
-    the expected missing fraction matches the target.
+    the expected missing fraction matches the target. The length n must
+    be an integer >= 1, else ValueError names it.
     """
+    n = core._check_int(n, "length")
+    if n < 1:
+        raise ValueError(f"length must be >= 1, got {n}")
     if not 0.0 < missing_fraction < 1.0:
         raise ValueError("missing fraction must lie in (0, 1)")
     if not 1.0 <= mean_block_length < np.inf:  # NaN fails too

@@ -119,6 +119,35 @@ class TestGapWeights:
         with pytest.raises(ScaleTooSmallError, match="scale 0 too small"):
             gap_weights(np.ones(10, bool), 0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_engine_kernel_is_p_times_a(self, monkeypatch, m):
+        """The tiles f_hat applies are B = p * A to the bit, 0 at a pair
+        present together in no window (W A there would add nothing, as
+        its availability factors are 0, but is not p * A)."""
+        n, s = 40, 10
+        mask = np.ones(n, bool)
+        # not point 0: row 0 of A is 0 up to rounding, as the fit removes
+        # the constant profile of a first-point step
+        mask[[1, 11]] = False   # point 1 of windows 0 and 1
+        mask[[29, 39]] = False  # point 9 of windows 2 and 3
+        p = gap_weights(mask, s)
+        a = weight_matrix(m, s).entries
+        assert p[1, 9] == 0.0 and abs(a[1, 9]) > 0.005
+        tiles = []
+
+        def kept(u, width):
+            # the engine weighs each tile in place after it is yielded
+            for rows, tile in core._weight_rows(u, width):
+                tiles.append(tile)
+                yield rows, tile
+
+        monkeypatch.setattr(estimators, "_weight_rows", kept)
+        x = np.random.default_rng(35).normal(size=n)
+        f_hat(GappedSeries(x, mask), m, [s])
+        # at s <= 512 the one tile is A to the bit
+        assert len(tiles) == 1
+        assert np.array_equal(tiles[0], p * a)
+
     def test_empty_window_numerator_flag(self):
         mask = np.ones(20, bool)
         mask[5:10] = False  # window 1 fully missing
@@ -283,8 +312,8 @@ class TestExpandedFormPrecision:
 
 
 class TestEngineMatchesDenseRoute:
-    """The engine weighs pairs by A n_win / max(counts, 1) and never
-    forms p; it must give the sums of the dense p * A route."""
+    """The engine weighs pairs by p * A, p in row tiles; it must give the
+    sums of the dense p * A route."""
 
     @pytest.mark.parametrize("offset", [5.0, 1e3])
     def test_matches(self, offset):
@@ -618,6 +647,26 @@ class TestScaleGrid:
     def test_short_series(self):
         with pytest.raises(ScaleExceedsLengthError):
             default_scale_grid(6, 5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, match", [
+        ((100.5, 2), "length 100.5 is not an integer"),
+        ((np.nan, 2), "length nan is not an integer"),
+        ((100, 2, 0), "count must be >= 1, got 0"),
+        ((100, 2, -3), "count must be >= 1, got -3"),
+        ((100, 2, 2.5), "count 2.5 is not an integer"),
+    ], ids=["length-100.5", "length-nan", "count-0", "count-minus-3",
+            "count-2.5"])
+    def test_length_and_count_must_be_integers(self, args, match):
+        """100.5 gave a 20-scale grid, count 0 an empty one and NaN
+        numpy's cast RuntimeWarning."""
+        with pytest.raises(ValueError, match=match):
+            default_scale_grid(*args)
+
+    def test_integral_length_and_count_are_those_integers(self):
+        want = default_scale_grid(1368, 2, 12)
+        for n, count in ((1368.0, 12.0), (np.int64(1368), np.int64(12))):
+            assert np.array_equal(default_scale_grid(n, 2, count), want)
 
 
 class TestGappedSeries:

@@ -261,6 +261,40 @@ class TestSampleStack:
         with pytest.raises(EmbeddingError, match="Cholesky fallback cap"):
             sample_stack(table, 8193, 0, [0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [10.5, np.nan], ids=["10.5", "nan"])
+    def test_length_must_be_an_integer(self, n):
+        """10.5 raised "fGn lags must be integers" or numpy's TypeError,
+        NaN numpy's "arange: cannot compute length"."""
+        for model in (FGN(0.7), OU(5.0)):
+            with pytest.raises(ValueError,
+                               match=f"length {n} is not an integer"):
+                sample_stack(model, n, 4, self.KEYS)
+
+    def test_integral_length_is_that_integer(self):
+        want = sample_stack(FGN(0.7), 100, 4, self.KEYS)
+        for n in (100.0, np.int64(100)):
+            assert np.array_equal(sample_stack(FGN(0.7), n, 4, self.KEYS),
+                                  want)
+
+    @pytest.mark.parametrize("model, noise", [
+        (FGN(0.7), FGN), (FBM(1.3), FGN), (OU(5.0), OU),
+        (AcvfTable((1.25, 0.5) + (0.0,) * 99), AcvfTable),
+    ], ids=["fgn", "fbm", "ou", "table"])
+    def test_one_acvf_call_per_stack(self, monkeypatch, model, noise):
+        """gamma(0..n) comes from one call, so FGN.acvf's fixed cost (the
+        near-lag series and the decimal lag 1) is paid once per stack."""
+        calls = []
+        acvf = noise.acvf
+
+        def counted(self, lags):
+            calls.append(np.size(lags))
+            return acvf(self, lags)
+
+        monkeypatch.setattr(noise, "acvf", counted)
+        sample_stack(model, 100, 4, self.KEYS)
+        assert calls == [101]
+
 
 class TestFbm:
     def test_duality_with_noise(self):
@@ -341,6 +375,23 @@ class TestBlockGapMask:
         starts, ends = np.where(gaps == -1)[0], np.where(gaps == 1)[0]
         runs = ends - starts
         assert runs.mean() > 4.0  # geometric mean length 10 target
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, match", [
+        (0, "length must be >= 1, got 0"), (-5, "length must be >= 1, got -5"),
+        (2.5, "length 2.5 is not an integer"),
+        (np.nan, "length nan is not an integer"),
+    ], ids=["zero", "negative", "fraction", "nan"])
+    def test_length_must_be_a_positive_integer(self, n, match):
+        """0 gave an empty mask, -5 numpy's "negative dimensions", 2.5
+        and NaN numpy's TypeError."""
+        with pytest.raises(ValueError, match=match):
+            block_gap_mask(n, 0.2, 6.0, seed=1)
+
+    def test_integral_length_is_that_integer(self):
+        want = block_gap_mask(50, 0.2, 6.0, seed=1)
+        for n in (50.0, np.int64(50)):
+            assert np.array_equal(block_gap_mask(n, 0.2, 6.0, seed=1), want)
 
     def test_domain(self):
         with pytest.raises(ValueError):
